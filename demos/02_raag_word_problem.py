@@ -10,9 +10,7 @@ their normal forms coincide letter-for-letter.
 from bbgroups import (
     RaagContext,
     from_graph,
-    is_identity,
     parse_word,
-    raag_normal_form,
     render_word,
 )
 
@@ -24,7 +22,7 @@ ctx = RaagContext(square)
 
 def show(text):
     word = parse_word(text, ctx.alphabet)
-    nf = raag_normal_form(word, ctx)
+    nf = ctx.normal_form(word)
     print(f"  {text!r:28} -> {render_word(nf) or '1'}")
 
 
@@ -40,7 +38,7 @@ print()
 print("identity testing")
 for text in ["a b a^-1 b^-1", "a c a^-1 c^-1", "b d^3 b^-1 d^-3"]:
     word = parse_word(text, ctx.alphabet)
-    print(f"  {text!r:28} -> identity: {is_identity(word, ctx)}")
+    print(f"  {text!r:28} -> identity: {ctx.is_identity(word)}")
 print()
 
 # On a complete graph everything commutes, and the normal form is just
@@ -49,4 +47,4 @@ k3 = from_graph("xyz", [("x", "y"), ("y", "z"), ("x", "z")])
 abelian = RaagContext(k3)
 word = parse_word("z x y x z^-1 x", abelian.alphabet)
 print("abelian collection in the rank-3 free abelian RAAG")
-print("  z x y x z^-1 x ->", render_word(raag_normal_form(word, abelian)))
+print("  z x y x z^-1 x ->", render_word(abelian.normal_form(word)))

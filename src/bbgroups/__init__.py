@@ -32,10 +32,7 @@ from .words import (
     Word,
     edge_alphabet,
     exponent_sum,
-    free_reduce,
-    is_identity,
     parse_word,
-    raag_normal_form,
     render_word,
     vertex_alphabet,
 )
@@ -62,7 +59,6 @@ from .bestvina_brady import (
     apply_move_to_cycle,
     basepoint_conjugate,
     basepoint_conjugate_inverse,
-    canonical_edge_name,
     conjugate_power,
     cycle_relator,
     directed_cycle_presentation,

@@ -32,7 +32,7 @@ from .words import (
     Word,
     edge_alphabet,
     exponent_sum,
-    letter_token,
+    invert_letters,
 )
 
 
@@ -120,7 +120,7 @@ def basepoint_conjugate(edge_word, ctx):
         back = ctx.tree.path_edges(e.initial, a)
         image = [(f, 1) for f in there] + [(e, 1)] + [(f, 1) for f in back]
         if s < 0:
-            image = [(l, -t) for l, t in reversed(image)]
+            image = invert_letters(image)
         out.extend(image)
     return Word(ctx.edge_alphabet, out)
 
@@ -243,9 +243,7 @@ def enumerate_cycle_classes(ctx, max_len):
 
 
 def _edge_word_to_named(edge_word, alphabet):
-    return Word(
-        alphabet, [(letter_token(e), s) for e, s in edge_word.letters]
-    )
+    return Word(alphabet, [(str(e), s) for e, s in edge_word.letters])
 
 
 def named_word_to_edge_word(word, ctx):
@@ -269,7 +267,7 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
         raise ValueError("max_len must be at least 2")
     if max_exp < 1:
         raise ValueError("max_exp must be at least 1")
-    generators = [letter_token(e) for e in ctx.complex.directed_edges()]
+    generators = [str(e) for e in ctx.complex.directed_edges()]
     cycles = enumerate_cycle_classes(ctx, max_len)
     relators = []
     named = Alphabet("named", tuple(generators))
@@ -291,21 +289,12 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
     )
 
 
-def canonical_edge_name(complex, u, v):
-    if complex.vertex_index(u) > complex.vertex_index(v):
-        u, v = v, u
-    return f"[{u}>{v}]"
-
-
 def _fold_edge_word_to_named(edge_word, ctx, named):
     """Rewrite over one generator per undirected edge: [b>a] becomes [a>b]^-1."""
-    idx = ctx.complex.vertex_index
     letters = []
     for e, s in edge_word.letters:
-        if idx(e.initial) < idx(e.terminal):
-            letters.append((letter_token(e), s))
-        else:
-            letters.append((letter_token(e.reverse()), -s))
+        name, sign = ctx.complex.edge_letter(e.initial, e.terminal)
+        letters.append((name, sign * s))
     return Word(named, letters)
 
 
@@ -325,7 +314,7 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=10000):
         raise ValueError("max_exp must be at least 1")
     extra_cycles = tuple(extra_cycles)
     complex = ctx.complex
-    generators = [canonical_edge_name(complex, u, v) for u, v in complex.edges]
+    generators = [complex.edge_letter(u, v)[0] for u, v in complex.edges]
     named = Alphabet("named", tuple(generators))
     relators = []
     for a, b, c in complex.triangles():

@@ -14,7 +14,7 @@ import sys
 
 from . import bestvina_brady as bb
 from . import facering
-from .complexes import homology, parse_complex, pi1_presentation
+from .complexes import euler_characteristic, homology, parse_complex, pi1_presentation
 from .errors import ParseError
 from .presentations import (
     parse_presentation,
@@ -28,12 +28,6 @@ from .words import parse_word, render_word
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized search order (reserved; current verbs are deterministic)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="bbgroups",
@@ -104,7 +98,7 @@ def _tuple_text(values):
 
 def _run_info(ns):
     complex = _load_complex(ns.complex)
-    chi = sum((-1) ** k * f for k, f in enumerate(complex.f_vector()))
+    chi = euler_characteristic(complex)
     if ns.json:
         return _dump_json(
             {
@@ -220,7 +214,7 @@ def _run_hilbert(ns):
 
 def _run_euler(ns):
     complex = _load_complex(ns.complex)
-    chi = facering.euler_characteristic(complex)
+    chi = euler_characteristic(complex)
     if ns.json:
         return _dump_json({"chi_delta": chi, "chi_group": 1 - chi}), 0
     return f"chi(complex) = {chi}\nchi(raag) = {1 - chi}\n", 0

@@ -19,7 +19,7 @@ import re
 
 from . import snf
 from .errors import ParseError
-from .presentations import Presentation, tietze_simplify
+from .presentations import Presentation, abelianization, tietze_simplify
 
 _FORBIDDEN_ID_CHARS = set(" \t\r\n\f\v-#[]>^")
 
@@ -221,6 +221,13 @@ class FlagComplex:
         if not self.adjacent(u, v):
             raise ValueError(f"{u!r}-{v!r} is not an edge of the complex")
         return DirectedEdge(u, v)
+
+    def edge_letter(self, u, v):
+        """``(name, sign)``: the edge u-v is named by its orientation from
+        the earlier-declared vertex; sign is -1 when u->v runs against it."""
+        if self.vertex_index(u) < self.vertex_index(v):
+            return str(DirectedEdge(u, v)), 1
+        return str(DirectedEdge(v, u)), -1
 
     def directed_edges(self):
         out = []
@@ -435,15 +442,11 @@ def homology(complex, reduced=False):
 # -- fundamental group -------------------------------------------------
 
 
-def edge_generator_name(u, v):
-    return f"[{u}>{v}]"
-
-
 def pi1_presentation(complex, basepoint=None):
     """Edge-path presentation of the fundamental group.
 
     Generators are the non-tree edges of the breadth-first spanning tree
-    from the basepoint (canonically oriented by vertex order); each
+    from the basepoint (named by ``FlagComplex.edge_letter``); each
     triangle contributes one relator, with tree edges eliminated.
     """
     if not complex.is_connected():
@@ -452,24 +455,13 @@ def pi1_presentation(complex, basepoint=None):
         basepoint = complex.vertices[0]
     tree = complex.spanning_tree(basepoint)
 
-    idx = complex.vertex_index
-    non_tree = [
-        (u, v) for (u, v) in complex.edges if not tree.has_edge(u, v)
+    generators = [
+        complex.edge_letter(u, v)[0] for u, v in complex.edges if not tree.has_edge(u, v)
     ]
-    generators = [edge_generator_name(u, v) for u, v in non_tree]
-    gen_of_pair = {pair: name for pair, name in zip(non_tree, generators)}
-
-    def letter(x, y):
-        if tree.has_edge(x, y):
-            return None
-        if idx(x) < idx(y):
-            return (gen_of_pair[(x, y)], 1)
-        return (gen_of_pair[(y, x)], -1)
-
     relators = []
     for a, b, c in complex.triangles():
-        word = [letter(*pair) for pair in ((a, b), (b, c), (c, a))]
-        word = [l for l in word if l is not None]
+        pairs = ((a, b), (b, c), (c, a))
+        word = [complex.edge_letter(x, y) for x, y in pairs if not tree.has_edge(x, y)]
         if word:
             relators.append(word)
     return Presentation(
@@ -491,17 +483,18 @@ class Pi1Status(enum.Enum):
 def simply_connected_status(complex, budget=10000):
     """Tri-state simple-connectivity certificate.
 
-    Nontriviality is certified by H_1 != 0; triviality by bounded Tietze
-    simplification of the edge-path presentation reaching the empty
-    presentation.  Anything else is honestly Unknown (triviality of a
-    fundamental group is undecidable in general).
+    Nontriviality is certified by a nonzero abelianization of the
+    edge-path presentation, i.e. H_1 != 0 (Hurewicz); triviality by
+    bounded Tietze simplification of the same presentation reaching the
+    empty presentation.  Anything else is honestly Unknown (triviality
+    of a fundamental group is undecidable in general).
     """
     if not complex.is_connected():
         raise ValueError("complex is not connected")
-    h = homology(complex, reduced=True)
-    if not h.is_trivial(1):
-        return Pi1Status.CERTIFIED_NONTRIVIAL
     pres = pi1_presentation(complex)
+    h1 = abelianization(pres)
+    if h1.rank or h1.torsion:
+        return Pi1Status.CERTIFIED_NONTRIVIAL
     simplified, _ = tietze_simplify(pres, budget)
     if not simplified.generators and not simplified.relators:
         return Pi1Status.CERTIFIED_TRIVIAL

@@ -154,7 +154,11 @@ _LICENSES = {
 
 
 def finiteness_report(complex, tietze_budget=10000):
-    """Apply the classification to a fully enumerated complex."""
+    """Apply the classification to a fully enumerated complex.
+
+    Homology is computed once, reduced: the unreduced b_0 of a nonempty
+    complex is one more, and simply_connected_status reads H_1 off pi_1.
+    """
     if not complex.vertices:
         raise ValueError("the kernel group needs a nonempty complex")
     if not complex.enumeration_complete:
@@ -180,7 +184,6 @@ def finiteness_report(complex, tietze_budget=10000):
         }[status]
 
     chi = euler_characteristic(complex)
-    unreduced = homology(complex, reduced=False)
     return FinitenessReport(
         finitely_generated=connected,
         finitely_presented=presented,
@@ -192,7 +195,7 @@ def finiteness_report(complex, tietze_budget=10000):
             connected and status is Pi1Status.CERTIFIED_TRIVIAL and chi != 1
         ),
         f_vector=complex.f_vector(),
-        homology_betti=unreduced.betti,
+        homology_betti=(reduced.betti[0] + 1,) + reduced.betti[1:],
         licenses=dict(_LICENSES),
     )
 

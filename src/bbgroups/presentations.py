@@ -6,6 +6,8 @@ sequence of freely reduced, nonempty relator words over that alphabet.
 A free-form provenance mapping records which construction emitted the
 presentation and with what truncation parameters; provenance rides
 along through serialization but does not take part in equality.
+Tietze moves reuse the free reduction of ``words``.  Abelianizing a
+complex's edge-path presentation gives its H_1 (Hurewicz).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 from . import snf
 from .errors import ParseError
-from .words import Alphabet, Word, parse_word, render_word
+from .words import Alphabet, Word, invert_letters, parse_word, reduce_letters, render_word
 
 
 class Presentation:
@@ -107,20 +109,6 @@ class TietzeStatus(enum.Enum):
     BUDGET_EXHAUSTED = "BudgetExhausted"
 
 
-def _reduce(seq):
-    stack = []
-    for letter, sign in seq:
-        if stack and stack[-1][0] == letter and stack[-1][1] == -sign:
-            stack.pop()
-        else:
-            stack.append((letter, sign))
-    return tuple(stack)
-
-
-def _inverse(seq):
-    return tuple((l, -s) for l, s in reversed(seq))
-
-
 def _apply_one_move(gens, rels):
     """Apply the first applicable elementary move; returns False at fixpoint.
 
@@ -135,7 +123,7 @@ def _apply_one_move(gens, rels):
         if len(rel) >= 2 and rel[0] == (rel[-1][0], -rel[-1][1]):
             word = rel
             while len(word) >= 2 and word[0] == (word[-1][0], -word[-1][1]):
-                word = _reduce(word[1:-1])
+                word = reduce_letters(word[1:-1])
             rels[i] = word
             return True
 
@@ -154,9 +142,11 @@ def _apply_one_move(gens, rels):
             if counts[letter] != 1:
                 continue
             # rel = pre g^sign post = 1, so g^sign = pre^-1 post^-1
-            value = _reduce(_inverse(rel[:p]) + _inverse(rel[p + 1 :]))
+            value = reduce_letters(
+                invert_letters(rel[:p]) + invert_letters(rel[p + 1 :])
+            )
             if sign < 0:
-                value = _inverse(value)
+                value = invert_letters(value)
             replaced = []
             for k, other in enumerate(rels):
                 if k == i:
@@ -164,10 +154,10 @@ def _apply_one_move(gens, rels):
                 out = []
                 for l, s in other:
                     if l == letter:
-                        out.extend(value if s > 0 else _inverse(value))
+                        out.extend(value if s > 0 else invert_letters(value))
                     else:
                         out.append((l, s))
-                replaced.append(_reduce(out))
+                replaced.append(reduce_letters(out))
             rels[:] = replaced
             gens.remove(letter)
             return True
@@ -177,7 +167,7 @@ def _apply_one_move(gens, rels):
         for j, source in enumerate(rels):
             if i == j:
                 continue
-            for base in (source, _inverse(source)):
+            for base in (source, invert_letters(source)):
                 for rot in range(len(base)):
                     u = base[rot:] + base[:rot]
                     longest = min(len(u), len(target))
@@ -185,9 +175,9 @@ def _apply_one_move(gens, rels):
                         pattern = u[:length]
                         for p in range(len(target) - length + 1):
                             if target[p : p + length] == pattern:
-                                new = _reduce(
+                                new = reduce_letters(
                                     target[:p]
-                                    + _inverse(u[length:])
+                                    + invert_letters(u[length:])
                                     + target[p + length :]
                                 )
                                 if len(new) < len(target):

@@ -83,16 +83,6 @@ def invariant_factors(matrix):
     return tuple(factors)
 
 
-def rank(matrix):
-    """Rank over Q (= number of invariant factors)."""
-    return len(invariant_factors(matrix))
-
-
-def torsion_coefficients(matrix):
-    """Invariant factors greater than one, in divisibility order."""
-    return tuple(d for d in invariant_factors(matrix) if d > 1)
-
-
 def in_row_lattice(matrix, vector):
     """Whether ``vector`` is an integer combination of the matrix rows.
 

@@ -24,9 +24,20 @@ from collections import deque
 from .errors import ParseError
 
 
-def letter_token(letter):
-    """Text form of a letter: strings are themselves, edges render [a>b]."""
-    return letter if isinstance(letter, str) else str(letter)
+def reduce_letters(letters):
+    """Free reduction of (letter, sign) pairs: cancel adjacent inverse pairs."""
+    stack = []
+    for letter, sign in letters:
+        if stack and stack[-1][0] == letter and stack[-1][1] == -sign:
+            stack.pop()
+        else:
+            stack.append((letter, sign))
+    return tuple(stack)
+
+
+def invert_letters(letters):
+    """The (letter, sign) pairs of the inverse word."""
+    return tuple((l, -s) for l, s in reversed(letters))
 
 
 class Alphabet:
@@ -40,7 +51,7 @@ class Alphabet:
         self._index = {l: i for i, l in enumerate(self.letters)}
         if len(self._index) != len(self.letters):
             raise ValueError("alphabet letters must be distinct")
-        self._by_token = {letter_token(l): l for l in self.letters}
+        self._by_token = {str(l): l for l in self.letters}
         if len(self._by_token) != len(self.letters):
             raise ValueError("alphabet letters must have distinct text forms")
 
@@ -55,7 +66,7 @@ class Alphabet:
             return self._index[letter]
         except KeyError:
             raise ValueError(
-                f"letter {letter_token(letter)!r} is not in the {self.kind} alphabet"
+                f"letter {str(letter)!r} is not in the {self.kind} alphabet"
             ) from None
 
     def letter_for_token(self, token):
@@ -101,17 +112,13 @@ class Word:
     __slots__ = ("alphabet", "letters")
 
     def __init__(self, alphabet, letters=()):
-        stack = []
+        letters = tuple(letters)
         for letter, sign in letters:
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
             alphabet.index(letter)
-            if stack and stack[-1][0] == letter and stack[-1][1] == -sign:
-                stack.pop()
-            else:
-                stack.append((letter, sign))
         self.alphabet = alphabet
-        self.letters = tuple(stack)
+        self.letters = reduce_letters(letters)
 
     def __len__(self):
         return len(self.letters)
@@ -140,9 +147,7 @@ class Word:
         return Word(self.alphabet, self.letters + other.letters)
 
     def __invert__(self):
-        return Word(
-            self.alphabet, [(l, -s) for l, s in reversed(self.letters)]
-        )
+        return Word(self.alphabet, invert_letters(self.letters))
 
     def __pow__(self, n):
         if n < 0:
@@ -161,11 +166,6 @@ class Word:
 
     def __repr__(self):
         return f"Word({render_word(self) or '1'})"
-
-
-def free_reduce(alphabet, letters):
-    """The unique freely reduced word with the given letters."""
-    return Word(alphabet, letters)
 
 
 def exponent_sum(word):
@@ -249,16 +249,6 @@ class RaagContext:
         return count == 0
 
 
-def raag_normal_form(word, ctx):
-    """Canonical representative of the group element of ``word`` in the RAAG."""
-    return ctx.normal_form(word)
-
-
-def is_identity(word, ctx):
-    """Whether the word represents the identity of the RAAG."""
-    return ctx.is_identity(word)
-
-
 # -- word text syntax ---------------------------------------------------
 
 _FACTOR_RE = re.compile(r"^([^\^]+?)(?:\^(-?\d+))?$")
@@ -268,7 +258,7 @@ def render_word(word):
     """Whitespace-separated factors ``g``, ``g^k``; edge letters as [a>b]."""
     parts = []
     for letter, exp in word.syllables():
-        token = letter_token(letter)
+        token = str(letter)
         parts.append(token if exp == 1 else f"{token}^{exp}")
     return " ".join(parts)
 

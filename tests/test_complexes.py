@@ -231,6 +231,9 @@ def test_simply_connected_status_examples():
     assert simply_connected_status(k3()) is Pi1Status.CERTIFIED_TRIVIAL
     with pytest.raises(ValueError, match="connected"):
         simply_connected_status(three_points())
+    for name, complex in connected_corpus():
+        nontrivial = simply_connected_status(complex) is Pi1Status.CERTIFIED_NONTRIVIAL
+        assert nontrivial == (not homology(complex, reduced=True).is_trivial(1)), name
 
 
 # -- spanning trees -------------------------------------------------------

@@ -199,6 +199,7 @@ def test_simplex_report_is_type_fp():
 def test_report_monotone_consistency():
     for name, complex in corpus():
         report = finiteness_report(complex)
+        assert report.homology_betti == homology(complex).betti, name
         if report.finitely_presented == "yes":
             assert report.finitely_generated, name
             assert report.fp_level is None or report.fp_level >= 2, name

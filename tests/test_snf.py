@@ -41,12 +41,6 @@ def test_input_not_modified():
     assert matrix == copy
 
 
-def test_rank_and_torsion():
-    assert snf.rank([[1, 2], [2, 4]]) == 1
-    assert snf.torsion_coefficients([[2, 0], [0, 3]]) == (6,)
-    assert snf.torsion_coefficients([[1, 0], [0, 1]]) == ()
-
-
 def test_in_row_lattice():
     rows = [[1, 1, -1]]
     assert snf.in_row_lattice(rows, [3, 3, -3])

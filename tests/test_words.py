@@ -12,10 +12,7 @@ from bbgroups import (
     Word,
     edge_alphabet,
     exponent_sum,
-    free_reduce,
-    is_identity,
     parse_word,
-    raag_normal_form,
     render_word,
     vertex_alphabet,
 )
@@ -33,17 +30,17 @@ def W(*pairs):
 
 
 def test_free_reduce_examples():
-    assert free_reduce(AB, [("a", 1), ("a", -1)]).letters == ()
-    assert free_reduce(AB, [("a", 1), ("b", 1), ("b", -1), ("a", 1)]).letters == (
+    assert Word(AB, [("a", 1), ("a", -1)]).letters == ()
+    assert Word(AB, [("a", 1), ("b", 1), ("b", -1), ("a", 1)]).letters == (
         ("a", 1),
         ("a", 1),
     )
     already = [("a", 1), ("b", 1), ("a", -1)]
-    assert free_reduce(AB, already).letters == tuple(already)
+    assert Word(AB, already).letters == tuple(already)
 
 
 def test_nested_cancellation():
-    word = free_reduce(
+    word = Word(
         AB, [("a", 1), ("b", 1), ("c", 1), ("c", -1), ("b", -1), ("a", -1)]
     )
     assert word.letters == ()
@@ -98,27 +95,27 @@ def test_conjugation_by_adjacent_commuting_generator():
     ctx = ctx4()
     va = ctx.alphabet
     word = Word(va, [("a", 1), ("b", 1), ("a", -1)])  # a, b adjacent in C4
-    assert raag_normal_form(word, ctx) == Word(va, [("b", 1)])
+    assert ctx.normal_form(word) == Word(va, [("b", 1)])
 
 
 def test_commutator_of_adjacent_vertices_dies():
     ctx = ctx4()
     word = parse_word("a b a^-1 b^-1", ctx.alphabet)
-    assert is_identity(word, ctx)
-    assert raag_normal_form(word, ctx).letters == ()
+    assert ctx.is_identity(word)
+    assert ctx.normal_form(word).letters == ()
 
 
 def test_commutator_of_nonadjacent_vertices_survives():
     ctx = ctx4()
     word = parse_word("a c a^-1 c^-1", ctx.alphabet)  # a, c not adjacent in C4
-    assert not is_identity(word, ctx)
+    assert not ctx.is_identity(word)
     assert ShuffleClosureOracle(c4()).is_identity(word) is False
 
 
 def test_is_identity_examples():
     ctx = ctx4()
-    assert is_identity(Word(ctx.alphabet), ctx)
-    assert is_identity(parse_word("a^2 b a^-2 b^-1", ctx.alphabet), ctx)
+    assert ctx.is_identity(Word(ctx.alphabet))
+    assert ctx.is_identity(parse_word("a^2 b a^-2 b^-1", ctx.alphabet))
 
 
 def test_normal_form_is_lex_least_shuffle():
@@ -127,7 +124,7 @@ def test_normal_form_is_lex_least_shuffle():
     # requires an uphill adjacent swap from cab.
     ctx = ctx4()
     word = parse_word("c a b", ctx.alphabet)
-    assert render_word(raag_normal_form(word, ctx)) == "b c a"
+    assert render_word(ctx.normal_form(word)) == "b c a"
 
 
 def test_normal_form_idempotent_and_constant_on_classes():
@@ -135,8 +132,8 @@ def test_normal_form_idempotent_and_constant_on_classes():
     rng = random.Random(9)
     for _ in range(200):
         word = random_word(rng, ctx.alphabet, rng.randint(0, 10))
-        nf = raag_normal_form(word, ctx)
-        assert raag_normal_form(nf, ctx) == nf
+        nf = ctx.normal_form(word)
+        assert ctx.normal_form(nf) == nf
         # random legal adjacent swaps must not change the normal form
         letters = list(word.letters)
         for _ in range(10):
@@ -147,7 +144,7 @@ def test_normal_form_idempotent_and_constant_on_classes():
             if g != h and ctx.commutes(g, h):
                 letters[i], letters[i + 1] = letters[i + 1], letters[i]
         shuffled = Word(ctx.alphabet, letters)
-        assert raag_normal_form(shuffled, ctx) == nf
+        assert ctx.normal_form(shuffled) == nf
 
 
 def test_normal_form_preserves_exponent_sum():
@@ -155,7 +152,7 @@ def test_normal_form_preserves_exponent_sum():
     rng = random.Random(10)
     for _ in range(100):
         word = random_word(rng, ctx.alphabet, rng.randint(0, 10))
-        assert exponent_sum(raag_normal_form(word, ctx)) == exponent_sum(word)
+        assert exponent_sum(ctx.normal_form(word)) == exponent_sum(word)
 
 
 def test_fully_commuting_words_collect_exponents():
@@ -163,7 +160,7 @@ def test_fully_commuting_words_collect_exponents():
     rng = random.Random(11)
     for _ in range(50):
         word = random_word(rng, ctx.alphabet, rng.randint(0, 10))
-        nf = raag_normal_form(word, ctx)
+        nf = ctx.normal_form(word)
         syllables = nf.syllables()
         # generator-ordered, one syllable per generator
         names = [g for g, _ in syllables]
@@ -178,7 +175,7 @@ def test_words_over_an_adjacent_pair_collect_even_in_a_sparse_graph():
     pair_alphabet = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]  # a-b is an edge
     for _ in range(50):
         letters = [rng.choice(pair_alphabet) for _ in range(rng.randint(0, 8))]
-        nf = raag_normal_form(Word(ctx.alphabet, letters), ctx)
+        nf = ctx.normal_form(Word(ctx.alphabet, letters))
         names = [g for g, _ in nf.syllables()]
         assert names == sorted(names)
         assert len(set(names)) == len(names)
@@ -192,7 +189,7 @@ def test_identity_testing_agrees_with_closure_oracle_sample():
     for length in (2, 4):
         for combo in product(letters, repeat=length):
             word = Word(ctx.alphabet, combo)
-            assert is_identity(word, ctx) == oracle.is_identity(word)
+            assert ctx.is_identity(word) == oracle.is_identity(word)
 
 
 def test_confluence_against_oracle_over_the_whole_corpus():
@@ -215,7 +212,7 @@ def test_confluence_against_oracle_over_the_whole_corpus():
         for length in range(max_len + 1):
             for combo in product(letters, repeat=length):
                 word = Word(ctx.alphabet, combo)
-                assert is_identity(word, ctx) == oracle.is_identity(word), (
+                assert ctx.is_identity(word) == oracle.is_identity(word), (
                     name,
                     combo,
                 )
@@ -232,7 +229,7 @@ def test_commutation_is_symmetric_and_irreflexive():
 def test_normal_form_rejects_foreign_words():
     ctx = ctx4()
     with pytest.raises(ValueError, match="vertex alphabet"):
-        raag_normal_form(W(("a", 1)), ctx)
+        ctx.normal_form(W(("a", 1)))
 
 
 def test_normal_form_is_the_minimum_of_its_swap_closure():
@@ -255,7 +252,7 @@ def test_normal_form_is_the_minimum_of_its_swap_closure():
         rng = random.Random(14)
         for _ in range(60):
             word = random_word(rng, ctx.alphabet, rng.randint(0, 7))
-            nf = raag_normal_form(word, ctx)
+            nf = ctx.normal_form(word)
             start = tuple(nf.letters)
             seen = {start}
             queue = deque([start])
