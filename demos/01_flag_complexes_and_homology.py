@@ -5,7 +5,7 @@ all the input we ever need.  This script builds the classical small
 examples and prints their derived structure.
 """
 
-from bbgroups import euler_characteristic, from_graph, homology, parse_graph_text
+from bbgroups import FlagComplex, euler_characteristic, homology, parse_graph_text
 
 # The octahedron: six vertices, all pairs joined except the three
 # antipodal ones.  Its flag complex is the boundary of the octahedron,
@@ -27,7 +27,7 @@ print("  reduced:", homology(octahedron, reduced=True))
 print()
 
 # A square (4-cycle): no triangles, so the complex is the circle.
-square = from_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+square = FlagComplex("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
 print("square")
 print("  f-vector:", square.f_vector())
 print("  chi:", euler_characteristic(square))
@@ -35,7 +35,7 @@ print("  homology:", homology(square))
 print()
 
 # A complete graph gives a full simplex: contractible, chi = 1.
-k4 = from_graph(
+k4 = FlagComplex(
     "wxyz", [("w", "x"), ("w", "y"), ("w", "z"), ("x", "y"), ("x", "z"), ("y", "z")]
 )
 print("K4 (a 3-simplex)")
@@ -46,6 +46,6 @@ print()
 
 # Disconnected complexes have homology too; three points have three
 # components and nothing above degree zero.
-points = from_graph("pqr", [])
+points = FlagComplex("pqr", [])
 print("three points")
 print("  homology:", homology(points))

@@ -8,15 +8,15 @@ their normal forms coincide letter-for-letter.
 """
 
 from bbgroups import (
+    FlagComplex,
     RaagContext,
-    from_graph,
     parse_word,
     render_word,
 )
 
 # In the square a-b-c-d-a, consecutive vertices commute but the two
 # diagonals (a, c) and (b, d) do not: this RAAG is F2 x F2.
-square = from_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+square = FlagComplex("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
 ctx = RaagContext(square)
 
 
@@ -43,7 +43,7 @@ print()
 
 # On a complete graph everything commutes, and the normal form is just
 # the exponent-collected, generator-ordered abelian form.
-k3 = from_graph("xyz", [("x", "y"), ("y", "z"), ("x", "z")])
+k3 = FlagComplex("xyz", [("x", "y"), ("y", "z"), ("x", "z")])
 abelian = RaagContext(k3)
 word = parse_word("z x y x z^-1 x", abelian.alphabet)
 print("abelian collection in the rank-3 free abelian RAAG")

@@ -12,8 +12,8 @@ chi differs from 1.
 import json
 
 from bbgroups import (
+    FlagComplex,
     finiteness_report,
-    from_graph,
     hilbert_series,
     parse_graph_text,
     render_report_text,
@@ -34,11 +34,11 @@ print("face ring ranks:", hilbert_series(octahedron))
 print()
 
 print("=== square (Bieri's rank-1 example: FP(1) but not FP(2)) ===")
-square = from_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+square = FlagComplex("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
 print(render_report_text(finiteness_report(square)))
 
 print("=== two points (free group; kernel not finitely generated) ===")
-print(render_report_text(finiteness_report(from_graph("ab", []))))
+print(render_report_text(finiteness_report(FlagComplex("ab", []))))
 
 print("=== JSON mirror of the octahedron report ===")
 print(json.dumps(report_to_json(finiteness_report(octahedron)), indent=2, sort_keys=True))

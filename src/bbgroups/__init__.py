@@ -17,7 +17,6 @@ from .complexes import (
     SpanningTree,
     boundary_matrix,
     euler_characteristic,
-    from_graph,
     homology,
     parse_complex,
     parse_graph_json,

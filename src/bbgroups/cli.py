@@ -25,6 +25,18 @@ from .presentations import (
 from .words import parse_word, render_word
 
 
+def _int_at_least(low):
+    """argparse ``type=`` for an integer option with a lower bound."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -49,9 +61,9 @@ def build_parser():
         choices=["bb-finite", "bb-truncated", "pi1"],
         help="which presentation to construct",
     )
-    p.add_argument("--max-len", type=int, default=4, help="cycle length bound (bb-truncated)")
-    p.add_argument("--max-exp", type=int, default=2, help="relator exponent bound (bb-truncated)")
-    p.add_argument("--budget", type=int, default=10000, help="Tietze budget for certification")
+    p.add_argument("--max-len", type=_int_at_least(2), default=4, help="cycle length bound (bb-truncated)")
+    p.add_argument("--max-exp", type=_int_at_least(1), default=2, help="relator exponent bound (bb-truncated)")
+    p.add_argument("--budget", type=_int_at_least(1), default=10000, help="Tietze budget for certification")
     p.add_argument("complex")
 
     p = sub.add_parser("verify", parents=[common], help="check an edge-generated presentation")
@@ -63,11 +75,11 @@ def build_parser():
     p.add_argument("word", help="vertex word with exponent sum zero, e.g. 'a b^-1'")
 
     p = sub.add_parser("reduce", parents=[common], help="Tietze-simplify a presentation file")
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=_int_at_least(1), default=10000)
     p.add_argument("presentation")
 
     p = sub.add_parser("report", parents=[common], help="finiteness-properties report")
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=_int_at_least(1), default=10000)
     p.add_argument("complex")
 
     p = sub.add_parser("hilbert", parents=[common], help="face ring rank sequence")
@@ -81,7 +93,10 @@ def build_parser():
 
 def _read(path):
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_complex(path):

@@ -3,7 +3,8 @@
 A flag complex is completely determined by its 1-skeleton: a set of
 k+1 vertices spans a k-simplex exactly when all its pairs are edges.
 Complexes are therefore constructed from graphs only, and the clique
-simplices are derived (eagerly, at construction) rather than supplied.
+simplices are derived (eagerly, at construction) rather than supplied:
+a complex always holds every clique of its graph.
 
 Everything here is deterministic: vertices are ordered by declaration,
 simplices are tuples sorted in that order, and simplex lists, spanning
@@ -104,9 +105,6 @@ class DirectedCycle:
         k %= len(self.edges)
         return DirectedCycle(self.edges[k:] + self.edges[:k])
 
-    def vertices(self):
-        return tuple(e.initial for e in self.edges)
-
     def __repr__(self):
         return "DirectedCycle(%s)" % " ".join(str(e) for e in self.edges)
 
@@ -114,7 +112,7 @@ class DirectedCycle:
 class FlagComplex:
     """The clique complex of a finite graph."""
 
-    def __init__(self, vertices, edges, dim_cap=None):
+    def __init__(self, vertices, edges):
         vertices = tuple(vertices)
         seen = set()
         for v in vertices:
@@ -148,40 +146,27 @@ class FlagComplex:
             vertices[i]: tuple(vertices[j] for j in sorted(adj[i])) for i in range(n)
         }
 
-        if dim_cap is None:
-            dim_cap = max(n, 1)
-        if dim_cap < 1:
-            raise ValueError("dim_cap must be at least 1")
-        self.dim_cap = dim_cap
         self._enumerate_cliques()
 
     def _enumerate_cliques(self):
         n = len(self.vertices)
         adj = self._adj_idx
-        by_dim = [[] for _ in range(self.dim_cap + 1)]
-        complete = True
+        by_dim = []
 
         def grow(clique, candidates):
-            nonlocal complete
-            d = len(clique) - 1
-            by_dim[d].append(clique)
-            if d == self.dim_cap:
-                if candidates:
-                    complete = False
-                return
+            if len(clique) > len(by_dim):
+                by_dim.append([])
+            by_dim[len(clique) - 1].append(clique)
             for v in candidates:
                 grow(clique + (v,), [w for w in candidates if w > v and w in adj[v]])
 
         for v in range(n):
             grow((v,), [w for w in sorted(adj[v]) if w > v])
 
-        while by_dim and not by_dim[-1]:
-            by_dim.pop()
         names = self.vertices
         self.simplices_by_dim = tuple(
             tuple(tuple(names[i] for i in s) for s in level) for level in by_dim
         )
-        self.enumeration_complete = complete
         self.edges = self.simplices_by_dim[1] if len(self.simplices_by_dim) > 1 else ()
 
     # -- basic queries ------------------------------------------------
@@ -206,9 +191,6 @@ class FlagComplex:
             return self._vidx[v]
         except KeyError:
             raise ValueError(f"unknown vertex {v!r}") from None
-
-    def has_vertex(self, v):
-        return v in self._vidx
 
     def neighbors(self, v):
         self.vertex_index(v)
@@ -274,11 +256,6 @@ class FlagComplex:
         return f"FlagComplex({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def from_graph(vertices, edges, dim_cap=None):
-    """Clique complex of the graph on ``vertices`` with the given edges."""
-    return FlagComplex(vertices, edges, dim_cap)
-
-
 class SpanningTree:
     """Breadth-first spanning tree, neighbors visited in vertex order."""
 
@@ -338,16 +315,7 @@ class SpanningTree:
 
 
 def euler_characteristic(complex):
-    """Alternating sum of face counts.
-
-    Refuses to answer when dim_cap truncated the clique enumeration,
-    since the missing top cells would make the sum wrong.
-    """
-    if not complex.enumeration_complete:
-        raise ValueError(
-            "clique enumeration was truncated by dim_cap; "
-            "Euler characteristic would be wrong"
-        )
+    """Alternating sum of face counts."""
     return sum((-1) ** k * f for k, f in enumerate(complex.f_vector()))
 
 
@@ -411,8 +379,6 @@ def homology(complex, reduced=False):
     The boundary-of-boundary identity is checked before any reduction.
     Degree 0 uses the augmentation map when ``reduced`` is true.
     """
-    if not complex.enumeration_complete:
-        raise ValueError("clique enumeration was truncated by dim_cap")
     f = complex.f_vector()
     dim = len(f) - 1
     if dim < 0:
@@ -442,17 +408,16 @@ def homology(complex, reduced=False):
 # -- fundamental group -------------------------------------------------
 
 
-def pi1_presentation(complex, basepoint=None):
+def pi1_presentation(complex):
     """Edge-path presentation of the fundamental group.
 
     Generators are the non-tree edges of the breadth-first spanning tree
-    from the basepoint (named by ``FlagComplex.edge_letter``); each
+    from the first vertex (named by ``FlagComplex.edge_letter``); each
     triangle contributes one relator, with tree edges eliminated.
     """
     if not complex.is_connected():
         raise ValueError("complex is not connected")
-    if basepoint is None:
-        basepoint = complex.vertices[0]
+    basepoint = complex.vertices[0]
     tree = complex.spanning_tree(basepoint)
 
     generators = [
@@ -496,7 +461,7 @@ def simply_connected_status(complex, budget=10000):
     if h1.rank or h1.torsion:
         return Pi1Status.CERTIFIED_NONTRIVIAL
     simplified, _ = tietze_simplify(pres, budget)
-    if not simplified.generators and not simplified.relators:
+    if simplified.is_empty():
         return Pi1Status.CERTIFIED_TRIVIAL
     return Pi1Status.UNKNOWN
 
@@ -504,7 +469,7 @@ def simply_connected_status(complex, budget=10000):
 # -- text and JSON graph input -----------------------------------------
 
 
-def parse_graph_text(text, dim_cap=None):
+def parse_graph_text(text):
     """Parse the line-oriented graph format.
 
     ``vertices: a b c`` and ``edges: a-b c-d`` lines, ``#`` comments.
@@ -558,10 +523,10 @@ def parse_graph_text(text, dim_cap=None):
                 lineno,
                 headcol,
             )
-    return FlagComplex(vertices, edges, dim_cap)
+    return FlagComplex(vertices, edges)
 
 
-def parse_graph_json(text, dim_cap=None):
+def parse_graph_json(text):
     """Parse the JSON graph form {"vertices": [...], "edges": [[a, b], ...]}."""
     try:
         data = _json.loads(text)
@@ -588,13 +553,13 @@ def parse_graph_json(text, dim_cap=None):
             raise ParseError(f"edges[{i}] must be a two-element list of strings")
         pairs.append(tuple(e))
     try:
-        return FlagComplex(verts, pairs, dim_cap)
+        return FlagComplex(verts, pairs)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
-def parse_complex(text, dim_cap=None):
+def parse_complex(text):
     """Dispatch on content: JSON if the text starts with '{', else the line format."""
     if text.lstrip().startswith("{"):
-        return parse_graph_json(text, dim_cap)
-    return parse_graph_text(text, dim_cap)
+        return parse_graph_json(text)
+    return parse_graph_text(text)

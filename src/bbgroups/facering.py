@@ -106,8 +106,6 @@ def hilbert_series(complex):
     equals the rank sequence of the integral cohomology of the RAAG of
     the complex.
     """
-    if not complex.enumeration_complete:
-        raise ValueError("clique enumeration was truncated by dim_cap")
     return (1,) + complex.f_vector()
 
 
@@ -154,15 +152,13 @@ _LICENSES = {
 
 
 def finiteness_report(complex, tietze_budget=10000):
-    """Apply the classification to a fully enumerated complex.
+    """Apply the classification to a complex.
 
     Homology is computed once, reduced: the unreduced b_0 of a nonempty
     complex is one more, and simply_connected_status reads H_1 off pi_1.
     """
     if not complex.vertices:
         raise ValueError("the kernel group needs a nonempty complex")
-    if not complex.enumeration_complete:
-        raise ValueError("clique enumeration was truncated by dim_cap")
 
     connected = complex.is_connected()
     reduced = homology(complex, reduced=True)

@@ -196,14 +196,13 @@ def tietze_simplify(presentation, budget=10000):
         raise ValueError("budget must be positive")
     gens = list(presentation.generators)
     rels = [tuple(r.letters) for r in presentation.relators]
-    status = TietzeStatus.FIXPOINT
-    while budget:
-        if not _apply_one_move(gens, rels):
-            break
+    while budget and _apply_one_move(gens, rels):
         budget -= 1
-    else:
-        if _apply_one_move(list(gens), [tuple(r) for r in rels]):
-            status = TietzeStatus.BUDGET_EXHAUSTED
+    # Deleting a trivial relator is itself a Tietze move; a fixpoint has none left.
+    rels = [r for r in rels if r]
+    status = TietzeStatus.FIXPOINT
+    if not budget and _apply_one_move(list(gens), list(rels)):
+        status = TietzeStatus.BUDGET_EXHAUSTED
     simplified = Presentation(gens, rels, provenance=presentation.provenance)
     return simplified, status
 

@@ -2,35 +2,35 @@
 
 import random
 
-from bbgroups import Word, from_graph
+from bbgroups import FlagComplex, Word
 
 
 def point():
-    return from_graph(["a"], [])
+    return FlagComplex(["a"], [])
 
 
 def two_points():
-    return from_graph(["a", "b"], [])
+    return FlagComplex(["a", "b"], [])
 
 
 def three_points():
-    return from_graph(["a", "b", "c"], [])
+    return FlagComplex(["a", "b", "c"], [])
 
 
 def edge_complex():
-    return from_graph(["a", "b"], [("a", "b")])
+    return FlagComplex(["a", "b"], [("a", "b")])
 
 
 def path3():
-    return from_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    return FlagComplex(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
 
 def k3():
-    return from_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    return FlagComplex(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
 
 
 def c4():
-    return from_graph(
+    return FlagComplex(
         ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
     )
 
@@ -44,7 +44,7 @@ def octahedron():
         for b in verts[i + 1 :]
         if (a, b) not in antipodal
     ]
-    return from_graph(verts, edges)
+    return FlagComplex(verts, edges)
 
 
 def join_of_pairs(pairs=3):
@@ -58,7 +58,7 @@ def join_of_pairs(pairs=3):
             for a in (f"p{i}", f"q{i}"):
                 for b in (f"p{j}", f"q{j}"):
                     edges.append((a, b))
-    return from_graph(verts, edges)
+    return FlagComplex(verts, edges)
 
 
 def random_flag_complex(seed, n=8, p=0.45, require_connected=True):
@@ -71,7 +71,7 @@ def random_flag_complex(seed, n=8, p=0.45, require_connected=True):
             for j in range(i + 1, n)
             if rng.random() < p
         ]
-        complex = from_graph(verts, edges)
+        complex = FlagComplex(verts, edges)
         if not require_connected or complex.is_connected():
             return complex
 

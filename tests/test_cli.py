@@ -22,6 +22,7 @@ def files(tmp_path):
         ("k3.json", K3_JSON),
         ("octa.txt", OCTA_TEXT),
         ("two.txt", "vertices: a b\n"),
+        ("edge.txt", "vertices: a b\nedges: a-b\n"),
         ("bad.txt", "vortices: a\n"),
     ]:
         p = tmp_path / name
@@ -137,6 +138,14 @@ def test_reduce(files, capsys, tmp_path):
     assert "# status: Fixpoint" in out
 
 
+def test_reduce_budget_runs_out_on_a_trivial_relator(files, capsys, tmp_path):
+    assert main(["present", "--kind", "bb-truncated", files["edge.txt"]]) == 0
+    pres_file = tmp_path / "edge_truncated.txt"
+    pres_file.write_text(capsys.readouterr().out)
+    assert main(["reduce", "--budget", "2", str(pres_file)]) == 0
+    assert "# status: " in capsys.readouterr().out
+
+
 def test_report_golden_text(files, capsys):
     assert main(["report", files["octa.txt"]]) == 0
     expected = (
@@ -179,6 +188,30 @@ def test_file_syntax_error_is_exit_2(files, capsys):
     assert main(["info", files["bad.txt"]]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+def test_undecodable_file_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("vertices: \xe9\n".encode("latin-1"))
+    assert main(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--budget", "0"],
+        ["report", "--budget", "0"],
+        ["present", "--kind", "bb-finite", "--budget", "0"],
+        ["present", "--kind", "bb-truncated", "--max-len", "1"],
+        ["present", "--kind", "bb-truncated", "--max-exp", "0"],
+        ["present", "--kind", "pi1", "--max-exp", "-3"],
+    ],
+)
+def test_out_of_range_option_is_usage_error(files, capsys, argv):
+    assert main(argv + [files["c4.txt"]]) == 2
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_missing_file_is_domain_error(capsys):

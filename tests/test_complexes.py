@@ -3,12 +3,12 @@
 import pytest
 
 from bbgroups import (
+    FlagComplex,
     ParseError,
     Pi1Status,
     abelianization,
     boundary_matrix,
     euler_characteristic,
-    from_graph,
     homology,
     parse_complex,
     parse_graph_json,
@@ -60,50 +60,39 @@ def test_simplices_match_oracle_on_random_complexes():
 def test_flag_property_every_clique_is_a_simplex():
     from itertools import combinations
 
-    complex = random_flag_complex(5, n=8, p=0.5, require_connected=False)
-    for k in range(2, len(complex.vertices) + 1):
-        level = set(complex.simplices(k - 1))
-        for subset in combinations(complex.vertices, k):
-            is_clique = all(
-                complex.adjacent(u, v) for u, v in combinations(subset, 2)
-            )
-            assert (subset in level) == is_clique
+    k4 = FlagComplex("abcd", list(combinations("abcd", 2)))
+    assert k4.f_vector() == (4, 6, 4, 1)
+    assert euler_characteristic(k4) == 1
+    for complex in (k4, random_flag_complex(5, n=8, p=0.5, require_connected=False)):
+        for k in range(2, len(complex.vertices) + 1):
+            level = set(complex.simplices(k - 1))
+            for subset in combinations(complex.vertices, k):
+                is_clique = all(
+                    complex.adjacent(u, v) for u, v in combinations(subset, 2)
+                )
+                assert (subset in level) == is_clique
 
 
 def test_construction_errors():
     with pytest.raises(ValueError, match="not a declared vertex"):
-        from_graph(["a"], [("a", "b")])
+        FlagComplex(["a"], [("a", "b")])
     with pytest.raises(ValueError, match="loop"):
-        from_graph(["a", "b"], [("a", "a")])
+        FlagComplex(["a", "b"], [("a", "a")])
     with pytest.raises(ValueError, match="duplicate vertex"):
-        from_graph(["a", "a"], [])
+        FlagComplex(["a", "a"], [])
     with pytest.raises(ValueError, match="duplicate edge"):
-        from_graph(["a", "b"], [("a", "b"), ("b", "a")])
+        FlagComplex(["a", "b"], [("a", "b"), ("b", "a")])
     with pytest.raises(ValueError, match="forbidden character"):
-        from_graph(["a-b"], [])
+        FlagComplex(["a-b"], [])
     with pytest.raises(ValueError, match="nonempty"):
-        from_graph([""], [])
-
-
-def test_dim_cap_truncation():
-    k4_edges = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
-    capped = from_graph("abcd", k4_edges, dim_cap=1)
-    assert not capped.enumeration_complete
-    with pytest.raises(ValueError, match="truncated"):
-        euler_characteristic(capped)
-    with pytest.raises(ValueError, match="truncated"):
-        homology(capped)
-    full = from_graph("abcd", k4_edges)
-    assert full.enumeration_complete
-    assert full.f_vector() == (4, 6, 4, 1)
-    assert euler_characteristic(full) == 1
+        FlagComplex([""], [])
 
 
 # -- Euler characteristic and homology ---------------------------------
 
 
 def test_euler_characteristic_examples():
-    assert euler_characteristic(from_graph(["a"], [])) == 1
+    assert euler_characteristic(FlagComplex(["a"], [])) == 1
     assert euler_characteristic(octahedron()) == 2
     assert euler_characteristic(c4()) == 0
 
@@ -168,7 +157,7 @@ def _barycentric_projective_plane():
         for a, b in combinations(faces, 2)
         if a < b or b < a
     ]
-    return from_graph([names[f] for f in faces], edges)
+    return FlagComplex([names[f] for f in faces], edges)
 
 
 def test_projective_plane_has_two_torsion():

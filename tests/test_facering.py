@@ -6,10 +6,10 @@ from itertools import combinations
 import pytest
 
 from bbgroups import (
+    FlagComplex,
     euler_characteristic,
     face_monomial,
     finiteness_report,
-    from_graph,
     group_euler_characteristic,
     hilbert_series,
     homology,
@@ -121,7 +121,7 @@ def test_bilinearity_in_the_coefficient():
 
 
 def test_hilbert_series_examples():
-    assert hilbert_series(from_graph(["a"], [])) == (1, 1)
+    assert hilbert_series(FlagComplex(["a"], [])) == (1, 1)
     assert hilbert_series(octahedron()) == (1, 6, 12, 8)
     assert hilbert_series(k3()) == (1, 3, 3, 1)  # exterior algebra on 3 letters
 
@@ -234,12 +234,9 @@ def test_report_json_fields():
     assert data["f_vector"] == [6, 12, 8]
 
 
-def test_report_rejects_empty_or_truncated():
+def test_report_rejects_empty():
     with pytest.raises(ValueError, match="nonempty"):
-        finiteness_report(from_graph([], []))
-    k4_edges = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
-    with pytest.raises(ValueError, match="truncated"):
-        finiteness_report(from_graph("abcd", k4_edges, dim_cap=1))
+        finiteness_report(FlagComplex([], []))
 
 
 def test_euler_characteristic_relation():

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from bbgroups import (
+    BBContext,
     ParseError,
     Presentation,
     TietzeStatus,
     abelianization,
+    directed_cycle_presentation,
     exponent_matrix,
     parse_presentation,
     pi1_presentation,
@@ -17,7 +19,7 @@ from bbgroups import (
     serialize_presentation,
     tietze_simplify,
 )
-from corpus import octahedron
+from corpus import connected_corpus, octahedron
 
 
 def P(gens, rels, **kw):
@@ -124,6 +126,7 @@ def test_tietze_handles_cyclic_reduction_and_powers():
 def test_tietze_preserves_abelianization():
     rng = random.Random(21)
     gens = ["g0", "g1", "g2", "g3", "g4", "g5"]
+    cases = []
     for _ in range(30):
         k = rng.randint(1, 6)
         names = gens[:k]
@@ -138,8 +141,14 @@ def test_tietze_preserves_abelianization():
             p = Presentation(names, rels)
         except ValueError:
             continue  # a random relator reduced to nothing
+        cases.append((p, 500))
+    # Short budgets run out with trivial relators still pending.
+    for _, complex in connected_corpus():
+        p = directed_cycle_presentation(BBContext(complex), 4, 2)
+        cases.extend((p, budget) for budget in range(1, 7))
+    for p, budget in cases:
         before = abelianization(p)
-        after_p, _ = tietze_simplify(p, 500)
+        after_p, _ = tietze_simplify(p, budget)
         after = abelianization(after_p)
         assert before.torsion == after.torsion
         assert before.rank == after.rank
