@@ -57,7 +57,6 @@ from .bestvina_brady import (
     apply_homotopy_move,
     apply_move_to_cycle,
     basepoint_conjugate,
-    basepoint_conjugate_inverse,
     conjugate_power,
     cycle_relator,
     directed_cycle_presentation,
@@ -72,7 +71,6 @@ from .bestvina_brady import (
     fundamental_cycle_basis,
     letterwise_inverse,
     lift_vertex,
-    named_word_to_edge_word,
     parse_moves,
     presentation_relator_edge_words,
     raag_image,

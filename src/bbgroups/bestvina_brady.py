@@ -19,20 +19,20 @@ relators one backtrack or triangle at a time.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
 
 from .complexes import DirectedCycle, DirectedEdge, Pi1Status, simply_connected_status
-from .errors import ParseError
+from .errors import ParseError, lex
 from .presentations import Presentation
 from .words import (
-    Alphabet,
     RaagContext,
     Word,
     edge_alphabet,
     exponent_sum,
     invert_letters,
+    reduce_letters,
+    syllable_letters,
 )
 
 
@@ -46,7 +46,6 @@ class BBContext:
             raise ValueError("complex is not connected")
         if basepoint is None:
             basepoint = complex.vertices[0]
-        complex.vertex_index(basepoint)
         self.complex = complex
         self.basepoint = basepoint
         self.tree = complex.spanning_tree(basepoint)
@@ -56,9 +55,6 @@ class BBContext:
     @property
     def vertex_alphabet(self):
         return self.raag.alphabet
-
-    def empty_edge_word(self):
-        return Word(self.edge_alphabet)
 
     def __repr__(self):
         return f"BBContext({self.complex!r}, basepoint={self.basepoint!r})"
@@ -125,18 +121,13 @@ def basepoint_conjugate(edge_word, ctx):
     return Word(ctx.edge_alphabet, out)
 
 
-def basepoint_conjugate_inverse(edge_word, ctx):
-    """The inverse twist, realized as (letterwise inverse) conjugate (letterwise inverse)."""
-    return letterwise_inverse(basepoint_conjugate(letterwise_inverse(edge_word), ctx))
-
-
 def conjugate_power(edge_word, k, ctx):
-    """k-fold basepoint twist; negative k applies the inverse twist."""
-    word = edge_word
-    step = basepoint_conjugate if k >= 0 else basepoint_conjugate_inverse
+    """k-fold basepoint twist; negative k applies the inverse twist,
+    realized as (letterwise inverse) twist (letterwise inverse)."""
+    word = edge_word if k >= 0 else letterwise_inverse(edge_word)
     for _ in range(abs(k)):
-        word = step(word, ctx)
-    return word
+        word = basepoint_conjugate(word, ctx)
+    return word if k >= 0 else letterwise_inverse(word)
 
 
 def cycle_relator(cycle, n, ctx):
@@ -147,11 +138,7 @@ def cycle_relator(cycle, n, ctx):
     """
     if n == 0:
         raise ValueError("relator exponent must be nonzero")
-    sign = 1 if n > 0 else -1
-    letters = []
-    for e in cycle.edges:
-        letters.extend([(e, sign)] * abs(n))
-    return Word(ctx.edge_alphabet, letters)
+    return Word(ctx.edge_alphabet, [l for e in cycle.edges for l in syllable_letters(e, n)])
 
 
 def verify_relator(edge_word, ctx):
@@ -177,81 +164,54 @@ def express_in_kernel(vertex_word, ctx):
         raise ValueError("word is not over this complex's vertex alphabet")
     if exponent_sum(vertex_word) != 0:
         raise ValueError("word has nonzero exponent sum, so it is not in the kernel")
-    syllables = vertex_word.syllables()
     out = []
-    while len(syllables) > 1:
-        v, n = syllables[0]
-        u, m = syllables[1]
-        sign = 1 if n > 0 else -1
-        for f in ctx.tree.path_edges(v, u):
-            out.extend([(f, sign)] * abs(n))
-        merged = n + m
-        if merged == 0:
-            syllables = syllables[2:]
-        else:
-            syllables = [(u, merged)] + syllables[2:]
+    v, n = None, 0  # the syllable carried forward; none while n == 0
+    for u, m in vertex_word.syllables():
+        if n:
+            for f in ctx.tree.path_edges(v, u):
+                out.extend(syllable_letters(f, n))
+        v, n = u, n + m
     return Word(ctx.edge_alphabet, out)
 
 
 # -- cycle enumeration and the presentations ----------------------------
 
 
-def _edge_key(edge, ctx):
-    idx = ctx.complex.vertex_index
-    return (idx(edge.initial), idx(edge.terminal))
-
-
-def _canonical_rotation(edges, ctx):
-    keys = [_edge_key(e, ctx) for e in edges]
-    best = None
-    best_rot = 0
-    for r in range(len(edges)):
-        rotated = tuple(keys[r:] + keys[:r])
-        if best is None or rotated < best:
-            best = rotated
-            best_rot = r
-    return tuple(edges[best_rot:] + edges[:best_rot]), best
-
-
 def enumerate_cycle_classes(ctx, max_len):
     """All closed directed edge-walks of length 2..max_len, up to rotation.
 
     Vertex and edge repetition is allowed; orientation reversal is NOT
-    identified (the reversed cycle carries its own relators).  Each
-    class is represented by its rotation with the least edge-key tuple,
-    and classes come out sorted by (length, key tuple).
+    identified (the reversed cycle carries its own relators).  A walk
+    is keyed by its steps as (initial, terminal) vertex positions; each
+    class is represented by its rotation with the least key, and
+    classes come out sorted by (length, key).
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     complex = ctx.complex
-    found = {}
+    names = complex.vertices
+    adj = [[complex.vertex_index(w) for w in complex.neighbors(v)] for v in names]
+    found = set()
 
-    def extend(start, current, walk):
-        if len(walk) >= 2 and current == start:
-            canon, key = _canonical_rotation(tuple(walk), ctx)
-            found.setdefault((len(walk), key), canon)
-        if len(walk) == max_len:
-            return
-        for w in complex.neighbors(current):
-            walk.append(DirectedEdge(current, w))
-            extend(start, w, walk)
-            walk.pop()
+    # A least rotation starts at its walk's least vertex: grow walks from there.
+    def extend(walk):
+        current = walk[-1]
+        if len(walk) > 2 and current == walk[0]:
+            steps = tuple(zip(walk, walk[1:]))
+            found.add(min(steps[r:] + steps[:r] for r in range(len(steps))))
+        if len(walk) <= max_len:
+            for w in adj[current]:
+                if w >= walk[0]:
+                    walk.append(w)
+                    extend(walk)
+                    walk.pop()
 
-    for v in complex.vertices:
-        extend(v, v, [])
-    return tuple(DirectedCycle(found[k]) for k in sorted(found))
-
-
-def _edge_word_to_named(edge_word, alphabet):
-    return Word(alphabet, [(str(e), s) for e, s in edge_word.letters])
-
-
-def named_word_to_edge_word(word, ctx):
-    """Reinterpret a presentation word whose generators are edge tokens."""
-    letters = []
-    for token, s in word.letters:
-        letters.append((ctx.edge_alphabet.letter_for_token(token), s))
-    return Word(ctx.edge_alphabet, letters)
+    for v in range(len(names)):
+        extend([v])
+    return tuple(
+        DirectedCycle(DirectedEdge(names[i], names[j]) for i, j in key)
+        for key in sorted(found, key=lambda key: (len(key), key))
+    )
 
 
 def directed_cycle_presentation(ctx, max_len, max_exp):
@@ -263,18 +223,15 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
     provenance always records the truncation; this output is never
     flagged complete.
     """
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
     if max_exp < 1:
         raise ValueError("max_exp must be at least 1")
     generators = [str(e) for e in ctx.complex.directed_edges()]
-    cycles = enumerate_cycle_classes(ctx, max_len)
-    relators = []
-    named = Alphabet("named", tuple(generators))
-    for cycle in cycles:
-        for k in range(1, max_exp + 1):
-            for n in (k, -k):
-                relators.append(_edge_word_to_named(cycle_relator(cycle, n, ctx), named))
+    relators = (
+        [(str(e), s) for e, s in cycle_relator(cycle, n, ctx).letters]
+        for cycle in enumerate_cycle_classes(ctx, max_len)
+        for k in range(1, max_exp + 1)
+        for n in (k, -k)
+    )
     return Presentation(
         generators,
         relators,
@@ -289,13 +246,13 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
     )
 
 
-def _fold_edge_word_to_named(edge_word, ctx, named):
-    """Rewrite over one generator per undirected edge: [b>a] becomes [a>b]^-1."""
+def _folded_relator(cycle, n, ctx):
+    """Reduced letters of c^[n], one generator per edge: [b>a] is [a>b]^-1."""
     letters = []
-    for e, s in edge_word.letters:
+    for e, s in cycle_relator(cycle, n, ctx).letters:
         name, sign = ctx.complex.edge_letter(e.initial, e.terminal)
         letters.append((name, sign * s))
-    return Word(named, letters)
+    return reduce_letters(letters)
 
 
 def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=10000):
@@ -315,20 +272,19 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=10000):
     extra_cycles = tuple(extra_cycles)
     complex = ctx.complex
     generators = [complex.edge_letter(u, v)[0] for u, v in complex.edges]
-    named = Alphabet("named", tuple(generators))
     relators = []
     for a, b, c in complex.triangles():
         cycle = DirectedCycle(
             (DirectedEdge(a, b), DirectedEdge(b, c), DirectedEdge(c, a))
         )
         for n in (1, -1):
-            relators.append(_fold_edge_word_to_named(cycle_relator(cycle, n, ctx), ctx, named))
+            relators.append(_folded_relator(cycle, n, ctx))
     for cycle in extra_cycles:
         for k in range(1, max_exp + 1):
             for n in (k, -k):
-                word = _fold_edge_word_to_named(cycle_relator(cycle, n, ctx), ctx, named)
-                if len(word):
-                    relators.append(word)
+                letters = _folded_relator(cycle, n, ctx)
+                if letters:
+                    relators.append(letters)
 
     status = simply_connected_status(complex, budget=tietze_budget)
     complete = status is Pi1Status.CERTIFIED_TRIVIAL and not extra_cycles
@@ -352,7 +308,11 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=10000):
 
 def presentation_relator_edge_words(presentation, ctx):
     """The relators of an edge-generated presentation, as edge words."""
-    return [named_word_to_edge_word(rel, ctx) for rel in presentation.relators]
+    edge = ctx.edge_alphabet.letter_for_token
+    return [
+        Word(ctx.edge_alphabet, [(edge(token), s) for token, s in rel.letters])
+        for rel in presentation.relators
+    ]
 
 
 def fundamental_cycle_basis(ctx):
@@ -393,7 +353,7 @@ class ExtensionElement:
 
 
 def extension_identity(ctx):
-    return ExtensionElement(ctx.empty_edge_word(), 0)
+    return ExtensionElement(Word(ctx.edge_alphabet), 0)
 
 
 def extension_multiply(x, y, ctx):
@@ -408,8 +368,7 @@ def extension_inverse(x, ctx):
 
 def extension_image(x, ctx):
     """Image in the RAAG: the word's image times basepoint^power."""
-    sign = 1 if x.power >= 0 else -1
-    tail = Word(ctx.vertex_alphabet, [(ctx.basepoint, sign)] * abs(x.power))
+    tail = Word(ctx.vertex_alphabet, syllable_letters(ctx.basepoint, x.power))
     return raag_image(x.word, ctx) * tail
 
 
@@ -456,11 +415,6 @@ class RotateMove:
     amount: int
 
 
-def _require_edge(ctx, edge):
-    if edge not in ctx.edge_alphabet:
-        raise ValueError(f"{edge} is not a directed edge of the complex")
-
-
 def apply_move_to_cycle(cycle, move, ctx):
     """Apply one homotopy move to a directed cycle; validates the site."""
     edges = cycle.edges
@@ -470,7 +424,7 @@ def apply_move_to_cycle(cycle, move, ctx):
     if isinstance(move, InsertMove):
         if not 0 <= move.position <= l:
             raise ValueError(f"insert position {move.position} out of range")
-        _require_edge(ctx, move.edge)
+        ctx.complex.directed_edge(move.edge.initial, move.edge.terminal)
         junction = edges[move.position % l].initial
         if move.edge.initial != junction:
             raise ValueError(
@@ -497,7 +451,7 @@ def apply_move_to_cycle(cycle, move, ctx):
                 f"edge at position {move.position} is {edges[move.position]}, not {move.e}"
             )
         for edge in (move.e, move.f, move.g):
-            _require_edge(ctx, edge)
+            ctx.complex.directed_edge(edge.initial, edge.terminal)
         if (
             move.e.terminal != move.f.initial
             or move.f.terminal != move.g.initial
@@ -590,16 +544,6 @@ def find_move_sequence(cycle, target, ctx, budget=2000):
 
 # -- move files ----------------------------------------------------------
 
-_EDGE_TOKEN_RE = re.compile(r"^\[([^\[\]>^\s]+)>([^\[\]>^\s]+)\]$")
-
-
-def _parse_edge_token(token, line, column):
-    m = _EDGE_TOKEN_RE.match(token)
-    if not m:
-        raise ParseError(f"malformed edge token {token!r}", line, column)
-    return DirectedEdge(m.group(1), m.group(2))
-
-
 def render_moves(moves):
     """Move-sequence file: one move per line."""
     lines = []
@@ -620,11 +564,7 @@ def render_moves(moves):
 def parse_moves(text):
     """Parse a move-sequence file; inverse of render_moves."""
     moves = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+    for lineno, tokens in lex(text):
         head, headcol = tokens[0]
         args = tokens[1:]
 
@@ -637,7 +577,10 @@ def parse_moves(text):
 
         def edge(pos):
             tok, col = args[pos]
-            return _parse_edge_token(tok, lineno, col)
+            try:
+                return DirectedEdge.parse(tok)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, col) from None
 
         if head == "ins" and len(args) == 2:
             moves.append(InsertMove(integer(0), edge(1)))

@@ -15,9 +15,10 @@ import sys
 from . import bestvina_brady as bb
 from . import facering
 from .complexes import euler_characteristic, homology, parse_complex, pi1_presentation
-from .errors import ParseError
+from .errors import ParseError, parse_text_or_json
 from .presentations import (
     parse_presentation,
+    presentation_from_json,
     presentation_to_json,
     serialize_presentation,
     tietze_simplify,
@@ -103,6 +104,10 @@ def _load_complex(path):
     return parse_complex(_read(path))
 
 
+def _load_presentation(path):
+    return parse_text_or_json(_read(path), presentation_from_json, parse_presentation)
+
+
 def _dump_json(data):
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
@@ -171,7 +176,7 @@ def _run_present(ns):
 def _run_verify(ns):
     complex = _load_complex(ns.complex)
     ctx = bb.BBContext(complex)
-    presentation = parse_presentation(_read(ns.presentation))
+    presentation = _load_presentation(ns.presentation)
     words = bb.presentation_relator_edge_words(presentation, ctx)
     failures = [i for i, w in enumerate(words) if not bb.verify_relator(w, ctx)]
     if ns.json:
@@ -202,7 +207,7 @@ def _run_express(ns):
 
 
 def _run_reduce(ns):
-    presentation = parse_presentation(_read(ns.presentation))
+    presentation = _load_presentation(ns.presentation)
     simplified, status = tietze_simplify(presentation, ns.budget)
     if ns.json:
         return _dump_json(
@@ -230,9 +235,10 @@ def _run_hilbert(ns):
 def _run_euler(ns):
     complex = _load_complex(ns.complex)
     chi = euler_characteristic(complex)
+    chi_group = facering.group_euler_characteristic(complex)
     if ns.json:
-        return _dump_json({"chi_delta": chi, "chi_group": 1 - chi}), 0
-    return f"chi(complex) = {chi}\nchi(raag) = {1 - chi}\n", 0
+        return _dump_json({"chi_delta": chi, "chi_group": chi_group}), 0
+    return f"chi(complex) = {chi}\nchi(raag) = {chi_group}\n", 0
 
 
 _RUNNERS = {

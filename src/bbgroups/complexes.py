@@ -10,16 +10,18 @@ Everything here is deterministic: vertices are ordered by declaration,
 simplices are tuples sorted in that order, and simplex lists, spanning
 trees and boundary matrices follow from that ordering.  Complexes are
 immutable after construction.
+
+The graph rules live in ``_add_vertex`` and ``_add_edge`` alone: the
+parsers only tokenize and attach positions, so every input form rejects
+a bad graph with the same message.
 """
 
 from __future__ import annotations
 
 import enum
-import json as _json
-import re
 
 from . import snf
-from .errors import ParseError
+from .errors import ParseError, json_object, lex, parse_text_or_json
 from .presentations import Presentation, abelianization, tietze_simplify
 
 _FORBIDDEN_ID_CHARS = set(" \t\r\n\f\v-#[]>^")
@@ -34,6 +36,29 @@ def _check_identifier(name):
             f"vertex identifier {name!r} contains forbidden character {sorted(bad)[0]!r} "
             "(whitespace and - # [ ] > ^ are reserved by the text formats)"
         )
+
+
+def _add_vertex(vidx, v):
+    """Declare v as the next vertex of ``vidx`` (name -> position)."""
+    _check_identifier(v)
+    if v in vidx:
+        raise ValueError(f"duplicate vertex identifier {v!r}")
+    vidx[v] = len(vidx)
+
+
+def _add_edge(vidx, edge_keys, u, v):
+    """Record the edge u-v in ``edge_keys``; returns its endpoint positions."""
+    for w in (u, v):
+        if w not in vidx:
+            raise ValueError(f"unknown vertex {w!r}: edge endpoint is not a declared vertex")
+    i, j = vidx[u], vidx[v]
+    if i == j:
+        raise ValueError(f"loop edge at vertex {u!r}")
+    key = (min(i, j), max(i, j))
+    if key in edge_keys:
+        raise ValueError(f"duplicate edge {u!r}-{v!r}")
+    edge_keys.add(key)
+    return i, j
 
 
 class DirectedEdge:
@@ -58,11 +83,21 @@ class DirectedEdge:
     def __hash__(self):
         return hash((DirectedEdge, self.initial, self.terminal))
 
-    def __lt__(self, other):
-        return (self.initial, self.terminal) < (other.initial, other.terminal)
-
     def __str__(self):
         return f"[{self.initial}>{self.terminal}]"
+
+    @classmethod
+    def parse(cls, token):
+        """Inverse of ``str``: the edge written ``[a>b]``."""
+        try:
+            if token[:1] + token[-1:] != "[]":
+                raise ValueError
+            a, b = token[1:-1].split(">")
+            _check_identifier(a)
+            _check_identifier(b)
+        except ValueError:
+            raise ValueError(f"malformed edge token {token!r} (expected [a>b])") from None
+        return cls(a, b)
 
     def __repr__(self):
         return f"DirectedEdge({self.initial!r}, {self.terminal!r})"
@@ -114,31 +149,16 @@ class FlagComplex:
 
     def __init__(self, vertices, edges):
         vertices = tuple(vertices)
-        seen = set()
+        self._vidx = {}
         for v in vertices:
-            _check_identifier(v)
-            if v in seen:
-                raise ValueError(f"duplicate vertex identifier {v!r}")
-            seen.add(v)
+            _add_vertex(self._vidx, v)
         self.vertices = vertices
-        self._vidx = {v: i for i, v in enumerate(vertices)}
 
         n = len(vertices)
         adj = [set() for _ in range(n)]
-        edge_set = set()
-        for pair in edges:
-            u, v = pair
-            if u not in self._vidx:
-                raise ValueError(f"edge endpoint {u!r} is not a declared vertex")
-            if v not in self._vidx:
-                raise ValueError(f"edge endpoint {v!r} is not a declared vertex")
-            i, j = self._vidx[u], self._vidx[v]
-            if i == j:
-                raise ValueError(f"loop edge at vertex {u!r}")
-            key = (min(i, j), max(i, j))
-            if key in edge_set:
-                raise ValueError(f"duplicate edge {u!r}-{v!r}")
-            edge_set.add(key)
+        edge_keys = set()
+        for u, v in edges:
+            i, j = _add_edge(self._vidx, edge_keys, u, v)
             adj[i].add(j)
             adj[j].add(i)
         self._adj_idx = [frozenset(s) for s in adj]
@@ -454,8 +474,6 @@ def simply_connected_status(complex, budget=10000):
     empty presentation.  Anything else is honestly Unknown (triviality
     of a fundamental group is undecidable in general).
     """
-    if not complex.is_connected():
-        raise ValueError("complex is not connected")
     pres = pi1_presentation(complex)
     h1 = abelianization(pres)
     if h1.rank or h1.torsion:
@@ -475,75 +493,41 @@ def parse_graph_text(text):
     ``vertices: a b c`` and ``edges: a-b c-d`` lines, ``#`` comments.
     Raises ParseError with 1-based line/column diagnostics.
     """
-    vertices = []
-    vpos = {}
+    vidx = {}
     edges = []
-    edge_keys = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+    edge_keys = set()
+    for lineno, tokens in lex(text):
         head, headcol = tokens[0]
-        if head == "vertices:":
-            for tok, col in tokens[1:]:
-                try:
-                    _check_identifier(tok)
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno, col) from None
-                if tok in vpos:
-                    raise ParseError(
-                        f"duplicate vertex identifier {tok!r}", lineno, col
-                    )
-                vpos[tok] = (lineno, col)
-                vertices.append(tok)
-        elif head == "edges:":
-            for tok, col in tokens[1:]:
-                parts = tok.split("-")
-                if len(parts) != 2 or not parts[0] or not parts[1]:
-                    raise ParseError(
-                        f"malformed edge token {tok!r} (expected a-b)", lineno, col
-                    )
-                u, v = parts
-                for endpoint in (u, v):
-                    if endpoint not in vpos:
-                        raise ParseError(
-                            f"unknown vertex {endpoint!r} in edge", lineno, col
-                        )
-                if u == v:
-                    raise ParseError(f"loop edge at vertex {u!r}", lineno, col)
-                key = frozenset((u, v))
-                if key in edge_keys:
-                    raise ParseError(f"duplicate edge {tok!r}", lineno, col)
-                edge_keys[key] = (lineno, col)
-                edges.append((u, v))
-        else:
+        if head not in ("vertices:", "edges:"):
             raise ParseError(
                 f"unrecognized line head {head!r} (expected 'vertices:' or 'edges:')",
                 lineno,
                 headcol,
             )
-    return FlagComplex(vertices, edges)
+        for tok, col in tokens[1:]:
+            try:
+                if head == "vertices:":
+                    _add_vertex(vidx, tok)
+                else:
+                    ends = tok.split("-")
+                    if len(ends) != 2 or not all(ends):
+                        raise ValueError(f"malformed edge token {tok!r} (expected a-b)")
+                    _add_edge(vidx, edge_keys, *ends)
+                    edges.append(ends)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, col) from None
+    return FlagComplex(vidx, edges)
 
 
 def parse_graph_json(text):
     """Parse the JSON graph form {"vertices": [...], "edges": [[a, b], ...]}."""
-    try:
-        data = _json.loads(text)
-    except _json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, exc.lineno, exc.colno) from None
-    if not isinstance(data, dict):
-        raise ParseError("top-level JSON value must be an object")
-    unknown = set(data) - {"vertices", "edges"}
-    if unknown:
-        raise ParseError(f"unknown key {sorted(unknown)[0]!r} in graph object")
+    data = json_object(text, ("vertices", "edges"), "graph object")
     verts = data.get("vertices", [])
     edges = data.get("edges", [])
     if not isinstance(verts, list) or not all(isinstance(v, str) for v in verts):
         raise ParseError("'vertices' must be a list of strings")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of two-element lists")
-    pairs = []
     for i, e in enumerate(edges):
         if (
             not isinstance(e, list)
@@ -551,15 +535,12 @@ def parse_graph_json(text):
             or not all(isinstance(x, str) for x in e)
         ):
             raise ParseError(f"edges[{i}] must be a two-element list of strings")
-        pairs.append(tuple(e))
     try:
-        return FlagComplex(verts, pairs)
+        return FlagComplex(verts, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
 def parse_complex(text):
     """Dispatch on content: JSON if the text starts with '{', else the line format."""
-    if text.lstrip().startswith("{"):
-        return parse_graph_json(text)
-    return parse_graph_text(text)
+    return parse_text_or_json(text, parse_graph_json, parse_graph_text)

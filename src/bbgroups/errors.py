@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""The syntax-error type and the rules the input formats share."""
+
+import json
+import re
 
 
 class ParseError(ValueError):
@@ -18,3 +21,35 @@ class ParseError(ValueError):
         elif column is not None:
             message = f"column {column}: {message}"
         super().__init__(message)
+
+
+def lex(text):
+    """``(line, [(token, column), ...])`` per line with tokens; ``#`` starts
+    a comment, tokens are whitespace-separated, positions 1-based."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        if tokens:
+            yield lineno, tokens
+
+
+def parse_text_or_json(text, parse_json, parse_text):
+    """JSON if the text starts with '{' (after whitespace), else the line format."""
+    if text.lstrip().startswith("{"):
+        return parse_json(text)
+    return parse_text(text)
+
+
+def json_object(data, keys, what):
+    """Decode JSON text (or take a decoded value): an object with only ``keys``."""
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    if not isinstance(data, dict):
+        raise ParseError("top-level JSON value must be an object")
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ParseError(f"unknown key {sorted(unknown)[0]!r} in {what}")
+    return data

@@ -185,7 +185,7 @@ def finiteness_report(complex, tietze_budget=10000):
         finitely_presented=presented,
         fp_level=fp_level,
         chi_delta=chi,
-        chi_group=1 - chi,
+        chi_group=group_euler_characteristic(complex),
         corollary6_obstruction=chi != 1,
         corollary7_applies=(
             connected and status is Pi1Status.CERTIFIED_TRIVIAL and chi != 1

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from . import snf
-from .errors import ParseError
+from .errors import ParseError, json_object
 from .words import Alphabet, Word, invert_letters, parse_word, reduce_letters, render_word
 
 
@@ -35,15 +35,11 @@ class Presentation:
         self.alphabet = Alphabet("named", self.generators)
         rels = []
         for r in relators:
-            if isinstance(r, Word):
-                if r.alphabet != self.alphabet:
-                    raise ValueError("relator is over a different alphabet")
-                word = r
-            else:
-                word = Word(self.alphabet, r)
-            if not len(word):
+            if not (isinstance(r, Word) and r.alphabet == self.alphabet):
+                r = Word(self.alphabet, r)
+            if not len(r):
                 raise ValueError("relator is empty after free reduction")
-            rels.append(word)
+            rels.append(r)
         self.relators = tuple(rels)
         self.provenance = dict(provenance) if provenance else {}
 
@@ -109,7 +105,7 @@ class TietzeStatus(enum.Enum):
     BUDGET_EXHAUSTED = "BudgetExhausted"
 
 
-def _apply_one_move(gens, rels):
+def _apply_one_move(gens, rels, unshortenable):
     """Apply the first applicable elementary move; returns False at fixpoint.
 
     Moves are tried cheapest first, scans in deterministic order:
@@ -117,13 +113,16 @@ def _apply_one_move(gens, rels):
     generator occurring exactly once in some relator, and shortening a
     relator by (a rotation of) another.  Every move is a Tietze
     transformation, so the presented group never changes.
+
+    Shortening depends only on the two relators, so the (target, source)
+    pairs whose scan found no match are kept in ``unshortenable`` and skipped.
     """
     # cyclic reduction
     for i, rel in enumerate(rels):
         if len(rel) >= 2 and rel[0] == (rel[-1][0], -rel[-1][1]):
             word = rel
             while len(word) >= 2 and word[0] == (word[-1][0], -word[-1][1]):
-                word = reduce_letters(word[1:-1])
+                word = word[1:-1]
             rels[i] = word
             return True
 
@@ -162,10 +161,10 @@ def _apply_one_move(gens, rels):
             gens.remove(letter)
             return True
 
-    # shorten one relator by another
+    # shorten one relator by more than half of a rotation of another
     for i, target in enumerate(rels):
         for j, source in enumerate(rels):
-            if i == j:
+            if i == j or (target, source) in unshortenable:
                 continue
             for base in (source, invert_letters(source)):
                 for rot in range(len(base)):
@@ -175,14 +174,13 @@ def _apply_one_move(gens, rels):
                         pattern = u[:length]
                         for p in range(len(target) - length + 1):
                             if target[p : p + length] == pattern:
-                                new = reduce_letters(
+                                rels[i] = reduce_letters(
                                     target[:p]
                                     + invert_letters(u[length:])
                                     + target[p + length :]
                                 )
-                                if len(new) < len(target):
-                                    rels[i] = new
-                                    return True
+                                return True
+            unshortenable.add((target, source))
     return False
 
 
@@ -196,12 +194,13 @@ def tietze_simplify(presentation, budget=10000):
         raise ValueError("budget must be positive")
     gens = list(presentation.generators)
     rels = [tuple(r.letters) for r in presentation.relators]
-    while budget and _apply_one_move(gens, rels):
+    unshortenable = set()
+    while budget and _apply_one_move(gens, rels, unshortenable):
         budget -= 1
     # Deleting a trivial relator is itself a Tietze move; a fixpoint has none left.
     rels = [r for r in rels if r]
     status = TietzeStatus.FIXPOINT
-    if not budget and _apply_one_move(list(gens), list(rels)):
+    if not budget and _apply_one_move(list(gens), list(rels), unshortenable):
         status = TietzeStatus.BUDGET_EXHAUSTED
     simplified = Presentation(gens, rels, provenance=presentation.provenance)
     return simplified, status
@@ -301,27 +300,20 @@ def presentation_to_json(presentation):
 
 def presentation_from_json(data):
     """Inverse of presentation_to_json; accepts a dict or JSON text."""
-    if isinstance(data, str):
-        try:
-            data = _json.loads(data)
-        except _json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, exc.lineno, exc.colno) from None
-    if not isinstance(data, dict):
-        raise ParseError("presentation JSON must be an object")
-    unknown = set(data) - {"gens", "rel", "provenance"}
-    if unknown:
-        raise ParseError(f"unknown key {sorted(unknown)[0]!r} in presentation JSON")
+    data = json_object(data, ("gens", "rel", "provenance"), "presentation JSON")
     gens = data.get("gens", [])
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise ParseError("'gens' must be a list of strings")
     rel = data.get("rel", [])
     if not isinstance(rel, list) or not all(isinstance(r, str) for r in rel):
         raise ParseError("'rel' must be a list of word strings")
-    alphabet = Alphabet("named", gens)
+    if not isinstance(data.get("provenance", {}), dict):
+        raise ParseError("'provenance' must be an object")
     try:
+        alphabet = Alphabet("named", gens)
         relators = [parse_word(r, alphabet) for r in rel]
         return Presentation(gens, relators, provenance=data.get("provenance"))
+    except ParseError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(str(exc)) from None

@@ -40,6 +40,11 @@ def invert_letters(letters):
     return tuple((l, -s) for l, s in reversed(letters))
 
 
+def syllable_letters(letter, exp):
+    """The (letter, sign) pairs of the syllable ``letter^exp``."""
+    return [(letter, 1 if exp > 0 else -1)] * abs(exp)
+
+
 class Alphabet:
     """An ordered, tagged set of letters."""
 
@@ -49,8 +54,6 @@ class Alphabet:
         self.kind = kind
         self.letters = tuple(letters)
         self._index = {l: i for i, l in enumerate(self.letters)}
-        if len(self._index) != len(self.letters):
-            raise ValueError("alphabet letters must be distinct")
         self._by_token = {str(l): l for l in self.letters}
         if len(self._by_token) != len(self.letters):
             raise ValueError("alphabet letters must have distinct text forms")
@@ -186,13 +189,10 @@ class RaagContext:
         self.complex = complex
         self.alphabet = vertex_alphabet(complex)
         n = len(complex.vertices)
-        idx = {v: i for i, v in enumerate(complex.vertices)}
         blockers = []
-        for v in complex.vertices:
-            adjacent = {idx[w] for w in complex.neighbors(v)}
-            blockers.append(
-                tuple(j for j in range(n) if j != idx[v] and j not in adjacent)
-            )
+        for i, v in enumerate(complex.vertices):
+            adjacent = {complex.vertex_index(w) for w in complex.neighbors(v)}
+            blockers.append(tuple(j for j in range(n) if j != i and j not in adjacent))
         self._blockers = blockers
 
     def commutes(self, u, v):
@@ -284,6 +284,5 @@ def parse_word(text, alphabet, line=None, column_offset=0):
         exp = 1 if exp_text is None else int(exp_text)
         if exp == 0:
             raise ParseError("exponent must be nonzero", line, column)
-        sign = 1 if exp > 0 else -1
-        letters.extend([(letter, sign)] * abs(exp))
+        letters.extend(syllable_letters(letter, exp))
     return Word(alphabet, letters)

@@ -1,0 +1,103 @@
+"""Run every CLI verb over a fixed corpus and record exit code and stdout.
+
+Usage: python3 tests/cli_sweep.py SRC OUT.json
+
+SRC is the ``src`` directory of the checkout whose ``bbgroups`` is run.
+The sweep covers ``tests/corpus.py`` and 12 seeded
+``random_flag_complex(s, n=7, p=0.5)`` graphs: every verb with and
+without ``--json``, ``verify`` and ``reduce`` on each ``present`` output
+at the default and small budgets, and ``express`` on fixed words.  OUT
+maps each run (verb line, file names only) to ``[exit code, stdout]``;
+two checkouts print the same CLI output iff their OUT files are equal.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+
+def graph_texts(complex):
+    text = "vertices: " + " ".join(complex.vertices) + "\n"
+    if complex.edges:
+        text += "edges: " + " ".join(f"{u}-{v}" for u, v in complex.edges) + "\n"
+    data = {"vertices": list(complex.vertices), "edges": [list(e) for e in complex.edges]}
+    return text, json.dumps(data)
+
+
+def express_words(vertices):
+    a, b = vertices[0], vertices[1 % len(vertices)]
+    c = vertices[-1]
+    return ["", f"{a} {b}^-1", f"{b}^3 {c}^-2 {a}^-1", f"{c}^-1 {a} {b} {a}^-1", a, f"{a}^0"]
+
+
+def main(src, out_path):
+    sys.path.insert(0, os.path.abspath(src))
+    sys.path.insert(1, os.path.dirname(os.path.abspath(__file__)))
+    from bbgroups.cli import main as cli_main
+    from corpus import corpus, random_flag_complex
+
+    graphs = corpus() + [
+        (f"g7_{s}", random_flag_complex(s, n=7, p=0.5)) for s in range(1, 13)
+    ]
+    results = {}
+    written = set()
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def write(name, text):
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
+                handle.write(text)
+            written.add(name)
+            return name
+
+        def run(*argv):
+            stdout = io.StringIO()
+            args = [os.path.join(tmp, a) if a in written else a for a in argv]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main(args)
+            results[" ".join(argv)] = [code, stdout.getvalue()]
+            return code, stdout.getvalue()
+
+        for name, complex in graphs:
+            text, data = graph_texts(complex)
+            graph = write(f"{name}.txt", text)
+            graph_json = write(f"{name}.json", data)
+            for fmt in ((), ("--json",)):
+                for g in (graph, graph_json):
+                    run("info", *fmt, g)
+                run("homology", *fmt, graph)
+                run("homology", "--reduced", *fmt, graph)
+                run("euler", *fmt, graph)
+                run("hilbert", *fmt, graph)
+                run("report", *fmt, graph)
+                run("report", "--budget", "2", *fmt, graph)
+                for word in express_words(complex.vertices):
+                    run("express", *fmt, graph, word)
+            kinds = [
+                ("pi1", ["--kind", "pi1"]),
+                ("finite", ["--kind", "bb-finite"]),
+                ("finite_b1", ["--kind", "bb-finite", "--budget", "1"]),
+                ("trunc", ["--kind", "bb-truncated"]),
+                ("trunc_3_1", ["--kind", "bb-truncated", "--max-len", "3", "--max-exp", "1"]),
+            ]
+            for kind, options in kinds:
+                for fmt, ext in (((), "txt"), (("--json",), "json")):
+                    code, out = run("present", *options, *fmt, graph)
+                    if code != 0:
+                        continue
+                    pres = write(f"{name}.{kind}.{ext}", out)
+                    for vfmt in ((), ("--json",)):
+                        run("verify", *vfmt, graph, pres)
+                        for budget in ((), ("--budget", "1"), ("--budget", "3")):
+                            run("reduce", *budget, *vfmt, pres)
+    with open(out_path, "w", encoding="utf-8") as handle:
+        json.dump(results, handle, indent=1, sort_keys=True)
+    print(f"{len(results)} runs -> {out_path}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    main(sys.argv[1], sys.argv[2])

@@ -91,8 +91,11 @@ def brute_force_closed_walk_classes(complex, max_len):
     """Rotation classes of closed directed walks, by product enumeration.
 
     Only usable on small complexes (cost |directed edges|^length).
-    Classes are canonical rotations of (initial, terminal) pair tuples.
+    Each class is given by its rotation with the least tuple of
+    (initial, terminal) declaration positions, written as vertex-name
+    pairs; classes are listed by (length, position tuple).
     """
+    position = {v: i for i, v in enumerate(complex.vertices)}
     des = complex.directed_edges()
     classes = set()
     for l in range(2, max_len + 1):
@@ -100,9 +103,13 @@ def brute_force_closed_walk_classes(complex, max_len):
             if all(
                 combo[i].terminal == combo[(i + 1) % l].initial for i in range(l)
             ):
-                keys = [(e.initial, e.terminal) for e in combo]
+                keys = [(position[e.initial], position[e.terminal]) for e in combo]
                 classes.add(min(tuple(keys[r:] + keys[:r]) for r in range(l)))
-    return classes
+    names = complex.vertices
+    return [
+        tuple((names[i], names[j]) for i, j in key)
+        for key in sorted(classes, key=lambda key: (len(key), key))
+    ]
 
 
 class ShuffleClosureOracle:

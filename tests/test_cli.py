@@ -91,6 +91,16 @@ def test_present_and_verify_roundtrip(files, capsys, tmp_path):
     assert "all relators verified" in capsys.readouterr().out
 
 
+def test_json_presentation_files_are_read(files, capsys, tmp_path):
+    assert main(["present", "--kind", "bb-finite", "--json", files["k3.json"]]) == 0
+    pres_file = tmp_path / "k3pres.json"
+    pres_file.write_text(capsys.readouterr().out)
+    assert main(["verify", files["k3.json"], str(pres_file)]) == 0
+    assert "all relators verified" in capsys.readouterr().out
+    assert main(["reduce", str(pres_file)]) == 0
+    assert "# status: Fixpoint" in capsys.readouterr().out
+
+
 def test_verify_fails_on_a_non_relator(files, capsys, tmp_path):
     pres_file = tmp_path / "bad_pres.txt"
     pres_file.write_text("gens: [a>b]\nrel: [a>b]\n")

@@ -1,8 +1,11 @@
 """Tests for flag complex construction, homology, and the graph parsers."""
 
+import json
+
 import pytest
 
 from bbgroups import (
+    DirectedEdge,
     FlagComplex,
     ParseError,
     Pi1Status,
@@ -86,6 +89,41 @@ def test_construction_errors():
         FlagComplex(["a-b"], [])
     with pytest.raises(ValueError, match="nonempty"):
         FlagComplex([""], [])
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        (["a", "a"], []),
+        (["a-b"], []),
+        (["a", "b"], [("a", "c")]),
+        (["a"], [("a", "a")]),
+        (["a", "b"], [("a", "b"), ("b", "a")]),
+    ],
+)
+def test_graph_rules_give_one_message_for_every_input_form(vertices, edges):
+    with pytest.raises(ValueError) as direct:
+        FlagComplex(vertices, edges)
+    message = str(direct.value)
+    text = "vertices: " + " ".join(vertices) + "\nedges: "
+    text += " ".join(f"{u}-{v}" for u, v in edges) + "\n"
+    with pytest.raises(ParseError) as from_text:
+        parse_graph_text(text)
+    err = from_text.value
+    assert str(err) == f"line {err.line}, column {err.column}: {message}"
+    data = json.dumps({"vertices": vertices, "edges": [list(e) for e in edges]})
+    with pytest.raises(ParseError) as from_json:
+        parse_graph_json(data)
+    assert str(from_json.value) == message
+
+
+def test_directed_edge_parse_inverts_str():
+    for _, complex in corpus():
+        for e in complex.directed_edges():
+            assert DirectedEdge.parse(str(e)) == e
+    for token in ("a>b", "[a>b", "a>b]", "[a>b>c]", "[>b]", "[a>]", "[]", "", "[a b>c]", "[a>b^2]"):
+        with pytest.raises(ValueError, match="malformed edge"):
+            DirectedEdge.parse(token)
 
 
 # -- Euler characteristic and homology ---------------------------------

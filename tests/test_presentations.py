@@ -19,7 +19,7 @@ from bbgroups import (
     serialize_presentation,
     tietze_simplify,
 )
-from corpus import connected_corpus, octahedron
+from corpus import connected_corpus, octahedron, random_flag_complex
 
 
 def P(gens, rels, **kw):
@@ -146,12 +146,19 @@ def test_tietze_preserves_abelianization():
     for _, complex in connected_corpus():
         p = directed_cycle_presentation(BBContext(complex), 4, 2)
         cases.extend((p, budget) for budget in range(1, 7))
+    # A large kernel presentation, reduced to a pinned fixpoint shape.
+    large = directed_cycle_presentation(BBContext(random_flag_complex(7, n=7, p=0.5)), 4, 2)
+    assert (len(large.generators), len(large.relators)) == (26, 508)
+    cases.append((large, 10000))
     for p, budget in cases:
         before = abelianization(p)
-        after_p, _ = tietze_simplify(p, budget)
+        after_p, status = tietze_simplify(p, budget)
         after = abelianization(after_p)
         assert before.torsion == after.torsion
         assert before.rank == after.rank
+        if p is large:
+            assert status is TietzeStatus.FIXPOINT
+            assert (len(after_p.generators), len(after_p.relators)) == (6, 20)
 
 
 # -- serialization -------------------------------------------------------------
@@ -233,3 +240,7 @@ def test_json_mirror_errors():
         presentation_from_json("{bad json")
     with pytest.raises(ParseError, match="'rel'"):
         presentation_from_json({"gens": ["a"], "rel": [1]})
+    with pytest.raises(ParseError, match="'provenance'"):
+        presentation_from_json({"gens": [], "rel": [], "provenance": [1]})
+    with pytest.raises(ParseError, match="distinct"):
+        presentation_from_json({"gens": ["a", "a"], "rel": []})
