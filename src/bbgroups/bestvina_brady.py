@@ -20,7 +20,7 @@ relators one backtrack or triangle at a time.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .complexes import DirectedCycle, DirectedEdge, Pi1Status, simply_connected_status
 from .errors import ParseError, lex
@@ -387,82 +387,88 @@ def lift_vertex(b, ctx):
 class InsertMove:
     """Splice a backtrack pair (edge, reverse) in before position ``position``."""
 
+    head = "ins"
     position: int
     edge: DirectedEdge
+
+    def apply(self, edges, ctx):
+        if not 0 <= self.position <= len(edges):
+            raise ValueError(f"insert position {self.position} out of range")
+        ctx.complex.directed_edge(self.edge.initial, self.edge.terminal)
+        junction = edges[self.position % len(edges)].initial
+        if self.edge.initial != junction:
+            raise ValueError(f"inserted edge {self.edge} must start at {junction!r}")
+        pair = (self.edge, self.edge.reverse())
+        return edges[: self.position] + pair + edges[self.position :]
 
 
 @dataclass(frozen=True)
 class DeleteMove:
     """Remove the backtrack pair at positions (position, position + 1)."""
 
+    head = "del"
     position: int
+
+    def apply(self, edges, ctx):
+        p = self.position
+        if not 0 <= p <= len(edges) - 2:
+            raise ValueError(f"delete position {p} out of range")
+        if edges[p + 1] != edges[p].reverse():
+            raise ValueError(f"edges at positions {p}, {p + 1} are not a backtrack pair")
+        if len(edges) - 2 < 2:
+            raise ValueError("deletion would leave a cycle of length < 2")
+        return edges[:p] + edges[p + 2 :]
 
 
 @dataclass(frozen=True)
 class TriangleMove:
     """Replace edge e at ``position`` by (reverse g, reverse f) for a triangle (e, f, g)."""
 
+    head = "tri"
     position: int
     e: DirectedEdge
     f: DirectedEdge
     g: DirectedEdge
+
+    def apply(self, edges, ctx):
+        p, e, f, g = self.position, self.e, self.f, self.g
+        if not 0 <= p < len(edges):
+            raise ValueError(f"triangle position {p} out of range")
+        if edges[p] != e:
+            raise ValueError(f"edge at position {p} is {edges[p]}, not {e}")
+        for edge in (e, f, g):
+            ctx.complex.directed_edge(edge.initial, edge.terminal)
+        if e.terminal != f.initial or f.terminal != g.initial or g.terminal != e.initial:
+            raise ValueError(f"({e}, {f}, {g}) is not a directed triangle")
+        return edges[:p] + (g.reverse(), f.reverse()) + edges[p + 1 :]
 
 
 @dataclass(frozen=True)
 class RotateMove:
     """Re-root the cycle k steps forward."""
 
+    head = "rot"
     amount: int
+
+    def apply(self, edges, ctx):
+        k = self.amount % len(edges)
+        return edges[k:] + edges[:k]
+
+
+# A move file line is the kind's head, then its fields in declaration order:
+# an integer, then [a>b] edges.
+_MOVE_KINDS = {kind.head: kind for kind in (InsertMove, DeleteMove, TriangleMove, RotateMove)}
+
+
+def _known_move(move):
+    if _MOVE_KINDS.get(getattr(move, "head", None)) is not type(move):
+        raise ValueError(f"unknown move {move!r}")
+    return move
 
 
 def apply_move_to_cycle(cycle, move, ctx):
     """Apply one homotopy move to a directed cycle; validates the site."""
-    edges = cycle.edges
-    l = len(edges)
-    if isinstance(move, RotateMove):
-        return cycle.rotated(move.amount)
-    if isinstance(move, InsertMove):
-        if not 0 <= move.position <= l:
-            raise ValueError(f"insert position {move.position} out of range")
-        ctx.complex.directed_edge(move.edge.initial, move.edge.terminal)
-        junction = edges[move.position % l].initial
-        if move.edge.initial != junction:
-            raise ValueError(
-                f"inserted edge {move.edge} must start at {junction!r}"
-            )
-        pair = (move.edge, move.edge.reverse())
-        return DirectedCycle(edges[: move.position] + pair + edges[move.position :])
-    if isinstance(move, DeleteMove):
-        if not 0 <= move.position <= l - 2:
-            raise ValueError(f"delete position {move.position} out of range")
-        if edges[move.position + 1] != edges[move.position].reverse():
-            raise ValueError(
-                f"edges at positions {move.position}, {move.position + 1} "
-                "are not a backtrack pair"
-            )
-        if l - 2 < 2:
-            raise ValueError("deletion would leave a cycle of length < 2")
-        return DirectedCycle(edges[: move.position] + edges[move.position + 2 :])
-    if isinstance(move, TriangleMove):
-        if not 0 <= move.position < l:
-            raise ValueError(f"triangle position {move.position} out of range")
-        if edges[move.position] != move.e:
-            raise ValueError(
-                f"edge at position {move.position} is {edges[move.position]}, not {move.e}"
-            )
-        for edge in (move.e, move.f, move.g):
-            ctx.complex.directed_edge(edge.initial, edge.terminal)
-        if (
-            move.e.terminal != move.f.initial
-            or move.f.terminal != move.g.initial
-            or move.g.terminal != move.e.initial
-        ):
-            raise ValueError(f"({move.e}, {move.f}, {move.g}) is not a directed triangle")
-        replacement = (move.g.reverse(), move.f.reverse())
-        return DirectedCycle(
-            edges[: move.position] + replacement + edges[move.position + 1 :]
-        )
-    raise ValueError(f"unknown move {move!r}")
+    return DirectedCycle(_known_move(move).apply(cycle.edges, ctx))
 
 
 def relator_to_cycle(relator_word, n, ctx):
@@ -547,17 +553,9 @@ def find_move_sequence(cycle, target, ctx, budget=2000):
 def render_moves(moves):
     """Move-sequence file: one move per line."""
     lines = []
-    for move in moves:
-        if isinstance(move, InsertMove):
-            lines.append(f"ins {move.position} {move.edge}")
-        elif isinstance(move, DeleteMove):
-            lines.append(f"del {move.position}")
-        elif isinstance(move, TriangleMove):
-            lines.append(f"tri {move.position} {move.e} {move.f} {move.g}")
-        elif isinstance(move, RotateMove):
-            lines.append(f"rot {move.amount}")
-        else:
-            raise ValueError(f"unknown move {move!r}")
+    for move in map(_known_move, moves):
+        values = [str(getattr(move, field.name)) for field in fields(move)]
+        lines.append(" ".join([move.head] + values))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -566,30 +564,15 @@ def parse_moves(text):
     moves = []
     for lineno, tokens in lex(text):
         head, headcol = tokens[0]
-        args = tokens[1:]
-
-        def integer(pos):
-            tok, col = args[pos]
-            try:
-                return int(tok)
-            except ValueError:
-                raise ParseError(f"expected an integer, got {tok!r}", lineno, col) from None
-
-        def edge(pos):
-            tok, col = args[pos]
-            try:
-                return DirectedEdge.parse(tok)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, col) from None
-
-        if head == "ins" and len(args) == 2:
-            moves.append(InsertMove(integer(0), edge(1)))
-        elif head == "del" and len(args) == 1:
-            moves.append(DeleteMove(integer(0)))
-        elif head == "tri" and len(args) == 4:
-            moves.append(TriangleMove(integer(0), edge(1), edge(2), edge(3)))
-        elif head == "rot" and len(args) == 1:
-            moves.append(RotateMove(integer(0)))
-        else:
+        kind = _MOVE_KINDS.get(head)
+        if kind is None or len(tokens) != 1 + len(fields(kind)):
             raise ParseError(f"malformed move line starting {head!r}", lineno, headcol)
+        args = []
+        for tok, col in tokens[1:]:
+            try:
+                args.append(DirectedEdge.parse(tok) if args else int(tok))
+            except ValueError as exc:
+                message = str(exc) if args else f"expected an integer, got {tok!r}"
+                raise ParseError(message, lineno, col) from None
+        moves.append(kind(*args))
     return tuple(moves)

@@ -136,10 +136,6 @@ class DirectedCycle:
     def __hash__(self):
         return hash((DirectedCycle, self.edges))
 
-    def rotated(self, k):
-        k %= len(self.edges)
-        return DirectedCycle(self.edges[k:] + self.edges[:k])
-
     def __repr__(self):
         return "DirectedCycle(%s)" % " ".join(str(e) for e in self.edges)
 

@@ -90,10 +90,6 @@ def monomial_product(m1, m2, complex):
     otherwise the merged sorted tuple with the parity of the merge
     permutation folded into the coefficient.
     """
-    if m1.is_zero() or m2.is_zero():
-        return _ZERO
-    if set(m1.vertices) & set(m2.vertices):
-        return _ZERO
     return face_monomial(
         complex, m1.vertices + m2.vertices, m1.coefficient * m2.coefficient
     )

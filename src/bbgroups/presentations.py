@@ -22,6 +22,15 @@ from .errors import ParseError, json_object
 from .words import Alphabet, Word, invert_letters, parse_word, reduce_letters, render_word
 
 
+def _add_generator(names, g):
+    """Declare g as the next generator of ``names`` (name -> position)."""
+    if not g or re.search(r"[\s^]", g):
+        raise ValueError(f"bad generator name {g!r} (nonempty, no whitespace or '^')")
+    if g in names:
+        raise ValueError(f"duplicate generator {g!r} (generators must be distinct)")
+    names[g] = len(names)
+
+
 class Presentation:
     """Generators plus relators; immutable."""
 
@@ -29,9 +38,9 @@ class Presentation:
 
     def __init__(self, generators, relators, provenance=None):
         self.generators = tuple(generators)
+        names = {}
         for g in self.generators:
-            if not g or re.search(r"[\s^]", g):
-                raise ValueError(f"bad generator name {g!r}")
+            _add_generator(names, g)
         self.alphabet = Alphabet("named", self.generators)
         rels = []
         for r in relators:
@@ -232,8 +241,7 @@ def serialize_presentation(presentation):
 
 def parse_presentation(text):
     """Parse the presentation text format; errors carry line/column."""
-    gens = []
-    seen = set()
+    gens = {}
     rel_texts = []
     provenance = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -257,15 +265,11 @@ def parse_presentation(text):
         body_start = head_match.end(1)
         if head == "gens:":
             for m in re.finditer(r"\S+", line[body_start:]):
-                tok, col = m.group(), body_start + m.start() + 1
-                if "^" in tok:
-                    raise ParseError(
-                        f"generator name {tok!r} may not contain '^'", lineno, col
-                    )
-                if tok in seen:
-                    raise ParseError(f"duplicate generator {tok!r}", lineno, col)
-                seen.add(tok)
-                gens.append(tok)
+                try:
+                    _add_generator(gens, m.group())
+                except ValueError as exc:
+                    col = body_start + m.start() + 1
+                    raise ParseError(str(exc), lineno, col) from None
         elif head == "rel:":
             rel_texts.append((lineno, body_start, line[body_start:]))
         else:
@@ -274,6 +278,12 @@ def parse_presentation(text):
                 lineno,
                 headcol,
             )
+    return _read_relators(gens, rel_texts, provenance)
+
+
+def _read_relators(gens, rel_texts, provenance):
+    """The presentation on ``gens``, which passed ``_add_generator``, with relators
+    read from ``(line, column offset, word text)`` triples; errors are ParseErrors."""
     alphabet = Alphabet("named", gens)
     relators = []
     for lineno, offset, body in rel_texts:
@@ -281,10 +291,7 @@ def parse_presentation(text):
         if not len(word):
             raise ParseError("relator is empty after free reduction", lineno)
         relators.append(word)
-    try:
-        return Presentation(gens, relators, provenance=provenance)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return Presentation(gens, relators, provenance=provenance)
 
 
 def presentation_to_json(presentation):
@@ -309,11 +316,10 @@ def presentation_from_json(data):
         raise ParseError("'rel' must be a list of word strings")
     if not isinstance(data.get("provenance", {}), dict):
         raise ParseError("'provenance' must be an object")
-    try:
-        alphabet = Alphabet("named", gens)
-        relators = [parse_word(r, alphabet) for r in rel]
-        return Presentation(gens, relators, provenance=data.get("provenance"))
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    names = {}
+    for g in gens:
+        try:
+            _add_generator(names, g)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+    return _read_relators(names, [(None, 0, r) for r in rel], data.get("provenance"))

@@ -10,7 +10,8 @@ The word problem for a right-angled Artin group is decided by a
 heap-of-pieces normal form: letters are piled per generator with
 blockers on the piles of non-commuting generators, inverse pairs cancel
 as they meet at the top of a pile, and the reduced heap is linearized
-by always emitting the least available letter.  The result is the
+by always emitting the least available letter; a pile offers only its
+bottom entry, and nothing while that is a blocker.  The result is the
 lexicographically least word among all commutation-equivalent ones, so
 two words represent the same group element iff their normal forms are
 equal letter-for-letter.
@@ -231,15 +232,9 @@ class RaagContext:
         blockers = self._blockers
         out = []
         for _ in range(count):
-            best = None
-            for i, pile in enumerate(piles):
-                if pile and pile[0]:
-                    key = (i, 0 if pile[0] > 0 else 1)
-                    if best is None or key < best:
-                        best = key
-            i = best[0]
-            out.append((letters[i], piles[i][0]))
-            piles[i].popleft()
+            # Pile i offers one letter (its bottom), so the least is the first offered.
+            i = next(i for i, pile in enumerate(piles) if pile and pile[0])
+            out.append((letters[i], piles[i].popleft()))
             for j in blockers[i]:
                 piles[j].popleft()
         return Word(self.alphabet, out)

@@ -1,4 +1,4 @@
-"""Run every CLI verb over a fixed corpus and record exit code and stdout.
+"""Run every CLI verb over a fixed corpus and record what it prints.
 
 Usage: python3 tests/cli_sweep.py SRC OUT.json
 
@@ -6,9 +6,11 @@ SRC is the ``src`` directory of the checkout whose ``bbgroups`` is run.
 The sweep covers ``tests/corpus.py`` and 12 seeded
 ``random_flag_complex(s, n=7, p=0.5)`` graphs: every verb with and
 without ``--json``, ``verify`` and ``reduce`` on each ``present`` output
-at the default and small budgets, and ``express`` on fixed words.  OUT
-maps each run (verb line, file names only) to ``[exit code, stdout]``;
-two checkouts print the same CLI output iff their OUT files are equal.
+at the default and small budgets, ``express`` on fixed words, and
+``verify`` and ``reduce`` on malformed presentation files in text and
+JSON form.  OUT maps each run (verb line, file names only) to
+``[exit code, stdout, first stderr line]``; two checkouts print the same
+CLI output iff their OUT files are equal.
 """
 
 import contextlib
@@ -33,6 +35,19 @@ def express_words(vertices):
     return ["", f"{a} {b}^-1", f"{b}^3 {c}^-2 {a}^-1", f"{c}^-1 {a} {b} {a}^-1", a, f"{a}^0"]
 
 
+# Presentation files that break one rule each: (name, text form, JSON form).
+MALFORMED_PRESENTATIONS = [
+    ("dup_gen", "gens: [a>b] [a>b]\n", {"gens": ["[a>b]", "[a>b]"], "rel": []}),
+    ("caret_gen", "gens: a^2\n", {"gens": ["a^2"], "rel": []}),
+    (
+        "provenance_list",
+        "# provenance: [1]\ngens: [a>b]\n",
+        {"gens": ["[a>b]"], "rel": [], "provenance": [1]},
+    ),
+    ("unknown_rel_gen", "gens: [a>b]\nrel: [b>a]\n", {"gens": ["[a>b]"], "rel": ["[b>a]"]}),
+]
+
+
 def main(src, out_path):
     sys.path.insert(0, os.path.abspath(src))
     sys.path.insert(1, os.path.dirname(os.path.abspath(__file__)))
@@ -53,12 +68,20 @@ def main(src, out_path):
             return name
 
         def run(*argv):
-            stdout = io.StringIO()
+            stdout, stderr = io.StringIO(), io.StringIO()
             args = [os.path.join(tmp, a) if a in written else a for a in argv]
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli_main(args)
-            results[" ".join(argv)] = [code, stdout.getvalue()]
+            # Error messages name the file by its full path; keep its base name.
+            err = stderr.getvalue().replace(tmp + os.sep, "").partition("\n")[0]
+            results[" ".join(argv)] = [code, stdout.getvalue(), err]
             return code, stdout.getvalue()
+
+        k3 = write("malformed_k3.txt", "vertices: a b c\nedges: a-b b-c a-c\n")
+        for name, text, data in MALFORMED_PRESENTATIONS:
+            for pres in (write(f"{name}.txt", text), write(f"{name}.json", json.dumps(data))):
+                run("verify", k3, pres)
+                run("reduce", pres)
 
         for name, complex in graphs:
             text, data = graph_texts(complex)

@@ -8,6 +8,7 @@ from bbgroups import (
     BBContext,
     DeleteMove,
     DirectedCycle,
+    DirectedEdge,
     ExtensionElement,
     FlagComplex,
     InsertMove,
@@ -334,6 +335,8 @@ def test_finite_presentation_octahedron():
     assert pres.provenance["complete"] is True
     for word in presentation_relator_edge_words(pres, ctx):
         assert verify_relator(word, ctx)
+    unsure = finite_presentation(ctx, tietze_budget=5).provenance
+    assert unsure["complete"] is False and unsure["simply_connected"] == "Unknown"
 
 
 def test_finite_presentation_edge_and_point():
@@ -515,6 +518,31 @@ def test_move_site_validation():
             ),
             ctx,
         )
+    ab = complex.directed_edge("a", "b")
+    with pytest.raises(ValueError, match="insert position 4 out of range"):
+        apply_move_to_cycle(cycle, InsertMove(4, ab), ctx)
+    with pytest.raises(ValueError, match="insert position -1 out of range"):
+        apply_move_to_cycle(cycle, InsertMove(-1, ab), ctx)
+    with pytest.raises(ValueError, match="delete position 2 out of range"):
+        apply_move_to_cycle(cycle, DeleteMove(2), ctx)
+    with pytest.raises(ValueError, match="triangle position 3 out of range"):
+        apply_move_to_cycle(cycle, TriangleMove(3, *cycle.edges), ctx)
+    for move in ("rot 1", RotateMove):
+        with pytest.raises(ValueError, match="unknown move"):
+            apply_move_to_cycle(cycle, move, ctx)
+        with pytest.raises(ValueError, match="unknown move"):
+            render_moves([move])
+
+
+def test_directed_cycle_rejects_bad_walks():
+    ab = DirectedEdge("a", "b")
+    bc = DirectedEdge("b", "c")
+    with pytest.raises(ValueError, match="length >= 2, got 1"):
+        DirectedCycle([ab])
+    with pytest.raises(ValueError, match="not consecutive"):
+        DirectedCycle([ab, ab])
+    with pytest.raises(ValueError, match="not closed"):
+        DirectedCycle([ab, bc])
 
 
 def test_relator_to_cycle_validation():
@@ -577,6 +605,7 @@ def test_move_file_roundtrip():
         RotateMove(2),
     )
     text = render_moves(moves)
+    assert text == "ins 0 [a>b]\ndel 3\ntri 1 [a>b] [b>c] [c>a]\nrot 2\n"
     assert parse_moves(text) == moves
     assert parse_moves("") == ()
 

@@ -1,9 +1,11 @@
 """Tests for the command-line front end: dispatch, output, exit codes."""
 
 import json
+import re
 
 import pytest
 
+from bbgroups import parse_presentation, presentation_to_json
 from bbgroups.cli import build_parser, main
 
 C4_TEXT = "vertices: a b c d\nedges: a-b b-c c-d a-d\n"
@@ -80,6 +82,9 @@ def test_report_octahedron(files, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["corollary7_applies"] is True
     assert data["fp_level"] == 2
+
+    assert main(["report", "--budget", "1", files["octa.txt"]]) == 0
+    assert "finitely presented: unknown" in capsys.readouterr().out
 
 
 def test_present_and_verify_roundtrip(files, capsys, tmp_path):
@@ -183,6 +188,64 @@ def test_hilbert_and_euler(files, capsys):
     assert capsys.readouterr().out == "hilbert series: (1, 6, 12, 8)\n"
     assert main(["euler", files["octa.txt"]]) == 0
     assert capsys.readouterr().out == "chi(complex) = 2\nchi(raag) = -1\n"
+
+
+def _numbers(text):
+    return [int(n) for n in re.findall(r"-?\d+", text)]
+
+
+# verb: (arguments, the documented JSON keys, what the JSON must say given the text)
+JSON_MIRRORS = {
+    "info": (
+        ["octa.txt"],
+        {"vertices", "edges", "f_vector", "dimension", "connected", "chi"},
+        lambda data, text: [data["vertices"], data["edges"], *data["f_vector"],
+                            data["dimension"], data["chi"]] == _numbers(text)
+        and data["connected"] == ("connected: yes" in text),
+    ),
+    "verify": (
+        ["octa.txt", "octa_pres.txt"],
+        {"relators", "verified", "failures"},
+        lambda data, text: [data["relators"], data["verified"], *data["failures"]]
+        == _numbers(text),
+    ),
+    "express": (
+        ["octa.txt", "u0 v0^-1 w1^2 u1^-2"],
+        {"word"},
+        lambda data, text: data["word"] + "\n" == text,
+    ),
+    "reduce": (
+        ["--budget", "3", "octa_pres.txt"],
+        {"presentation", "status"},
+        lambda data, text: data["presentation"] == presentation_to_json(parse_presentation(text))
+        and text.endswith(f"# status: {data['status']}\n"),
+    ),
+    "hilbert": (
+        ["octa.txt"],
+        {"hilbert_series"},
+        lambda data, text: data["hilbert_series"] == _numbers(text),
+    ),
+    "euler": (
+        ["octa.txt"],
+        {"chi_delta", "chi_group"},
+        lambda data, text: [data["chi_delta"], data["chi_group"]] == _numbers(text),
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(JSON_MIRRORS))
+def test_json_mirrors_the_text_output(verb, files, capsys, tmp_path):
+    assert main(["present", "--kind", "bb-finite", files["octa.txt"]]) == 0
+    files["octa_pres.txt"] = str(tmp_path / "octa_pres.txt")
+    (tmp_path / "octa_pres.txt").write_text(capsys.readouterr().out)
+    args, keys, agrees = JSON_MIRRORS[verb]
+    args = [files.get(a, a) for a in args]
+    assert main([verb, *args]) == 0
+    text = capsys.readouterr().out
+    assert main([verb, "--json", *args]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert isinstance(data, dict) and set(data) == keys
+    assert agrees(data, text), (data, text)
 
 
 # -- error handling ----------------------------------------------------------------

@@ -254,6 +254,9 @@ def test_pi1_abelianization_matches_first_homology():
 
 def test_simply_connected_status_examples():
     assert simply_connected_status(octahedron()) is Pi1Status.CERTIFIED_TRIVIAL
+    # Tietze needs more than 5 moves to empty the octahedron's pi1 presentation.
+    assert simply_connected_status(octahedron(), budget=5) is Pi1Status.UNKNOWN
+    assert simply_connected_status(octahedron(), budget=10) is Pi1Status.CERTIFIED_TRIVIAL
     assert simply_connected_status(c4()) is Pi1Status.CERTIFIED_NONTRIVIAL
     assert simply_connected_status(k3()) is Pi1Status.CERTIFIED_TRIVIAL
     with pytest.raises(ValueError, match="connected"):

@@ -168,6 +168,7 @@ def test_octahedron_report():
     assert report.corollary7_applies is True
     text = render_report_text(report)
     assert "finitely presented but not of type FP" in text
+    assert finiteness_report(octahedron(), tietze_budget=5).finitely_presented == "unknown"
 
 
 def test_two_points_report():

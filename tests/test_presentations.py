@@ -51,6 +51,20 @@ def test_relators_must_be_nonempty_and_in_alphabet():
         P(["a^2"], [])
 
 
+@pytest.mark.parametrize("gens", [["a", "a"], ["a^2"]])
+def test_generator_rule_gives_one_message_for_every_input_form(gens):
+    with pytest.raises(ValueError) as direct:
+        P(gens, [])
+    message = str(direct.value)
+    with pytest.raises(ParseError) as from_text:
+        parse_presentation("gens: " + " ".join(gens) + "\n")
+    err = from_text.value
+    assert str(err) == f"line {err.line}, column {err.column}: {message}"
+    with pytest.raises(ParseError) as from_json:
+        presentation_from_json({"gens": gens, "rel": []})
+    assert str(from_json.value) == message
+
+
 def test_equality_ignores_provenance():
     p = P(["a"], [L("a a")], provenance={"construction": "x"})
     q = P(["a"], [L("a a")])
