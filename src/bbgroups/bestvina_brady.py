@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 from .complexes import DirectedCycle, DirectedEdge, Pi1Status, simply_connected_status
 from .errors import ParseError, lex
-from .presentations import Presentation
+from .presentations import TIETZE_BUDGET, Presentation
 from .words import (
     RaagContext,
     Word,
@@ -255,7 +255,7 @@ def _folded_relator(cycle, n, ctx):
     return reduce_letters(letters)
 
 
-def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=10000):
+def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BUDGET):
     """One generator per undirected edge; backtracks folded away.
 
     Relators: for each triangle (oriented from its least vertex toward

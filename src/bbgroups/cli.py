@@ -17,6 +17,7 @@ from . import facering
 from .complexes import euler_characteristic, homology, parse_complex, pi1_presentation
 from .errors import ParseError, parse_text_or_json
 from .presentations import (
+    TIETZE_BUDGET,
     parse_presentation,
     presentation_from_json,
     presentation_to_json,
@@ -64,7 +65,7 @@ def build_parser():
     )
     p.add_argument("--max-len", type=_int_at_least(2), default=4, help="cycle length bound (bb-truncated)")
     p.add_argument("--max-exp", type=_int_at_least(1), default=2, help="relator exponent bound (bb-truncated)")
-    p.add_argument("--budget", type=_int_at_least(1), default=10000, help="Tietze budget for certification")
+    p.add_argument("--budget", type=_int_at_least(1), default=TIETZE_BUDGET, help="Tietze budget for certification")
     p.add_argument("complex")
 
     p = sub.add_parser("verify", parents=[common], help="check an edge-generated presentation")
@@ -76,11 +77,11 @@ def build_parser():
     p.add_argument("word", help="vertex word with exponent sum zero, e.g. 'a b^-1'")
 
     p = sub.add_parser("reduce", parents=[common], help="Tietze-simplify a presentation file")
-    p.add_argument("--budget", type=_int_at_least(1), default=10000)
+    p.add_argument("--budget", type=_int_at_least(1), default=TIETZE_BUDGET)
     p.add_argument("presentation")
 
     p = sub.add_parser("report", parents=[common], help="finiteness-properties report")
-    p.add_argument("--budget", type=_int_at_least(1), default=10000)
+    p.add_argument("--budget", type=_int_at_least(1), default=TIETZE_BUDGET)
     p.add_argument("complex")
 
     p = sub.add_parser("hilbert", parents=[common], help="face ring rank sequence")

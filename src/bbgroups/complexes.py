@@ -21,19 +21,17 @@ from __future__ import annotations
 import enum
 
 from . import snf
-from .errors import ParseError, json_object, lex, parse_text_or_json
-from .presentations import Presentation, abelianization, tietze_simplify
-
-_FORBIDDEN_ID_CHARS = set(" \t\r\n\f\v-#[]>^")
+from .errors import ParseError, json_object, lex, parse_text_or_json, reserved_chars
+from .presentations import TIETZE_BUDGET, Presentation, abelianization, tietze_simplify
 
 
 def _check_identifier(name):
     if not isinstance(name, str) or not name:
         raise ValueError(f"vertex identifier must be a nonempty string, got {name!r}")
-    bad = _FORBIDDEN_ID_CHARS.intersection(name)
+    bad = reserved_chars(name, "-[]>")
     if bad:
         raise ValueError(
-            f"vertex identifier {name!r} contains forbidden character {sorted(bad)[0]!r} "
+            f"vertex identifier {name!r} contains forbidden character {bad[0]!r} "
             "(whitespace and - # [ ] > ^ are reserved by the text formats)"
         )
 
@@ -243,17 +241,7 @@ class FlagComplex:
         return DirectedCycle(self.directed_edge(u, v) for u, v in pairs)
 
     def is_connected(self):
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for w in self._neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return bool(self.vertices) and len(_bfs_parents(self, self.vertices[0])) == len(self.vertices)
 
     def spanning_tree(self, root):
         return SpanningTree(self, root)
@@ -272,53 +260,44 @@ class FlagComplex:
         return f"FlagComplex({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
+def _bfs_parents(complex, root):
+    """``{vertex: parent}`` of the breadth-first search from root, neighbors
+    visited in vertex order; the dict's order is the visiting order."""
+    parent = {root: None}
+    queue = [root]
+    for v in queue:
+        for w in complex._neighbors[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return parent
+
+
 class SpanningTree:
     """Breadth-first spanning tree, neighbors visited in vertex order."""
 
     def __init__(self, complex, root):
         complex.vertex_index(root)
-        if not complex.is_connected():
-            raise ValueError("complex is not connected")
         self.complex = complex
         self.root = root
-        parent = {root: None}
-        depth = {root: 0}
-        order = [root]
-        queue = [root]
-        while queue:
-            nxt = []
-            for v in queue:
-                for w in complex.neighbors(v):
-                    if w not in parent:
-                        parent[w] = v
-                        depth[w] = depth[v] + 1
-                        order.append(w)
-                        nxt.append(w)
-            queue = nxt
-        self.parent = parent
-        self.depth = depth
-        self.order = tuple(order)
+        self.parent = _bfs_parents(complex, root)
+        if len(self.parent) != len(complex.vertices):
+            raise ValueError("complex is not connected")
+        self.order = tuple(self.parent)
 
     def has_edge(self, u, v):
         return self.parent.get(u) == v or self.parent.get(v) == u
 
     def path_vertices(self, u, v):
         """The unique tree path from u to v, as a vertex list."""
-        self.complex.vertex_index(u)
-        self.complex.vertex_index(v)
         up, down = [u], [v]
-        a, b = u, v
-        while self.depth[a] > self.depth[b]:
-            a = self.parent[a]
-            up.append(a)
-        while self.depth[b] > self.depth[a]:
-            b = self.parent[b]
-            down.append(b)
-        while a != b:
-            a = self.parent[a]
-            up.append(a)
-            b = self.parent[b]
-            down.append(b)
+        for path in (up, down):
+            self.complex.vertex_index(path[0])
+            while path[-1] != self.root:
+                path.append(self.parent[path[-1]])
+        while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+            up.pop()
+            down.pop()
         return up + down[-2::-1]
 
     def path_edges(self, u, v):
@@ -461,7 +440,7 @@ class Pi1Status(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-def simply_connected_status(complex, budget=10000):
+def simply_connected_status(complex, budget=TIETZE_BUDGET):
     """Tri-state simple-connectivity certificate.
 
     Nontriviality is certified by a nonzero abelianization of the

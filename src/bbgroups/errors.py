@@ -23,6 +23,13 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def reserved_chars(name, extra=""):
+    """The characters of ``name`` the text formats reserve, sorted: whitespace
+    (``str.isspace``, where tokens and lines split), ``#`` (comments), ``^``
+    (exponents) and ``extra``."""
+    return sorted({c for c in name if c.isspace() or c in "#^" + extra})
+
+
 def lex(text):
     """``(line, [(token, column), ...])`` per line with tokens; ``#`` starts
     a comment, tokens are whitespace-separated, positions 1-based."""

@@ -25,6 +25,7 @@ from .complexes import (
     homology,
     simply_connected_status,
 )
+from .presentations import TIETZE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ _LICENSES = {
 }
 
 
-def finiteness_report(complex, tietze_budget=10000):
+def finiteness_report(complex, tietze_budget=TIETZE_BUDGET):
     """Apply the classification to a complex.
 
     Homology is computed once, reduced: the unreduced b_0 of a nonempty

@@ -18,14 +18,14 @@ import re
 from dataclasses import dataclass
 
 from . import snf
-from .errors import ParseError, json_object
+from .errors import ParseError, json_object, reserved_chars
 from .words import Alphabet, Word, invert_letters, parse_word, reduce_letters, render_word
 
 
 def _add_generator(names, g):
     """Declare g as the next generator of ``names`` (name -> position)."""
-    if not g or re.search(r"[\s^]", g):
-        raise ValueError(f"bad generator name {g!r} (nonempty, no whitespace or '^')")
+    if not g or reserved_chars(g):
+        raise ValueError(f"bad generator name {g!r} (nonempty, no whitespace, '#' or '^')")
     if g in names:
         raise ValueError(f"duplicate generator {g!r} (generators must be distinct)")
     names[g] = len(names)
@@ -193,7 +193,10 @@ def _apply_one_move(gens, rels, unshortenable):
     return False
 
 
-def tietze_simplify(presentation, budget=10000):
+TIETZE_BUDGET = 10000  # default move budget of every Tietze caller
+
+
+def tietze_simplify(presentation, budget=TIETZE_BUDGET):
     """Bounded Tietze simplification.
 
     Returns ``(presentation, status)`` where status reports whether a

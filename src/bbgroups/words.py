@@ -59,12 +59,6 @@ class Alphabet:
         if len(self._by_token) != len(self.letters):
             raise ValueError("alphabet letters must have distinct text forms")
 
-    def __contains__(self, letter):
-        return letter in self._index
-
-    def __len__(self):
-        return len(self.letters)
-
     def index(self, letter):
         try:
             return self._index[letter]

@@ -8,9 +8,10 @@ The sweep covers ``tests/corpus.py`` and 12 seeded
 without ``--json``, ``verify`` and ``reduce`` on each ``present`` output
 at the default and small budgets, ``express`` on fixed words, and
 ``verify`` and ``reduce`` on malformed presentation files in text and
-JSON form.  OUT maps each run (verb line, file names only) to
-``[exit code, stdout, first stderr line]``; two checkouts print the same
-CLI output iff their OUT files are equal.
+JSON form, and every verb on a JSON graph whose vertex name holds a
+no-break space (it has no text form).  OUT maps each run (verb line,
+file names only) to ``[exit code, stdout, first stderr line]``; two
+checkouts print the same CLI output iff their OUT files are equal.
 """
 
 import contextlib
@@ -45,7 +46,14 @@ MALFORMED_PRESENTATIONS = [
         {"gens": ["[a>b]"], "rel": [], "provenance": [1]},
     ),
     ("unknown_rel_gen", "gens: [a>b]\nrel: [b>a]\n", {"gens": ["[a>b]"], "rel": ["[b>a]"]}),
+    # Z/2 * Z in JSON; the text form's '#' starts a comment.
+    ("hash_gen", "gens: a#b c\nrel: a#b^2\n", {"gens": ["a#b", "c"], "rel": ["a#b^2"]}),
 ]
+
+NBSP_GRAPH = {
+    "vertices": ["a\u00a0b", "c", "d"],
+    "edges": [["a\u00a0b", "c"], ["c", "d"], ["a\u00a0b", "d"]],
+}
 
 
 def main(src, out_path):
@@ -82,6 +90,16 @@ def main(src, out_path):
             for pres in (write(f"{name}.txt", text), write(f"{name}.json", json.dumps(data))):
                 run("verify", k3, pres)
                 run("reduce", pres)
+
+        nbsp = write("nbsp.json", json.dumps(NBSP_GRAPH))
+        nbsp_pres = write("nbsp_pres.txt", "gens: [c>d]\n")
+        for fmt in ((), ("--json",)):
+            for verb in (["info"], ["homology"], ["euler"], ["hilbert"], ["report"]):
+                run(*verb, *fmt, nbsp)
+            for kind in ("pi1", "bb-finite", "bb-truncated"):
+                run("present", "--kind", kind, *fmt, nbsp)
+            run("express", *fmt, nbsp, "c d^-1")
+            run("verify", *fmt, nbsp, nbsp_pres)
 
         for name, complex in graphs:
             text, data = graph_texts(complex)

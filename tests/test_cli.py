@@ -287,6 +287,31 @@ def test_out_of_range_option_is_usage_error(files, capsys, argv):
     assert "must be at least" in capsys.readouterr().err
 
 
+def test_reserved_character_in_a_json_generator_is_exit_2(files, capsys, tmp_path):
+    pres = tmp_path / "hash.json"
+    pres.write_text('{"gens": ["a#b", "c"], "rel": ["a#b^2"]}')
+    assert main(["reduce", str(pres)]) == 2
+    assert main(["verify", files["k3.json"], str(pres)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("bad generator name 'a#b'") == 2
+
+
+def test_whitespace_in_a_json_vertex_name_is_exit_2(files, capsys, tmp_path):
+    graph = tmp_path / "nbsp.json"
+    name = "a\u00a0b"
+    data = {"vertices": [name, "c", "d"], "edges": [[name, "c"], ["c", "d"], [name, "d"]]}
+    graph.write_text(json.dumps(data))
+    graph = str(graph)
+    runs = [["info", graph], ["homology", graph], ["euler", graph], ["hilbert", graph]]
+    runs += [["report", graph], ["express", graph, "c d^-1"], ["verify", graph, files["k3.json"]]]
+    runs += [["present", "--kind", kind, graph] for kind in ("pi1", "bb-finite", "bb-truncated")]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "forbidden character '\\xa0'" in captured.err, argv
+
+
 def test_missing_file_is_domain_error(capsys):
     assert main(["info", "/nonexistent/path.txt"]) == 1
     capsys.readouterr()

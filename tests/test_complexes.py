@@ -9,6 +9,7 @@ from bbgroups import (
     FlagComplex,
     ParseError,
     Pi1Status,
+    SpanningTree,
     abelianization,
     boundary_matrix,
     euler_characteristic,
@@ -284,6 +285,63 @@ def test_tree_paths():
     assert [(e.initial, e.terminal) for e in edges] == [("a", "b"), ("b", "c")]
 
 
+def _tree_path_oracle(tree, u, v):
+    """The path from u to v found by a breadth-first search over the tree's
+    ``parent`` edges alone."""
+    adjacent = {w: set() for w in tree.parent}
+    for w, p in tree.parent.items():
+        if p is not None:
+            adjacent[w].add(p)
+            adjacent[p].add(w)
+    came_from = {u: None}
+    queue = [u]
+    for x in queue:
+        for y in adjacent[x]:
+            if y not in came_from:
+                came_from[y] = x
+                queue.append(y)
+    path = [v]
+    while path[-1] != u:
+        path.append(came_from[path[-1]])
+    return path[::-1]
+
+
+def _spider():
+    """Three legs of lengths 3, 2, 3 from the center o; rooted at a leg's tip,
+    its tree paths meet at o or along a leg, away from the root."""
+    legs = [["x1", "x2", "x3"], ["y1", "y2"], ["z1", "z2", "z3"]]
+    edges = [(a, b) for leg in legs for a, b in zip(["o"] + leg, leg)]
+    return FlagComplex(["o"] + [v for leg in legs for v in leg], edges)
+
+
+def test_tree_paths_match_an_independent_search():
+    path6 = FlagComplex([f"p{i}" for i in range(6)], [(f"p{i}", f"p{i + 1}") for i in range(5)])
+    complexes = connected_corpus() + [("path6", path6), ("spider", _spider())]
+    for name, complex in complexes:
+        for root in complex.vertices:
+            tree = complex.spanning_tree(root)
+            for u in complex.vertices:
+                for v in complex.vertices:
+                    path = tree.path_vertices(u, v)
+                    assert path == _tree_path_oracle(tree, u, v), (name, root, u, v)
+                    assert path == tree.path_vertices(v, u)[::-1], (name, root, u, v)
+    tree = _spider().spanning_tree("x3")
+    assert tree.path_vertices("y2", "z3") == ["y2", "y1", "o", "z1", "z2", "z3"]
+    assert tree.path_vertices("x1", "z1") == ["x1", "o", "z1"]
+
+
+def test_spanning_tree_rejects_bad_roots_and_disconnected_complexes():
+    with pytest.raises(ValueError, match="not connected"):
+        SpanningTree(two_points(), "a")
+    with pytest.raises(ValueError, match="unknown vertex 'z'"):
+        SpanningTree(two_points(), "z")
+    with pytest.raises(ValueError, match="unknown vertex 'z'"):
+        path3().spanning_tree("a").path_vertices("z", "q")
+    assert not FlagComplex([], []).is_connected()
+    assert FlagComplex(["a"], []).is_connected()
+    assert not three_points().is_connected()
+
+
 # -- parsers ---------------------------------------------------------------
 
 
@@ -326,6 +384,19 @@ def test_parse_graph_json():
         parse_graph_json('{"vertices": [], "edgez": []}')
     with pytest.raises(ParseError, match="loop"):
         parse_graph_json('{"vertices": ["a"], "edges": [["a", "a"]]}')
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\x1c", "\x85"])
+def test_json_vertex_names_may_not_hold_any_whitespace(space):
+    # The text form splits tokens and lines at every str.isspace character.
+    name = f"a{space}b"
+    data = {"vertices": [name, "c", "d"], "edges": [[name, "c"], ["c", "d"], [name, "d"]]}
+    with pytest.raises(ParseError) as err:
+        parse_graph_json(json.dumps(data))
+    assert str(err.value) == (
+        f"vertex identifier {name!r} contains forbidden character {space!r} "
+        "(whitespace and - # [ ] > ^ are reserved by the text formats)"
+    )
 
 
 def test_parse_complex_sniffs_format():

@@ -65,6 +65,17 @@ def test_generator_rule_gives_one_message_for_every_input_form(gens):
     assert str(from_json.value) == message
 
 
+def test_json_generator_names_may_not_hold_a_comment_sign():
+    # The text form reads "gens: a#b c" as "gens: a", so Z/2 * Z would read
+    # back as the trivial group.
+    with pytest.raises(ParseError) as err:
+        presentation_from_json({"gens": ["a#b", "c"], "rel": ["a#b^2"]})
+    assert str(err.value) == "bad generator name 'a#b' (nonempty, no whitespace, '#' or '^')"
+    with pytest.raises(ParseError) as err:
+        presentation_from_json({"gens": ["a\u00a0b"], "rel": []})
+    assert str(err.value).startswith("bad generator name 'a\\xa0b'")
+
+
 def test_equality_ignores_provenance():
     p = P(["a"], [L("a a")], provenance={"construction": "x"})
     q = P(["a"], [L("a a")])
