@@ -376,27 +376,18 @@ def homology(complex, reduced=False):
     """
     f = complex.f_vector()
     dim = len(f) - 1
-    if dim < 0:
-        return HomologyResult((), (), reduced)
-
     matrices = {k: boundary_matrix(complex, k) for k in range(1, dim + 1)}
     for k in range(2, dim + 1):
         if not snf.is_zero_matrix(snf.matrix_multiply(matrices[k - 1], matrices[k])):
             raise AssertionError(f"boundary composition d_{k-1} d_{k} is nonzero")
 
-    factors = {k: snf.invariant_factors(matrices[k]) for k in range(1, dim + 1)}
-    ranks = {k: len(factors[k]) for k in range(1, dim + 1)}
-    ranks[dim + 1] = 0
-    ranks[0] = (1 if reduced and f[0] else 0)  # augmentation C_0 -> Z
-
-    betti = []
-    torsion = []
-    for k in range(dim + 1):
-        betti.append(f[k] - ranks[k] - ranks[k + 1])
-        if k + 1 <= dim:
-            torsion.append(tuple(d for d in factors[k + 1] if d > 1))
-        else:
-            torsion.append(())
+    # factors[k] belongs to the map out of C_k: the augmentation C_0 -> Z
+    # at k = 0, and nothing at k = dim + 1.
+    factors = [(1,) if reduced and f else ()]
+    factors += [snf.invariant_factors(matrices[k]) for k in range(1, dim + 1)]
+    factors.append(())
+    betti = [f[k] - len(factors[k]) - len(factors[k + 1]) for k in range(dim + 1)]
+    torsion = [tuple(d for d in factors[k + 1] if d > 1) for k in range(dim + 1)]
     return HomologyResult(betti, torsion, reduced)
 
 

@@ -17,7 +17,7 @@ layered on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .complexes import (
     Pi1Status,
@@ -240,14 +240,7 @@ def render_report_text(report):
 def report_to_json(report):
     """JSON mirror with fixed field names."""
     return {
-        "finitely_generated": report.finitely_generated,
-        "finitely_presented": report.finitely_presented,
-        "fp_level": report.fp_level,
-        "chi_delta": report.chi_delta,
-        "chi_group": report.chi_group,
-        "corollary6_obstruction": report.corollary6_obstruction,
-        "corollary7_applies": report.corollary7_applies,
+        **asdict(report),
         "f_vector": list(report.f_vector),
         "homology_betti": list(report.homology_betti),
-        "licenses": report.licenses,
     }

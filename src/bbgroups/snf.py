@@ -4,7 +4,14 @@ This is the single audited kernel behind simplicial homology and
 presentation abelianization.  Matrices are plain lists of lists of
 Python ints, so all arithmetic is arbitrary precision; there are no
 modular or floating-point shortcuts.
+
+``invariant_factors`` runs in two phases: phase 1 diagonalizes by row
+and column reduction, phase 2 folds the diagonal into its divisibility
+chain by one gcd/lcm pass (any diagonal matrix is equivalent to its
+gcd/lcm chain; Newman, *Integral Matrices*, 1972).
 """
+
+from math import gcd
 
 
 def invariant_factors(matrix):
@@ -62,42 +69,16 @@ def invariant_factors(matrix):
                     clean = False
         if not clean:
             continue
-
-        # Pivot must divide every remaining entry, else fold the bad row
-        # into the pivot row and restart (shrinks the pivot).
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % p:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for j in range(t, n):
-                a[t][j] += a[bad][j]
-            continue
-
         factors.append(abs(p))
         t += 1
+
+    # Each pair becomes (gcd, lcm), so d_i ends dividing every later d_j.
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            x, y = factors[i], factors[j]
+            g = gcd(x, y)
+            factors[i], factors[j] = g, x // g * y
     return tuple(factors)
-
-
-def in_row_lattice(matrix, vector):
-    """Whether ``vector`` is an integer combination of the matrix rows.
-
-    Uses the Hopfian property of finitely generated abelian groups: for
-    sublattices L <= L' of Z^n, equal invariant factors force L = L',
-    so appending the vector changes the factors iff it enlarges the
-    lattice.
-    """
-    rows = [list(row) for row in matrix]
-    n = len(rows[0]) if rows else len(vector)
-    if len(vector) != n:
-        raise ValueError("vector length does not match matrix width")
-    if not rows:
-        return all(x == 0 for x in vector)
-    return invariant_factors(rows) == invariant_factors(rows + [list(vector)])
 
 
 def matrix_multiply(a, b):

@@ -8,8 +8,11 @@ The sweep covers ``tests/corpus.py`` and 12 seeded
 without ``--json``, ``verify`` and ``reduce`` on each ``present`` output
 at the default and small budgets, ``express`` on fixed words, and
 ``verify`` and ``reduce`` on malformed presentation files in text and
-JSON form, and every verb on a JSON graph whose vertex name holds a
-no-break space (it has no text form).  OUT maps each run (verb line,
+JSON form, every verb on a JSON graph whose vertex name holds a
+no-break space (it has no text form), and the homology, report and
+pi1 verbs on ``projective_plane()``, whose H_1 = Z/2 is the sweep's
+only torsion (``bb-truncated`` is skipped there: 31 vertices make it
+too large).  OUT maps each run (verb line,
 file names only) to ``[exit code, stdout, first stderr line]``; two
 checkouts print the same CLI output iff their OUT files are equal.
 """
@@ -60,7 +63,7 @@ def main(src, out_path):
     sys.path.insert(0, os.path.abspath(src))
     sys.path.insert(1, os.path.dirname(os.path.abspath(__file__)))
     from bbgroups.cli import main as cli_main
-    from corpus import corpus, random_flag_complex
+    from corpus import corpus, projective_plane, random_flag_complex
 
     graphs = corpus() + [
         (f"g7_{s}", random_flag_complex(s, n=7, p=0.5)) for s in range(1, 13)
@@ -100,6 +103,24 @@ def main(src, out_path):
                 run("present", "--kind", kind, *fmt, nbsp)
             run("express", *fmt, nbsp, "c d^-1")
             run("verify", *fmt, nbsp, nbsp_pres)
+
+        rp2 = write("rp2.txt", graph_texts(projective_plane())[0])
+        for fmt, ext in (((), "txt"), (("--json",), "json")):
+            for verb in (
+                ["info"],
+                ["homology"],
+                ["homology", "--reduced"],
+                ["euler"],
+                ["hilbert"],
+                ["report"],
+                ["report", "--budget", "2"],
+            ):
+                run(*verb, *fmt, rp2)
+            code, out = run("present", "--kind", "pi1", *fmt, rp2)
+            if code == 0:
+                pres = write(f"rp2.pi1.{ext}", out)
+                for vfmt in ((), ("--json",)):
+                    run("reduce", *vfmt, pres)
 
         for name, complex in graphs:
             text, data = graph_texts(complex)

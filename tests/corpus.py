@@ -1,8 +1,9 @@
-"""Shared corpus of flag complexes and random-word helpers."""
+"""Shared corpus of flag complexes, random-word helpers and a lattice test."""
 
 import random
+from itertools import combinations
 
-from bbgroups import FlagComplex, Word
+from bbgroups import FlagComplex, Word, snf
 
 
 def point():
@@ -61,6 +62,28 @@ def join_of_pairs(pairs=3):
     return FlagComplex(verts, edges)
 
 
+def projective_plane():
+    """Order complex of the 6-vertex projective plane; flag, H_1 = Z/2.
+
+    The face list is the standard minimal triangulation (every edge of
+    K6 lies in exactly two of the ten triangles); taking comparability
+    of faces as adjacency gives its barycentric subdivision, which is
+    always a flag complex.  Kept out of ``corpus()``: 31 vertices are too
+    many for the brute-force subset oracles run over the corpus.
+    """
+    triangles = ["125", "126", "134", "136", "145", "234", "235", "246", "356", "456"]
+    faces = [frozenset(v) for v in "123456"]
+    faces += [frozenset(e) for e in combinations("123456", 2)]
+    faces += [frozenset(t) for t in triangles]
+    names = {f: "f" + "".join(sorted(f)) for f in faces}
+    edges = [
+        (names[a], names[b])
+        for a, b in combinations(faces, 2)
+        if a < b or b < a
+    ]
+    return FlagComplex([names[f] for f in faces], edges)
+
+
 def random_flag_complex(seed, n=8, p=0.45, require_connected=True):
     rng = random.Random(seed)
     verts = [f"v{i}" for i in range(n)]
@@ -111,3 +134,20 @@ def random_zero_sum_word(rng, alphabet, pairs):
     letters += [(rng.choice(alphabet.letters), -1) for _ in range(pairs)]
     rng.shuffle(letters)
     return Word(alphabet, letters)
+
+
+def in_row_lattice(matrix, vector):
+    """Whether ``vector`` is an integer combination of the matrix rows.
+
+    Uses the Hopfian property of finitely generated abelian groups: for
+    sublattices L <= L' of Z^n, equal invariant factors force L = L',
+    so appending the vector changes the factors iff it enlarges the
+    lattice.
+    """
+    rows = [list(row) for row in matrix]
+    n = len(rows[0]) if rows else len(vector)
+    if len(vector) != n:
+        raise ValueError("vector length does not match matrix width")
+    if not rows:
+        return all(x == 0 for x in vector)
+    return snf.invariant_factors(rows) == snf.invariant_factors(rows + [list(vector)])

@@ -44,6 +44,7 @@ from corpus import (
     c4,
     connected_corpus,
     corpus,
+    in_row_lattice,
     k3,
     octahedron,
     random_zero_sum_word,
@@ -171,7 +172,7 @@ def test_criterion_5_triangle_relators_at_the_abelian_level():
             for e, s in cycle_relator(triangle, n, ctx).letters:
                 name, sign = complex.edge_letter(e.initial, e.terminal)
                 vector[index[name]] += sign * s
-            assert snf.in_row_lattice(lattice, vector), n
+            assert in_row_lattice(lattice, vector), n
 
 
 def test_criterion_6_homotopy_move_soundness():

@@ -28,6 +28,7 @@ from corpus import (
     k3,
     octahedron,
     path3,
+    projective_plane,
     random_flag_complex,
     three_points,
     two_points,
@@ -176,31 +177,8 @@ def test_euler_characteristic_equals_alternating_betti_sum():
         assert chi == euler_characteristic(complex), name
 
 
-def _barycentric_projective_plane():
-    """Order complex of the 6-vertex projective plane; flag, H_1 = Z/2.
-
-    The face list is the standard minimal triangulation (every edge of
-    K6 lies in exactly two of the ten triangles); taking comparability
-    of faces as adjacency gives its barycentric subdivision, which is
-    always a flag complex.
-    """
-    from itertools import combinations
-
-    triangles = ["125", "126", "134", "136", "145", "234", "235", "246", "356", "456"]
-    faces = [frozenset(v) for v in "123456"]
-    faces += [frozenset(e) for e in combinations("123456", 2)]
-    faces += [frozenset(t) for t in triangles]
-    names = {f: "f" + "".join(sorted(f)) for f in faces}
-    edges = [
-        (names[a], names[b])
-        for a, b in combinations(faces, 2)
-        if a < b or b < a
-    ]
-    return FlagComplex([names[f] for f in faces], edges)
-
-
 def test_projective_plane_has_two_torsion():
-    complex = _barycentric_projective_plane()
+    complex = projective_plane()
     assert complex.f_vector() == (31, 90, 60)
     assert euler_characteristic(complex) == 1
     h = homology(complex)
@@ -210,7 +188,7 @@ def test_projective_plane_has_two_torsion():
 
 
 def test_homology_torsion_is_a_divisibility_chain():
-    for name, complex in corpus() + [("rp2", _barycentric_projective_plane())]:
+    for name, complex in corpus() + [("rp2", projective_plane())]:
         h = homology(complex)
         for chain in h.torsion:
             for a, b in zip(chain, chain[1:]):

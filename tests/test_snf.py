@@ -2,7 +2,10 @@
 
 import random
 
-from bbgroups import snf
+import pytest
+
+from bbgroups import boundary_matrix, snf
+from corpus import in_row_lattice, projective_plane, random_flag_complex
 from oracles import naive_invariant_factors
 
 
@@ -14,6 +17,9 @@ def test_known_forms():
     # classic: diag(2, 4) is already a chain, diag(2, 3) folds to (1, 6)
     assert snf.invariant_factors([[2, 0], [0, 4]]) == (2, 4)
     assert snf.invariant_factors([[2, 0], [0, 3]]) == (1, 6)
+    # diagonals that are not yet a chain fold to gcd/lcm pairs
+    assert snf.invariant_factors([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == (2, 2, 60)
+    assert snf.invariant_factors([[6, 0], [0, 4]]) == (2, 12)
 
 
 def test_incidence_matrix_of_a_path_is_unimodular():
@@ -22,16 +28,39 @@ def test_incidence_matrix_of_a_path_is_unimodular():
     assert snf.invariant_factors(matrix) == (1, 1)
 
 
-def test_divisibility_chain_and_oracle_agreement():
-    rng = random.Random(4)
+def _random_matrices(rng):
     for _ in range(60):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 6)
-        matrix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        yield [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    for _ in range(20):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        yield [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(m)]
+    for _ in range(20):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        yield [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+
+
+def test_divisibility_chain_and_oracle_agreement():
+    for matrix in _random_matrices(random.Random(4)):
         factors = snf.invariant_factors(matrix)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
         assert factors == naive_invariant_factors(matrix)
+
+
+def test_boundary_matrices_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    complexes = [random_flag_complex(s, n=9, p=0.5) for s in range(20)]
+    complexes.append(projective_plane())
+    for complex in complexes:
+        for k in range(1, len(complex.f_vector())):
+            matrix = boundary_matrix(complex, k)
+            expected = invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)
+            assert snf.invariant_factors(matrix) == tuple(
+                abs(int(d)) for d in expected if d
+            ), (complex.f_vector(), k)
 
 
 def test_input_not_modified():
@@ -43,14 +72,14 @@ def test_input_not_modified():
 
 def test_in_row_lattice():
     rows = [[1, 1, -1]]
-    assert snf.in_row_lattice(rows, [3, 3, -3])
-    assert not snf.in_row_lattice(rows, [1, 0, 0])
-    assert snf.in_row_lattice(rows, [0, 0, 0])
-    assert snf.in_row_lattice([], [0, 0])
-    assert not snf.in_row_lattice([], [1, 0])
+    assert in_row_lattice(rows, [3, 3, -3])
+    assert not in_row_lattice(rows, [1, 0, 0])
+    assert in_row_lattice(rows, [0, 0, 0])
+    assert in_row_lattice([], [0, 0])
+    assert not in_row_lattice([], [1, 0])
     # index-2 sublattice
-    assert not snf.in_row_lattice([[2, 0], [0, 2]], [1, 1])
-    assert snf.in_row_lattice([[2, 0], [0, 2]], [4, -2])
+    assert not in_row_lattice([[2, 0], [0, 2]], [1, 1])
+    assert in_row_lattice([[2, 0], [0, 2]], [4, -2])
 
 
 def test_matrix_multiply_and_zero():
