@@ -5,10 +5,11 @@ presentation abelianization.  Matrices are plain lists of lists of
 Python ints, so all arithmetic is arbitrary precision; there are no
 modular or floating-point shortcuts.
 
-``invariant_factors`` runs in two phases: phase 1 diagonalizes by row
-and column reduction, phase 2 folds the diagonal into its divisibility
-chain by one gcd/lcm pass (any diagonal matrix is equivalent to its
-gcd/lcm chain; Newman, *Integral Matrices*, 1972).
+``invariant_factors`` runs in two phases.  Phase 1 diagonalizes on
+sparse rows; row operations clear the pivot's column first, so column
+operations touch only the pivot row.  Phase 2 folds the diagonal into
+its divisibility chain by one gcd/lcm pass (any diagonal matrix is
+equivalent to its gcd/lcm chain; Newman, *Integral Matrices*, 1972).
 """
 
 from math import gcd
@@ -17,60 +18,48 @@ from math import gcd
 def invariant_factors(matrix):
     """Invariant factors of an integer matrix.
 
-    Returns the tuple ``(d_1, ..., d_r)`` of nonzero diagonal entries of
-    the Smith normal form, normalized positive and satisfying
-    ``d_i | d_{i+1}``.  ``r`` is the rank of the matrix over Q.  The
-    input matrix is not modified.
+    Returns the nonzero diagonal ``(d_1, ..., d_r)`` of the Smith normal
+    form, positive and with ``d_i | d_{i+1}``; ``r`` is the rank of the
+    matrix over Q.  The input matrix is not modified.
     """
-    a = [[int(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    for row in a:
-        if len(row) != n:
-            raise ValueError("ragged matrix")
+    n = len(matrix[0]) if matrix else 0
+    if any(len(row) != n for row in matrix):
+        raise ValueError("ragged matrix")
+    rows = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
+    rows = [row for row in rows if row]
     factors = []
-    t = 0
-    while t < m and t < n:
-        # Smallest-magnitude nonzero entry of the trailing block becomes
-        # the pivot; |pivot| strictly decreases on every restart below,
-        # which is what makes the loop terminate.
-        pi = pj = -1
+    while rows:
+        # An entry of least magnitude is the pivot (a unit ends the search:
+        # nothing is smaller); |pivot| strictly decreases on every restart
+        # below, which is what makes the loop terminate.
         best = 0
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v and (best == 0 or abs(v) < best):
-                    best = abs(v)
-                    pi, pj = i, j
-        if best == 0:
-            break
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        p = a[t][t]
-
+        for row in rows:
+            for j, v in row.items():
+                if not best or abs(v) < best:
+                    best, pivot, pj = abs(v), row, j
+            if best == 1:
+                break
+        p = pivot[pj]
         clean = True
-        for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // p
-                if q:
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                if a[i][t]:
-                    clean = False  # remainder smaller than |p| appeared
-        for j in range(t + 1, n):
-            if a[t][j]:
-                q = a[t][j] // p
-                if q:
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    clean = False
-        if not clean:
-            continue
-        factors.append(abs(p))
-        t += 1
+        for row in rows:
+            if row is not pivot and pj in row:
+                q = row[pj] // p
+                for j, v in pivot.items():
+                    row[j] = row.get(j, 0) - q * v
+                    if not row[j]:
+                        del row[j]
+                clean = clean and pj not in row  # remainder smaller than |p|
+        if clean:
+            # Column pj is now zero off the pivot row, so the column
+            # operations reduce only the pivot row's other entries mod p.
+            rest = {j: v % p for j, v in pivot.items() if v % p}
+            pivot.clear()
+            if rest:
+                pivot.update(rest)
+                pivot[pj] = p
+            else:
+                factors.append(abs(p))
+        rows = [row for row in rows if row]
 
     # Each pair becomes (gcd, lcm), so d_i ends dividing every later d_j.
     for i in range(len(factors)):
@@ -82,16 +71,19 @@ def invariant_factors(matrix):
 
 
 def matrix_multiply(a, b):
-    """Product of two integer matrices (lists of rows)."""
+    """Product of two integer matrices (lists of rows); zeros are skipped."""
     if not a or not b:
         return []
     if len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
-    cols = len(b[0])
-    return [
-        [sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for arow in a
-    ]
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    product = [[0] * len(b[0]) for _ in a]
+    for arow, out in zip(a, product):
+        for x, brow in zip(arow, sparse_b):
+            if x:
+                for j, y in brow:
+                    out[j] += x * y
+    return product
 
 
 def is_zero_matrix(a):

@@ -9,12 +9,13 @@ without ``--json``, ``verify`` and ``reduce`` on each ``present`` output
 at the default and small budgets, ``express`` on fixed words, and
 ``verify`` and ``reduce`` on malformed presentation files in text and
 JSON form, every verb on a JSON graph whose vertex name holds a
-no-break space (it has no text form), and the homology, report and
-pi1 verbs on ``projective_plane()``, whose H_1 = Z/2 is the sweep's
-only torsion (``bb-truncated`` is skipped there: 31 vertices make it
-too large).  OUT maps each run (verb line,
-file names only) to ``[exit code, stdout, first stderr line]``; two
-checkouts print the same CLI output iff their OUT files are equal.
+no-break space (it has no text form), the homology, report and pi1
+verbs on ``projective_plane()`` (H_1 = Z/2; ``bb-truncated`` is skipped
+there: 31 vertices make it too large), and the homology, report and pi1
+verbs on its suspension, whose only torsion is H_2 = Z/2, so torsion
+alone sets its FP level.  OUT maps each run (verb line, file names
+only) to ``[exit code, stdout, first stderr line]``; two checkouts print
+the same CLI output iff their OUT files are equal.
 """
 
 import contextlib
@@ -63,7 +64,7 @@ def main(src, out_path):
     sys.path.insert(0, os.path.abspath(src))
     sys.path.insert(1, os.path.dirname(os.path.abspath(__file__)))
     from bbgroups.cli import main as cli_main
-    from corpus import corpus, projective_plane, random_flag_complex
+    from corpus import corpus, projective_plane, random_flag_complex, suspension
 
     graphs = corpus() + [
         (f"g7_{s}", random_flag_complex(s, n=7, p=0.5)) for s in range(1, 13)
@@ -121,6 +122,17 @@ def main(src, out_path):
                 pres = write(f"rp2.pi1.{ext}", out)
                 for vfmt in ((), ("--json",)):
                     run("reduce", *vfmt, pres)
+
+        suspended = write("suspended_rp2.txt", graph_texts(suspension(projective_plane()))[0])
+        for fmt in ((), ("--json",)):
+            for verb in (
+                ["homology"],
+                ["homology", "--reduced"],
+                ["report"],
+                ["report", "--budget", "2"],
+                ["present", "--kind", "pi1"],
+            ):
+                run(*verb, *fmt, suspended)
 
         for name, complex in graphs:
             text, data = graph_texts(complex)

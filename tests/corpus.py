@@ -84,6 +84,34 @@ def projective_plane():
     return FlagComplex([names[f] for f in faces], edges)
 
 
+def grid_disk(m):
+    """Triangulated m x m grid, each square cut by one diagonal: a disk.
+
+    Kept out of ``corpus()``: it is large for any m worth testing.
+    """
+    name = lambda i, j: f"g{i}_{j}"  # noqa: E731
+    verts = [name(i, j) for i in range(m) for j in range(m)]
+    edges = []
+    for i in range(m):
+        for j in range(m):
+            for di, dj in ((0, 1), (1, 0), (1, 1)):
+                if i + di < m and j + dj < m:
+                    edges.append((name(i, j), name(i + di, j + dj)))
+    return FlagComplex(verts, edges)
+
+
+def suspension(complex):
+    """Two non-adjacent cone points joined to every vertex.
+
+    The result is flag whenever ``complex`` is, and its reduced homology
+    is that of ``complex`` shifted up one degree.  Kept out of
+    ``corpus()``.
+    """
+    cones = ("north", "south")
+    edges = list(complex.edges) + [(c, v) for c in cones for v in complex.vertices]
+    return FlagComplex(list(complex.vertices) + list(cones), edges)
+
+
 def random_flag_complex(seed, n=8, p=0.45, require_connected=True):
     rng = random.Random(seed)
     verts = [f"v{i}" for i in range(n)]

@@ -25,11 +25,14 @@ from corpus import (
     c4,
     connected_corpus,
     corpus,
+    grid_disk,
+    join_of_pairs,
     k3,
     octahedron,
     path3,
     projective_plane,
     random_flag_complex,
+    suspension,
     three_points,
     two_points,
 )
@@ -185,6 +188,19 @@ def test_projective_plane_has_two_torsion():
     assert h.betti == (1, 0, 0)
     assert h.torsion == ((), (2,), ())  # H_1 = Z/2
     assert simply_connected_status(complex) is Pi1Status.CERTIFIED_NONTRIVIAL
+
+
+def test_homology_of_large_known_complexes():
+    # Large enough that the elimination must stay sparse to finish quickly.
+    disk = homology(grid_disk(20), reduced=True)
+    assert disk.betti == (0, 0, 0) and not any(disk.torsion)
+    sphere = homology(join_of_pairs(7), reduced=True)
+    assert sphere.betti == (0, 0, 0, 0, 0, 0, 1) and not any(sphere.torsion)
+    suspended = suspension(projective_plane())
+    assert suspended.f_vector() == (33, 152, 240, 120)
+    h = homology(suspended, reduced=True)
+    assert h.betti == (0, 0, 0, 0)
+    assert h.torsion == ((), (), (2,), ())  # H_2 = Z/2
 
 
 def test_homology_torsion_is_a_divisibility_chain():

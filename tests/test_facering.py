@@ -17,7 +17,16 @@ from bbgroups import (
     render_report_text,
     report_to_json,
 )
-from corpus import c4, corpus, k3, octahedron, path3, two_points
+from corpus import (
+    c4,
+    corpus,
+    k3,
+    octahedron,
+    path3,
+    projective_plane,
+    suspension,
+    two_points,
+)
 from oracles import permutation_parity
 
 
@@ -195,6 +204,16 @@ def test_simplex_report_is_type_fp():
     assert report.corollary6_obstruction is False
     assert report.corollary7_applies is False
     assert "not excluded" in render_report_text(report)
+
+
+def test_torsion_alone_decides_the_fp_level():
+    # Every Betti number of the suspended projective plane is zero; only
+    # the Z/2 in H_2 keeps the kernel from being of type FP(3).
+    report = finiteness_report(suspension(projective_plane()))
+    assert report.finitely_presented == "yes"
+    assert report.fp_level == 2
+    assert report.homology_betti == (1, 0, 0, 0)
+    assert report.chi_delta == 1
 
 
 def test_report_monotone_consistency():

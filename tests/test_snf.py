@@ -38,6 +38,16 @@ def _random_matrices(rng):
     for _ in range(20):
         m, n = rng.randint(1, 12), rng.randint(1, 12)
         yield [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+    # No unit entries, so pivots restart from both the row and the column phase.
+    for _ in range(20):
+        m, n = rng.randint(1, 15), rng.randint(1, 15)
+        yield [[rng.choice((0, 2, -2, 3, -3, 4, -4, 6, -6)) for _ in range(n)] for _ in range(m)]
+    for _ in range(20):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        yield [
+            [rng.choice((0, 1, -1)) * (10**20 + rng.randint(-99, 99)) for _ in range(n)]
+            for _ in range(m)
+        ]
 
 
 def test_divisibility_chain_and_oracle_agreement():
@@ -82,7 +92,27 @@ def test_in_row_lattice():
     assert in_row_lattice([[2, 0], [0, 2]], [4, -2])
 
 
+def test_rejects_ragged_and_mismatched_shapes():
+    for matrix in ([[1, 2], [3]], [[], [1]]):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            snf.invariant_factors(matrix)
+    assert snf.invariant_factors([[]]) == ()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        snf.matrix_multiply([[1, 2]], [[1]])
+
+
 def test_matrix_multiply_and_zero():
     assert snf.matrix_multiply([[1, 2]], [[3], [4]]) == [[11]]
     assert snf.is_zero_matrix([[0, 0]])
     assert not snf.is_zero_matrix([[0, 1]])
+    rng = random.Random(5)
+    for _ in range(50):
+        m, k, n = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8)
+        a = [[rng.choice((0, 0, 1, -1)) for _ in range(k)] for _ in range(m)]
+        b = [[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(k)]
+        expected = [[0] * n for _ in range(m)]
+        for i in range(m):
+            for j in range(n):
+                for t in range(k):
+                    expected[i][j] += a[i][t] * b[t][j]
+        assert snf.matrix_multiply(a, b) == expected
