@@ -30,8 +30,9 @@ from .words import (
     Word,
     edge_alphabet,
     exponent_sum,
-    invert_letters,
+    homomorphism,
     reduce_letters,
+    substitute,
     syllable_letters,
 )
 
@@ -39,7 +40,7 @@ from .words import (
 class BBContext:
     """A connected flag complex with a basepoint and its BFS spanning tree."""
 
-    __slots__ = ("complex", "basepoint", "tree", "edge_alphabet", "raag")
+    __slots__ = ("complex", "basepoint", "tree", "edge_alphabet", "raag", "raag_table")
 
     def __init__(self, complex, basepoint=None):
         if not complex.is_connected():
@@ -51,6 +52,10 @@ class BBContext:
         self.tree = complex.spanning_tree(basepoint)
         self.edge_alphabet = edge_alphabet(complex)
         self.raag = RaagContext(complex)
+        # The table of raag_image: [a>b] -> a b^-1.
+        self.raag_table = homomorphism(
+            {e: ((e.initial, 1), (e.terminal, -1)) for e in self.edge_alphabet.letters}
+        )
 
     @property
     def vertex_alphabet(self):
@@ -71,15 +76,7 @@ def raag_image(edge_word, ctx):
     """
     if edge_word.alphabet != ctx.edge_alphabet:
         raise ValueError("word is not over this complex's directed-edge alphabet")
-    letters = []
-    for e, s in edge_word.letters:
-        if s > 0:
-            letters.append((e.initial, 1))
-            letters.append((e.terminal, -1))
-        else:
-            letters.append((e.terminal, 1))
-            letters.append((e.initial, -1))
-    return Word(ctx.vertex_alphabet, letters)
+    return Word(ctx.vertex_alphabet, substitute(edge_word.letters, ctx.raag_table))
 
 
 def tree_path_word(ctx, a, b):
@@ -109,16 +106,10 @@ def basepoint_conjugate(edge_word, ctx):
     """
     if edge_word.alphabet != ctx.edge_alphabet:
         raise ValueError("word is not over this complex's directed-edge alphabet")
-    a = ctx.basepoint
-    out = []
-    for e, s in edge_word.letters:
-        there = ctx.tree.path_edges(a, e.initial)
-        back = ctx.tree.path_edges(e.initial, a)
-        image = [(f, 1) for f in there] + [(e, 1)] + [(f, 1) for f in back]
-        if s < 0:
-            image = invert_letters(image)
-        out.extend(image)
-    return Word(ctx.edge_alphabet, out)
+    a, path = ctx.basepoint, ctx.tree.path_edges
+    edges = {e: path(a, e.initial) + (e,) + path(e.initial, a) for e, _ in edge_word.letters}
+    twist = homomorphism({e: [(f, 1) for f in image] for e, image in edges.items()})
+    return Word(ctx.edge_alphabet, substitute(edge_word.letters, twist))
 
 
 def conjugate_power(edge_word, k, ctx):
@@ -225,9 +216,10 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
     """
     if max_exp < 1:
         raise ValueError("max_exp must be at least 1")
-    generators = [str(e) for e in ctx.complex.directed_edges()]
+    generators = [str(e) for e in ctx.edge_alphabet.letters]
+    names = homomorphism({e: ((str(e), 1),) for e in ctx.edge_alphabet.letters})
     relators = (
-        [(str(e), s) for e, s in cycle_relator(cycle, n, ctx).letters]
+        substitute(cycle_relator(cycle, n, ctx).letters, names)
         for cycle in enumerate_cycle_classes(ctx, max_len)
         for k in range(1, max_exp + 1)
         for n in (k, -k)
@@ -244,15 +236,6 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
             "presents": "kernel (truncated infinite relator family)",
         },
     )
-
-
-def _folded_relator(cycle, n, ctx):
-    """Reduced letters of c^[n], one generator per edge: [b>a] is [a>b]^-1."""
-    letters = []
-    for e, s in cycle_relator(cycle, n, ctx).letters:
-        name, sign = ctx.complex.edge_letter(e.initial, e.terminal)
-        letters.append((name, sign * s))
-    return reduce_letters(letters)
 
 
 def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BUDGET):
@@ -272,19 +255,20 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BU
     extra_cycles = tuple(extra_cycles)
     complex = ctx.complex
     generators = [complex.edge_letter(u, v)[0] for u, v in complex.edges]
+    # One generator per edge: [b>a] is [a>b]^-1, so backtracks fold away.
+    fold = homomorphism({e: (complex.edge_letter(*e),) for e in ctx.edge_alphabet.letters})
+    triangles = (
+        DirectedCycle((DirectedEdge(a, b), DirectedEdge(b, c), DirectedEdge(c, a)))
+        for a, b, c in complex.triangles()
+    )
+    families = [(cycle, n) for cycle in triangles for n in (1, -1)] + [
+        (cycle, n) for cycle in extra_cycles for k in range(1, max_exp + 1) for n in (k, -k)
+    ]
     relators = []
-    for a, b, c in complex.triangles():
-        cycle = DirectedCycle(
-            (DirectedEdge(a, b), DirectedEdge(b, c), DirectedEdge(c, a))
-        )
-        for n in (1, -1):
-            relators.append(_folded_relator(cycle, n, ctx))
-    for cycle in extra_cycles:
-        for k in range(1, max_exp + 1):
-            for n in (k, -k):
-                letters = _folded_relator(cycle, n, ctx)
-                if letters:
-                    relators.append(letters)
+    for cycle, n in families:
+        letters = reduce_letters(substitute(cycle_relator(cycle, n, ctx).letters, fold))
+        if letters:  # only an extra cycle's relator can fold away entirely
+            relators.append(letters)
 
     status = simply_connected_status(complex, budget=tietze_budget)
     complete = status is Pi1Status.CERTIFIED_TRIVIAL and not extra_cycles
@@ -307,10 +291,15 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BU
 
 
 def presentation_relator_edge_words(presentation, ctx):
-    """The relators of an edge-generated presentation, as edge words."""
+    """The relators of an edge-generated presentation, as edge words.
+
+    Only the generators in use must name edges; the first unknown one used raises.
+    """
     edge = ctx.edge_alphabet.letter_for_token
+    used = dict.fromkeys(token for rel in presentation.relators for token, _ in rel.letters)
+    table = homomorphism({token: ((edge(token), 1),) for token in used})
     return [
-        Word(ctx.edge_alphabet, [(edge(token), s) for token, s in rel.letters])
+        Word(ctx.edge_alphabet, substitute(rel.letters, table))
         for rel in presentation.relators
     ]
 

@@ -9,6 +9,7 @@ failed relator), 2 usage or file-syntax errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,7 +40,9 @@ def _int_at_least(low):
     return integer
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once and shared: parsing leaves no state in it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
 

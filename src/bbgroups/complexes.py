@@ -19,6 +19,7 @@ a bad graph with the same message.
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 from . import snf
 from .errors import ParseError, json_object, lex, parse_text_or_json, reserved_chars
@@ -59,27 +60,14 @@ def _add_edge(vidx, edge_keys, u, v):
     return i, j
 
 
-class DirectedEdge:
+class DirectedEdge(NamedTuple):
     """An oriented edge, written ``[a>b]`` for the edge from a to b."""
 
-    __slots__ = ("initial", "terminal")
-
-    def __init__(self, initial, terminal):
-        self.initial = initial
-        self.terminal = terminal
+    initial: str
+    terminal: str
 
     def reverse(self):
         return DirectedEdge(self.terminal, self.initial)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DirectedEdge)
-            and self.initial == other.initial
-            and self.terminal == other.terminal
-        )
-
-    def __hash__(self):
-        return hash((DirectedEdge, self.initial, self.terminal))
 
     def __str__(self):
         return f"[{self.initial}>{self.terminal}]"
@@ -226,11 +214,7 @@ class FlagComplex:
         return str(DirectedEdge(v, u)), -1
 
     def directed_edges(self):
-        out = []
-        for u in self.vertices:
-            for v in self._neighbors[u]:
-                out.append(DirectedEdge(u, v))
-        return tuple(out)
+        return tuple(DirectedEdge(u, v) for u in self.vertices for v in self._neighbors[u])
 
     def directed_cycle(self, vertex_walk):
         """Closed walk through the given vertices (first vertex repeated implicitly)."""

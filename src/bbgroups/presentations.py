@@ -85,7 +85,7 @@ class AbelianizationResult:
 
 def exponent_matrix(presentation):
     """|relators| x |generators| matrix of letter exponent sums."""
-    index = {g: i for i, g in enumerate(presentation.generators)}
+    index = presentation.alphabet.index
     rows = []
     for rel in presentation.relators:
         row = [0] * len(presentation.generators)

@@ -8,8 +8,9 @@ modular or floating-point shortcuts.
 ``invariant_factors`` runs in two phases.  Phase 1 diagonalizes on
 sparse rows; row operations clear the pivot's column first, so column
 operations touch only the pivot row.  Phase 2 folds the diagonal into
-its divisibility chain by one gcd/lcm pass (any diagonal matrix is
-equivalent to its gcd/lcm chain; Newman, *Integral Matrices*, 1972).
+its divisibility chain: the units lead, and one gcd/lcm pass orders the
+rest (any diagonal matrix is equivalent to its gcd/lcm chain; Newman,
+*Integral Matrices*, 1972).
 """
 
 from math import gcd
@@ -61,13 +62,15 @@ def invariant_factors(matrix):
                 factors.append(abs(p))
         rows = [row for row in rows if row]
 
-    # Each pair becomes (gcd, lcm), so d_i ends dividing every later d_j.
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            x, y = factors[i], factors[j]
+    # Units divide everything and lead the chain.  Each pair of the rest
+    # becomes (gcd, lcm), so d_i ends dividing every later d_j.
+    rest = [d for d in factors if d > 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            x, y = rest[i], rest[j]
             g = gcd(x, y)
-            factors[i], factors[j] = g, x // g * y
-    return tuple(factors)
+            rest[i], rest[j] = g, x // g * y
+    return (1,) * (len(factors) - len(rest)) + tuple(rest)
 
 
 def matrix_multiply(a, b):

@@ -15,11 +15,16 @@ bottom entry, and nothing while that is a blocker.  The result is the
 lexicographically least word among all commutation-equivalent ones, so
 two words represent the same group element iff their normal forms are
 equal letter-for-letter.
+
+A word map is a free-group homomorphism, fixed by the generators'
+images: ``homomorphism`` makes its table over both signs of each
+generator, and ``substitute`` applies it with one lookup per letter.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections import deque
 
 from .errors import ParseError
@@ -38,7 +43,19 @@ def reduce_letters(letters):
 
 def invert_letters(letters):
     """The (letter, sign) pairs of the inverse word."""
-    return tuple((l, -s) for l, s in reversed(letters))
+    return tuple([(l, -s) for l, s in reversed(letters)])
+
+
+def homomorphism(images):
+    """The table ``{(g, 1): image, (g, -1): inverse image}`` of g -> images[g]."""
+    table = {(g, 1): tuple(image) for g, image in images.items()}
+    table.update({(g, -1): invert_letters(image) for (g, _), image in table.items()})
+    return table
+
+
+def substitute(letters, table):
+    """The image of (letter, sign) pairs under a ``homomorphism`` table, unreduced."""
+    return [pair for letter in letters for pair in table[letter]]
 
 
 def syllable_letters(letter, exp):
@@ -47,25 +64,19 @@ def syllable_letters(letter, exp):
 
 
 class Alphabet:
-    """An ordered, tagged set of letters."""
+    """An ordered, tagged set of letters; ``index`` gives each letter's
+    position, and ``pairs`` holds the (letter, +-1) pairs a word may use."""
 
-    __slots__ = ("kind", "letters", "_index", "_by_token")
+    __slots__ = ("kind", "letters", "index", "pairs", "_by_token")
 
     def __init__(self, kind, letters):
         self.kind = kind
         self.letters = tuple(letters)
-        self._index = {l: i for i, l in enumerate(self.letters)}
+        self.index = {l: i for i, l in enumerate(self.letters)}
+        self.pairs = frozenset((l, s) for l in self.letters for s in (1, -1))
         self._by_token = {str(l): l for l in self.letters}
         if len(self._by_token) != len(self.letters):
             raise ValueError("alphabet letters must have distinct text forms")
-
-    def index(self, letter):
-        try:
-            return self._index[letter]
-        except KeyError:
-            raise ValueError(
-                f"letter {str(letter)!r} is not in the {self.kind} alphabet"
-            ) from None
 
     def letter_for_token(self, token):
         try:
@@ -111,10 +122,14 @@ class Word:
 
     def __init__(self, alphabet, letters=()):
         letters = tuple(letters)
-        for letter, sign in letters:
-            if sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-            alphabet.index(letter)
+        if not alphabet.pairs.issuperset(letters):
+            for letter, sign in letters:
+                if sign not in (1, -1):
+                    raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
+                if letter not in alphabet.index:
+                    raise ValueError(
+                        f"letter {str(letter)!r} is not in the {alphabet.kind} alphabet"
+                    )
         self.alphabet = alphabet
         self.letters = reduce_letters(letters)
 
@@ -201,7 +216,7 @@ class RaagContext:
         piles = [deque() for _ in self.alphabet.letters]
         count = 0
         for letter, sign in word.letters:
-            i = index(letter)
+            i = index[letter]
             pile = piles[i]
             if pile and pile[-1] == -sign:
                 pile.pop()
@@ -256,8 +271,8 @@ def parse_word(text, alphabet, line=None, column_offset=0):
     """Parse the word syntax against an alphabet.
 
     Whitespace-separated factors: ``g``, ``g^-1``, ``g^k`` for a nonzero
-    decimal k; directed-edge letters written ``[a>b]``.  Raises
-    ParseError with position diagnostics.
+    decimal k with ``|k| <= sys.maxsize``; directed-edge letters written
+    ``[a>b]``.  Raises ParseError with position diagnostics.
     """
     letters = []
     for match in re.finditer(r"\S+", text):
@@ -270,8 +285,13 @@ def parse_word(text, alphabet, line=None, column_offset=0):
             letter = alphabet.letter_for_token(base)
         except ValueError as exc:
             raise ParseError(str(exc), line, column) from None
-        exp = 1 if exp_text is None else int(exp_text)
+        try:
+            exp = 1 if exp_text is None else int(exp_text)
+        except ValueError:  # more digits than int() converts
+            exp = sys.maxsize + 1
         if exp == 0:
             raise ParseError("exponent must be nonzero", line, column)
+        if abs(exp) > sys.maxsize:
+            raise ParseError(f"exponent out of range (|k| <= {sys.maxsize})", line, column)
         letters.extend(syllable_letters(letter, exp))
     return Word(alphabet, letters)

@@ -1,6 +1,7 @@
 """Run every CLI verb over a fixed corpus and record what it prints.
 
 Usage: python3 tests/cli_sweep.py SRC OUT.json
+       python3 tests/cli_sweep.py --diff A.json B.json
 
 SRC is the ``src`` directory of the checkout whose ``bbgroups`` is run.
 The sweep covers ``tests/corpus.py`` and 12 seeded
@@ -15,7 +16,9 @@ there: 31 vertices make it too large), and the homology, report and pi1
 verbs on its suspension, whose only torsion is H_2 = Z/2, so torsion
 alone sets its FP level.  OUT maps each run (verb line, file names
 only) to ``[exit code, stdout, first stderr line]``; two checkouts print
-the same CLI output iff their OUT files are equal.
+the same CLI output iff their OUT files are equal.  ``--diff`` lists the
+runs whose records differ between two OUT files, with the fields that
+differ, and exits 1 if any do.
 """
 
 import contextlib
@@ -171,7 +174,31 @@ def main(src, out_path):
     print(f"{len(results)} runs -> {out_path}")
 
 
+FIELDS = ("exit code", "stdout", "stderr")
+
+
+def diff(a_path, b_path):
+    """Print the runs whose records differ between two OUT files; 1 if any do."""
+    records = []
+    for path in (a_path, b_path):
+        with open(path, encoding="utf-8") as handle:
+            records.append(json.load(handle))
+    a, b = records
+    runs = sorted(a.keys() | b.keys())
+    differing = [run for run in runs if a.get(run) != b.get(run)]
+    for run in differing:
+        if run not in a or run not in b:
+            what = f"only in {a_path if run in a else b_path}"
+        else:
+            what = ", ".join(f for f, x, y in zip(FIELDS, a[run], b[run]) if x != y)
+        print(f"{run}: {what}")
+    print(f"{len(differing)} of {len(runs)} runs differ")
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--diff":
+        sys.exit(diff(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     main(sys.argv[1], sys.argv[2])

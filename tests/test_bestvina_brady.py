@@ -13,6 +13,7 @@ from bbgroups import (
     FlagComplex,
     InsertMove,
     ParseError,
+    Presentation,
     RotateMove,
     TriangleMove,
     Word,
@@ -190,6 +191,23 @@ def test_twist_conjugation_contract_on_random_words():
             assert ctx.raag.is_identity(lhs * ~rhs)
 
 
+def test_word_maps_are_homomorphisms_letter_for_letter():
+    # raag_image and the twist are free-group maps: they respect products
+    # and inverses before any RAAG relation is used.
+    rng = random.Random(9)
+    for name, complex in connected_corpus():
+        if not complex.edges:
+            continue
+        ctx = BBContext(complex)
+        for word_map in (raag_image, basepoint_conjugate):
+            for _ in range(5):
+                u = random_word(rng, ctx.edge_alphabet, rng.randint(0, 8))
+                v = random_word(rng, ctx.edge_alphabet, rng.randint(0, 8))
+                image = word_map(u, ctx)
+                assert word_map(u * v, ctx) == image * word_map(v, ctx), name
+                assert word_map(~u, ctx) == ~image, name
+
+
 def test_twist_then_inverse_twist_is_identity_at_image_level():
     ctx = BBContext(c4())
     rng = random.Random(33)
@@ -316,6 +334,17 @@ def test_directed_cycle_presentation_validation():
 
 
 # -- the finite presentation ----------------------------------------------------
+
+
+def test_relator_edge_words_check_only_the_generators_in_use():
+    ctx = k3_ctx()
+    unused = Presentation(["[a>b]", "junk"], [[("[a>b]", 1), ("[a>b]", 1)]])
+    (word,) = presentation_relator_edge_words(unused, ctx)
+    assert render_word(word) == "[a>b]^2"
+    # 'zz' is declared after 'junk' but used first, so it is the one named.
+    both = Presentation(["junk", "[a>b]", "zz"], [[("[a>b]", 1), ("zz", -1)], [("junk", 1)]])
+    with pytest.raises(ValueError, match="unknown generator 'zz'"):
+        presentation_relator_edge_words(both, ctx)
 
 
 def test_finite_presentation_k3():

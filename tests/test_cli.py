@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -44,6 +45,40 @@ def test_parse_args_present_kinds():
         ["present", "--kind", "bb-truncated", "--max-len", "4", "--max-exp", "2", "d.txt"]
     )
     assert (ns.max_len, ns.max_exp) == (4, 2)
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(files, capsys, tmp_path):
+    assert build_parser() is build_parser()
+    assert main(["present", "--kind", "bb-truncated", files["c4.txt"]]) == 0
+    pres_file = tmp_path / "c4_truncated.txt"
+    pres_file.write_text(capsys.readouterr().out)
+    pres, c4, octa = str(pres_file), files["c4.txt"], files["octa.txt"]
+    runs = [
+        ["reduce", "--budget", "2", pres],
+        ["reduce", pres],
+        ["present", "--kind", "bb-truncated", "--max-len", "3", "--max-exp", "1", c4],
+        ["present", "--kind", "bb-truncated", c4],
+        ["homology", "--reduced", "--json", c4],
+        ["homology", c4],
+        ["homology", "--bogus-flag", c4],
+        ["report", "--budget", "1", "--json", octa],
+        ["report", octa],
+    ]
+
+    def outputs(fresh):
+        results = []
+        for argv in runs:
+            if fresh:
+                build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = outputs(fresh=False)
+    assert shared == outputs(fresh=True)
+    assert shared[0] != shared[1] and shared[2] != shared[3] and shared[4] != shared[5]
+    assert shared[6][0] == 2 and "unrecognized arguments" in shared[6][2]
 
 
 def test_unknown_verb_is_usage_error(capsys):
@@ -151,6 +186,18 @@ def test_reduce(files, capsys, tmp_path):
     out = capsys.readouterr().out
     assert "gens: x" in out
     assert "# status: Fixpoint" in out
+
+
+def test_huge_exponent_is_a_syntax_error(files, capsys, tmp_path):
+    assert main(["express", files["k3.json"], "a^99999999999999999999"]) == 2
+    pres_file = tmp_path / "huge.txt"
+    pres_file.write_text("gens: a\nrel: a^99999999999999999999\n")
+    assert main(["reduce", str(pres_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    express_err, reduce_err = captured.err.splitlines()
+    assert express_err == f"error: column 1: exponent out of range (|k| <= {sys.maxsize})"
+    assert reduce_err.startswith("error: line 2, column 6: exponent out of range")
 
 
 def test_reduce_budget_runs_out_on_a_trivial_relator(files, capsys, tmp_path):

@@ -20,6 +20,10 @@ def test_known_forms():
     # diagonals that are not yet a chain fold to gcd/lcm pairs
     assert snf.invariant_factors([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == (2, 2, 60)
     assert snf.invariant_factors([[6, 0], [0, 4]]) == (2, 12)
+    # units interleaved with coprime non-units lead the chain
+    assert snf.invariant_factors([[3, 0, 0], [0, 1, 0], [0, 0, 2]]) == (1, 1, 6)
+    diag = [[1, 0, 0, 0], [0, 5, 0, 0], [0, 0, 1, 0], [0, 0, 0, 7]]
+    assert snf.invariant_factors(diag) == (1, 1, 1, 35)
 
 
 def test_incidence_matrix_of_a_path_is_unimodular():

@@ -7,6 +7,7 @@ import pytest
 
 from bbgroups import (
     Alphabet,
+    DirectedEdge,
     ParseError,
     RaagContext,
     Word,
@@ -16,6 +17,7 @@ from bbgroups import (
     render_word,
     vertex_alphabet,
 )
+from bbgroups.words import homomorphism, substitute
 from corpus import c4, k3, random_word
 from oracles import ShuffleClosureOracle
 
@@ -51,6 +53,28 @@ def test_letters_must_be_in_alphabet():
         Word(AB, [("z", 1)])
     with pytest.raises(ValueError, match="sign"):
         Word(AB, [("a", 2)])
+    with pytest.raises(ValueError, match="'\\[a>z\\]' is not in the edge alphabet"):
+        Word(edge_alphabet(k3()), [(DirectedEdge("a", "b"), 1), (DirectedEdge("a", "z"), 1)])
+    # the first bad letter is reported, a bad sign before a foreign letter
+    with pytest.raises(ValueError, match="sign"):
+        Word(AB, [("a", 1), ("a", 0), ("z", 1)])
+
+
+def test_homomorphism_table_holds_both_signs():
+    table = homomorphism({"a": [("b", 1), ("c", -1)], "d": []})
+    assert table == {
+        ("a", 1): (("b", 1), ("c", -1)),
+        ("a", -1): (("c", 1), ("b", -1)),
+        ("d", 1): (),
+        ("d", -1): (),
+    }
+    # the image is left unreduced for the caller
+    assert substitute([("a", 1), ("a", -1), ("d", 1)], table) == [
+        ("b", 1),
+        ("c", -1),
+        ("c", 1),
+        ("b", -1),
+    ]
 
 
 def test_cross_alphabet_concatenation_is_an_error():
@@ -298,6 +322,10 @@ def test_parse_word_errors():
         parse_word("a z", AB)
     with pytest.raises(ParseError, match="malformed factor"):
         parse_word("a^b", AB)
+    # exponents past sys.maxsize, and past int()'s digit limit, are out of range
+    for huge in ("99999999999999999999", "-9223372036854775808", "9" * 5000):
+        with pytest.raises(ParseError, match="column 3: exponent out of range"):
+            parse_word(f"a b^{huge}", AB, line=4)
 
 
 def test_edge_alphabet_tokens():
