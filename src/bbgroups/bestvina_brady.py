@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .complexes import DirectedCycle, DirectedEdge, Pi1Status, simply_connected_status
 from .errors import ParseError, lex
@@ -40,8 +41,6 @@ from .words import (
 class BBContext:
     """A connected flag complex with a basepoint and its BFS spanning tree."""
 
-    __slots__ = ("complex", "basepoint", "tree", "edge_alphabet", "raag", "raag_table")
-
     def __init__(self, complex, basepoint=None):
         if not complex.is_connected():
             raise ValueError("complex is not connected")
@@ -52,8 +51,11 @@ class BBContext:
         self.tree = complex.spanning_tree(basepoint)
         self.edge_alphabet = edge_alphabet(complex)
         self.raag = RaagContext(complex)
-        # The table of raag_image: [a>b] -> a b^-1.
-        self.raag_table = homomorphism(
+
+    @cached_property
+    def raag_table(self):
+        """The table of raag_image: [a>b] -> a b^-1."""
+        return homomorphism(
             {e: ((e.initial, 1), (e.terminal, -1)) for e in self.edge_alphabet.letters}
         )
 

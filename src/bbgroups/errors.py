@@ -30,14 +30,18 @@ def reserved_chars(name, extra=""):
     return sorted({c for c in name if c.isspace() or c in "#^" + extra})
 
 
+def tokens(text):
+    """``[(token, column), ...]``: the whitespace-separated tokens of one
+    line, columns 1-based."""
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text)]
+
+
 def lex(text):
-    """``(line, [(token, column), ...])`` per line with tokens; ``#`` starts
-    a comment, tokens are whitespace-separated, positions 1-based."""
+    """``(line, tokens)`` per line with tokens; ``#`` starts a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
-        if tokens:
-            yield lineno, tokens
+        found = tokens(raw.split("#", 1)[0])
+        if found:
+            yield lineno, found
 
 
 def parse_text_or_json(text, parse_json, parse_text):

@@ -18,6 +18,7 @@ layered on top.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import combinations
 
 from .complexes import (
     Pi1Status,
@@ -56,32 +57,19 @@ class FaceMonomial:
 _ZERO = FaceMonomial((), 0)
 
 
-def _sort_with_sign(complex, vertices):
-    """Sort by vertex order, tracking the permutation parity."""
-    idx = [complex.vertex_index(v) for v in vertices]
-    if len(set(idx)) != len(idx):
-        return None, 0
-    order = sorted(range(len(idx)), key=idx.__getitem__)
-    inversions = sum(
-        1
-        for i in range(len(order))
-        for j in range(i + 1, len(order))
-        if order[i] > order[j]
-    )
-    return tuple(vertices[i] for i in order), (-1) ** inversions
-
-
 def face_monomial(complex, vertices, coefficient=1):
-    """Normalized monomial: zero unless the vertices span a simplex."""
+    """Normalized monomial: zero unless the vertices are pairwise adjacent (a
+    face of a flag complex is a clique; no vertex is adjacent to itself), signed
+    by the parity of their inversions in complex order."""
     vertices = tuple(vertices)
     if coefficient == 0:
         return _ZERO
-    sorted_vs, sign = _sort_with_sign(complex, vertices)
-    if sorted_vs is None:
-        return _ZERO  # repeated vertex squares to zero
-    if sorted_vs and sorted_vs not in complex.simplices(len(sorted_vs) - 1):
-        return _ZERO  # non-face, killed by the defining ideal
-    return FaceMonomial(sorted_vs, sign * coefficient)
+    idx = [complex.vertex_index(v) for v in vertices]
+    if not all(complex.adjacent(u, v) for u, v in combinations(vertices, 2)):
+        return _ZERO
+    inversions = sum(i > j for i, j in combinations(idx, 2))
+    ordered = tuple(v for _, v in sorted(zip(idx, vertices)))
+    return FaceMonomial(ordered, (-1) ** inversions * coefficient)
 
 
 def monomial_product(m1, m2, complex):

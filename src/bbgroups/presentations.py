@@ -18,8 +18,8 @@ import re
 from dataclasses import dataclass
 
 from . import snf
-from .errors import ParseError, json_object, reserved_chars
-from .words import Alphabet, Word, invert_letters, parse_word, reduce_letters, render_word
+from .errors import ParseError, json_object, reserved_chars, tokens
+from .words import Alphabet, Word, invert_letters, reduce_letters, render_word, word_from_tokens
 
 
 def _add_generator(names, g):
@@ -245,7 +245,7 @@ def serialize_presentation(presentation):
 def parse_presentation(text):
     """Parse the presentation text format; errors carry line/column."""
     gens = {}
-    rel_texts = []
+    rel_lines = []
     provenance = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         prov = _PROVENANCE_RE.match(raw.strip())
@@ -260,37 +260,35 @@ def parse_presentation(text):
                 raise ParseError("provenance must be a JSON object", lineno)
             continue
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        found = tokens(line)
+        if not found:
             continue
-        head_match = re.match(r"\s*(\S+)", line)
-        head = head_match.group(1)
-        headcol = head_match.start(1) + 1
-        body_start = head_match.end(1)
+        (head, headcol), body = found[0], found[1:]
         if head == "gens:":
-            for m in re.finditer(r"\S+", line[body_start:]):
+            for g, col in body:
                 try:
-                    _add_generator(gens, m.group())
+                    _add_generator(gens, g)
                 except ValueError as exc:
-                    col = body_start + m.start() + 1
                     raise ParseError(str(exc), lineno, col) from None
         elif head == "rel:":
-            rel_texts.append((lineno, body_start, line[body_start:]))
+            rel_lines.append((lineno, line))
         else:
             raise ParseError(
                 f"unrecognized line head {head!r} (expected 'gens:' or 'rel:')",
                 lineno,
                 headcol,
             )
-    return _read_relators(gens, rel_texts, provenance)
+    # Tokenized again as read, to hold one line's tokens at a time, not the file's.
+    return _read_relators(gens, ((n, tokens(line)[1:]) for n, line in rel_lines), provenance)
 
 
-def _read_relators(gens, rel_texts, provenance):
+def _read_relators(gens, rel_tokens, provenance):
     """The presentation on ``gens``, which passed ``_add_generator``, with relators
-    read from ``(line, column offset, word text)`` triples; errors are ParseErrors."""
+    read from ``(line, tokens)`` pairs; errors are ParseErrors."""
     alphabet = Alphabet("named", gens)
     relators = []
-    for lineno, offset, body in rel_texts:
-        word = parse_word(body, alphabet, line=lineno, column_offset=offset)
+    for lineno, body in rel_tokens:
+        word = word_from_tokens(body, alphabet, lineno)
         if not len(word):
             raise ParseError("relator is empty after free reduction", lineno)
         relators.append(word)
@@ -325,4 +323,4 @@ def presentation_from_json(data):
             _add_generator(names, g)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    return _read_relators(names, [(None, 0, r) for r in rel], data.get("provenance"))
+    return _read_relators(names, ((None, tokens(r)) for r in rel), data.get("provenance"))

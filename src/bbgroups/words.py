@@ -7,13 +7,14 @@ directed-edge letters can never be mixed by accident; concatenating
 across alphabets is a hard error.
 
 The word problem for a right-angled Artin group is decided by a
-heap-of-pieces normal form: letters are piled per generator with
-blockers on the piles of non-commuting generators, inverse pairs cancel
-as they meet at the top of a pile, and the reduced heap is linearized
-by always emitting the least available letter; a pile offers only its
-bottom entry, and nothing while that is a blocker.  The result is the
-lexicographically least word among all commutation-equivalent ones, so
-two words represent the same group element iff their normal forms are
+heap-of-pieces normal form: a generator's pile holds its runs g^k, each
+with one marker on the pile of every generator it does not commute with.
+A letter adds its sign to the run on top of its pile, if there is one,
+and a run that reaches zero is popped with its markers.  The heap is
+linearized by always emitting the least available run; a pile offers
+only its bottom entry, and nothing while that is a marker.  The result is
+the lexicographically least word among all commutation-equivalent ones,
+so two words represent the same group element iff their normal forms are
 equal letter-for-letter.
 
 A word map is a free-group homomorphism, fixed by the generators'
@@ -23,11 +24,10 @@ generator, and ``substitute`` applies it with one lookup per letter.
 
 from __future__ import annotations
 
-import re
 import sys
 from collections import deque
 
-from .errors import ParseError
+from .errors import ParseError, tokens
 
 
 def reduce_letters(letters):
@@ -190,7 +190,8 @@ class RaagContext:
     """A right-angled Artin group: vertex generators, adjacent pairs commute.
 
     Commutation is symmetric and irreflexive, derived from the edge set
-    of the owning complex.
+    of the owning complex.  ``_pile`` gives a word's heap: per generator a
+    pile of its runs (nonzero exponents) and markers (zeros).
     """
 
     __slots__ = ("complex", "alphabet", "_blockers")
@@ -214,21 +215,21 @@ class RaagContext:
         index = self.alphabet.index
         blockers = self._blockers
         piles = [deque() for _ in self.alphabet.letters]
-        count = 0
         for letter, sign in word.letters:
             i = index[letter]
             pile = piles[i]
-            if pile and pile[-1] == -sign:
-                pile.pop()
-                for j in blockers[i]:
-                    piles[j].pop()
-                count -= 1
+            if pile and pile[-1]:
+                # No marker above the run: nothing non-commuting came after it.
+                pile[-1] += sign
+                if not pile[-1]:
+                    pile.pop()
+                    for j in blockers[i]:
+                        piles[j].pop()
             else:
                 pile.append(sign)
                 for j in blockers[i]:
                     piles[j].append(0)
-                count += 1
-        return piles, count
+        return piles
 
     def normal_form(self, word):
         """Lexicographically least representative of the reduced heap.
@@ -236,26 +237,25 @@ class RaagContext:
         Letter order: by generator position in the vertex alphabet, with
         g preceding g^-1.
         """
-        piles, count = self._pile(word)
+        piles = self._pile(word)
         letters = self.alphabet.letters
         blockers = self._blockers
         out = []
-        for _ in range(count):
-            # Pile i offers one letter (its bottom), so the least is the first offered.
-            i = next(i for i, pile in enumerate(piles) if pile and pile[0])
-            out.append((letters[i], piles[i].popleft()))
+        while True:
+            # Pile i offers one run (its bottom), so the least is the first offered;
+            # the run's markers lie under every letter of its blocker piles.
+            i = next((i for i, pile in enumerate(piles) if pile and pile[0]), None)
+            if i is None:
+                return Word(self.alphabet, out)
+            out += syllable_letters(letters[i], piles[i].popleft())
             for j in blockers[i]:
                 piles[j].popleft()
-        return Word(self.alphabet, out)
 
     def is_identity(self, word):
-        _, count = self._pile(word)
-        return count == 0
+        return not any(self._pile(word))
 
 
 # -- word text syntax ---------------------------------------------------
-
-_FACTOR_RE = re.compile(r"^([^\^]+?)(?:\^(-?\d+))?$")
 
 
 def render_word(word):
@@ -267,26 +267,29 @@ def render_word(word):
     return " ".join(parts)
 
 
-def parse_word(text, alphabet, line=None, column_offset=0):
+def parse_word(text, alphabet, line=None):
     """Parse the word syntax against an alphabet.
 
     Whitespace-separated factors: ``g``, ``g^-1``, ``g^k`` for a nonzero
     decimal k with ``|k| <= sys.maxsize``; directed-edge letters written
     ``[a>b]``.  Raises ParseError with position diagnostics.
     """
+    return word_from_tokens(tokens(text), alphabet, line)
+
+
+def word_from_tokens(factors, alphabet, line):
+    """The word of ``(factor, column)`` tokens, as read by ``parse_word``."""
     letters = []
-    for match in re.finditer(r"\S+", text):
-        column = column_offset + match.start() + 1
-        factor = _FACTOR_RE.match(match.group())
-        if factor is None:
-            raise ParseError(f"malformed factor {match.group()!r}", line, column)
-        base, exp_text = factor.groups()
+    for token, column in factors:
+        base, caret, exp_text = token.partition("^")
+        if not base or caret and not exp_text.removeprefix("-").isdecimal():
+            raise ParseError(f"malformed factor {token!r}", line, column)
         try:
             letter = alphabet.letter_for_token(base)
         except ValueError as exc:
             raise ParseError(str(exc), line, column) from None
         try:
-            exp = 1 if exp_text is None else int(exp_text)
+            exp = int(exp_text) if caret else 1
         except ValueError:  # more digits than int() converts
             exp = sys.maxsize + 1
         if exp == 0:

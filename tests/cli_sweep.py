@@ -7,9 +7,13 @@ SRC is the ``src`` directory of the checkout whose ``bbgroups`` is run.
 The sweep covers ``tests/corpus.py`` and 12 seeded
 ``random_flag_complex(s, n=7, p=0.5)`` graphs: every verb with and
 without ``--json``, ``verify`` and ``reduce`` on each ``present`` output
-at the default and small budgets, ``express`` on fixed words, and
+at the default and small budgets, ``express`` on fixed words,
 ``verify`` and ``reduce`` on malformed presentation files in text and
-JSON form, every verb on a JSON graph whose vertex name holds a
+JSON form, ``verify`` (with and without ``--json``) of true and false
+relators with long runs on K3 and C4, in text and JSON form,
+``express``, ``verify`` and ``reduce`` on exponent factors such as
+``a^+2``, ``a^2^3``, ``^2`` and a superscript or Arabic-Indic exponent,
+every verb on a JSON graph whose vertex name holds a
 no-break space (it has no text form), the homology, report and pi1
 verbs on ``projective_plane()`` (H_1 = Z/2; ``bb-truncated`` is skipped
 there: 31 vertices make it too large), and the homology, report and pi1
@@ -57,6 +61,20 @@ MALFORMED_PRESENTATIONS = [
     ("hash_gen", "gens: a#b c\nrel: a#b^2\n", {"gens": ["a#b", "c"], "rel": ["a#b^2"]}),
 ]
 
+# Relators with long runs for verify: (name, graph text, generators, relators).
+K3_TEXT = "vertices: a b c\nedges: a-b b-c a-c\n"
+C4_TEXT = "vertices: a b c d\nedges: a-b b-c c-d a-d\n"
+SQUARE = "[a>b] [b>c] [c>d] [d>a]"
+LONG_RUN_PRESENTATIONS = [
+    ("k3_runs", K3_TEXT, "[a>b] [b>a] [b>c] [c>a]", ["[a>b]^40 [b>a]^40", "[a>b]^40 [b>c]^40 [c>a]^40"]),
+    ("k3_false", K3_TEXT, "[a>b] [b>c]", ["[a>b]^40 [b>c]^40"]),
+    ("c4_runs", C4_TEXT, SQUARE, ["[a>b]^40 [b>c]^40 [c>d]^40 [d>a]^40", " ".join([SQUARE] * 3)]),
+    ("c4_false", C4_TEXT, "[a>b] [b>c] [c>d]", ["[a>b]^40 [b>c]^40", "[a>b]^3 [c>d]^-3"]),
+]
+
+# Factors over the letter a, each malformed but the last (a^3 in Arabic-Indic).
+FACTORS = ["a^\u00b2", "a^+2", "a^1_0", "a^--1", "a^2^3", "a^", "^2", "a^\u0663"]
+
 NBSP_GRAPH = {
     "vertices": ["a\u00a0b", "c", "d"],
     "edges": [["a\u00a0b", "c"], ["c", "d"], ["a\u00a0b", "d"]],
@@ -95,6 +113,23 @@ def main(src, out_path):
         k3 = write("malformed_k3.txt", "vertices: a b c\nedges: a-b b-c a-c\n")
         for name, text, data in MALFORMED_PRESENTATIONS:
             for pres in (write(f"{name}.txt", text), write(f"{name}.json", json.dumps(data))):
+                run("verify", k3, pres)
+                run("reduce", pres)
+
+        for name, graph_text, gens, rels in LONG_RUN_PRESENTATIONS:
+            graph = write(f"{name}_graph.txt", graph_text)
+            text = f"gens: {gens}\n" + "".join(f"rel: {r}\n" for r in rels)
+            data = {"gens": gens.split(), "rel": rels}
+            for pres in (write(f"{name}.txt", text), write(f"{name}.json", json.dumps(data))):
+                for fmt in ((), ("--json",)):
+                    run("verify", *fmt, graph, pres)
+
+        for i, factor in enumerate(FACTORS):
+            run("express", k3, f"b^-3 {factor}")
+            rel = "[a>b]^3  " + factor.replace("a", "[b>a]", 1)
+            text = f"gens: [a>b] [b>a]\nrel: {rel}\n"
+            data = {"gens": ["[a>b]", "[b>a]"], "rel": [rel]}
+            for pres in (write(f"factor{i}.txt", text), write(f"factor{i}.json", json.dumps(data))):
                 run("verify", k3, pres)
                 run("reduce", pres)
 

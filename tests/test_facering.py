@@ -1,7 +1,7 @@
 """Tests for the exterior face ring and the finiteness report."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -27,7 +27,7 @@ from corpus import (
     suspension,
     two_points,
 )
-from oracles import permutation_parity
+from oracles import brute_force_simplices, permutation_parity
 
 
 # -- monomials -------------------------------------------------------------
@@ -82,6 +82,23 @@ def test_merge_signs_exhaustively_on_octahedron():
                 )
                 assert m.vertices == tri
                 assert m.coefficient == permutation_parity(left + right, key=idx)
+
+
+def test_a_face_is_a_clique_over_the_whole_corpus():
+    """Every vertex tuple of length <= 3, repeats allowed: nonzero iff its
+    set is a clique (brute force), with the sign of the sorting permutation."""
+    for _, complex in corpus():
+        levels = brute_force_simplices(complex.vertices, complex.edges)
+        cliques = {frozenset(s) for level in levels for s in level}
+        idx = complex.vertex_index
+        for k in range(4):
+            for vertices in product(complex.vertices, repeat=k):
+                m = face_monomial(complex, vertices)
+                if len(set(vertices)) == k and (not k or frozenset(vertices) in cliques):
+                    assert m.vertices == tuple(sorted(vertices, key=idx))
+                    assert m.coefficient == permutation_parity(vertices, key=idx)
+                else:
+                    assert m.is_zero()
 
 
 def test_unit_and_zero_behaviour():

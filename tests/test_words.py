@@ -1,6 +1,7 @@
 """Tests for words, alphabets, and the RAAG normal-form engine."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from bbgroups import (
     Word,
     edge_alphabet,
     exponent_sum,
+    parse_presentation,
     parse_word,
     render_word,
     vertex_alphabet,
@@ -151,13 +153,35 @@ def test_normal_form_is_lex_least_shuffle():
     assert render_word(ctx.normal_form(word)) == "b c a"
 
 
+def run_heavy_words(rng, ctx, count=40):
+    """Seeded words of long runs: syllables g^k with |k| <= 4, runs split by
+    a commuting letter, and runs that cancel in part (a-b commute in C4 and
+    K3, a-c only in K3)."""
+    letters = ctx.alphabet.letters
+    exps = [k for k in range(-4, 5) if k]
+    texts = ["a^3 b a^-2", "a^2 b a^-5", "a^2 c a^-5", "a^-2 c a^3 b^2 a^-1", "a b^4 a^-1 b^-4"]
+    for _ in range(count):
+        syllables = [f"{rng.choice(letters)}^{rng.choice(exps)}" for _ in range(rng.randint(1, 3))]
+        texts.append(" ".join(syllables))
+        g = rng.choice(letters)
+        commuting = [h for h in letters if ctx.commutes(g, h)]
+        if commuting:
+            h = rng.choice(commuting)
+            texts.append(f"{g}^{rng.choice(exps)} {h}^{rng.choice((1, -1))} {g}^{rng.choice(exps)}")
+    return [parse_word(text, ctx.alphabet) for text in texts]
+
+
 def test_normal_form_idempotent_and_constant_on_classes():
     ctx = ctx4()
     rng = random.Random(9)
-    for _ in range(200):
-        word = random_word(rng, ctx.alphabet, rng.randint(0, 10))
+
+    def exponents(word):
+        return [sum(s for h, s in word.letters if h == g) for g in ctx.alphabet.letters]
+
+    def check(word):
         nf = ctx.normal_form(word)
         assert ctx.normal_form(nf) == nf
+        assert exponents(nf) == exponents(word)  # the abelianization is kept
         # random legal adjacent swaps must not change the normal form
         letters = list(word.letters)
         for _ in range(10):
@@ -169,6 +193,11 @@ def test_normal_form_idempotent_and_constant_on_classes():
                 letters[i], letters[i + 1] = letters[i + 1], letters[i]
         shuffled = Word(ctx.alphabet, letters)
         assert ctx.normal_form(shuffled) == nf
+
+    for _ in range(200):
+        check(random_word(rng, ctx.alphabet, rng.randint(0, 10)))
+    for word in run_heavy_words(random.Random(19), ctx):
+        check(word)
 
 
 def test_normal_form_preserves_exponent_sum():
@@ -274,8 +303,8 @@ def test_normal_form_is_the_minimum_of_its_swap_closure():
             return tuple((position[g], 0 if s > 0 else 1) for g, s in letters)
 
         rng = random.Random(14)
-        for _ in range(60):
-            word = random_word(rng, ctx.alphabet, rng.randint(0, 7))
+        words = [random_word(rng, ctx.alphabet, rng.randint(0, 7)) for _ in range(60)]
+        for word in words + run_heavy_words(random.Random(15), ctx):
             nf = ctx.normal_form(word)
             start = tuple(nf.letters)
             seen = {start}
@@ -311,6 +340,8 @@ def test_parse_word_powers():
         ("b", -1),
     )
     assert parse_word("", AB).letters == ()
+    # an exponent is any decimal digits (str.isdecimal), Arabic-Indic three too
+    assert parse_word("a^\u0663 b^-\u0663", AB) == parse_word("a^3 b^-3", AB)
 
 
 def test_parse_word_errors():
@@ -322,6 +353,15 @@ def test_parse_word_errors():
         parse_word("a z", AB)
     with pytest.raises(ParseError, match="malformed factor"):
         parse_word("a^b", AB)
+    # superscripts are digits but not decimal; a sign other than one '-', an
+    # underscore, a second caret, an empty exponent or base are malformed
+    for factor in ("a^\u00b2", "a^+2", "a^1_0", "a^--1", "a^2^3", "a^", "^2"):
+        message = f"line 2, column 4: malformed factor {factor!r}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_word(f"b  {factor} a", AB, line=2)
+    # a rel: line's columns count from the start of the line
+    with pytest.raises(ParseError, match=re.escape("line 2, column 9: malformed factor 'b^+2'")):
+        parse_presentation("gens: a b\nrel: a  b^+2 a\n")
     # exponents past sys.maxsize, and past int()'s digit limit, are out of range
     for huge in ("99999999999999999999", "-9223372036854775808", "9" * 5000):
         with pytest.raises(ParseError, match="column 3: exponent out of range"):
