@@ -39,16 +39,15 @@ from .words import (
 
 
 class BBContext:
-    """A connected flag complex with a basepoint and its BFS spanning tree."""
+    """A connected flag complex with its first vertex as basepoint and the
+    BFS spanning tree from it."""
 
-    def __init__(self, complex, basepoint=None):
+    def __init__(self, complex):
         if not complex.is_connected():
             raise ValueError("complex is not connected")
-        if basepoint is None:
-            basepoint = complex.vertices[0]
         self.complex = complex
-        self.basepoint = basepoint
-        self.tree = complex.spanning_tree(basepoint)
+        self.basepoint = complex.vertices[0]
+        self.tree = complex.spanning_tree(self.basepoint)
         self.edge_alphabet = edge_alphabet(complex)
         self.raag = RaagContext(complex)
 
@@ -64,7 +63,7 @@ class BBContext:
         return self.raag.alphabet
 
     def __repr__(self):
-        return f"BBContext({self.complex!r}, basepoint={self.basepoint!r})"
+        return f"BBContext({self.complex!r})"
 
 
 # -- the word transformations ------------------------------------------

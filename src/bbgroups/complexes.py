@@ -3,13 +3,14 @@
 A flag complex is completely determined by its 1-skeleton: a set of
 k+1 vertices spans a k-simplex exactly when all its pairs are edges.
 Complexes are therefore constructed from graphs only, and the clique
-simplices are derived (eagerly, at construction) rather than supplied:
-a complex always holds every clique of its graph.
+simplices are derived (on request; the graph never changes) rather than
+supplied: a complex always holds every clique of its graph.
 
 Everything here is deterministic: vertices are ordered by declaration,
 simplices are tuples sorted in that order, and simplex lists, spanning
-trees and boundary matrices follow from that ordering.  Complexes are
-immutable after construction.
+trees and boundary matrices follow from that ordering.  A complex's
+graph and answers never change after construction; building a level is
+not locked, so one complex is not shared between threads.
 
 The graph rules live in ``_add_vertex`` and ``_add_edge`` alone: the
 parsers only tokenize and attach positions, so every input form rejects
@@ -148,42 +149,39 @@ class FlagComplex:
             vertices[i]: tuple(vertices[j] for j in sorted(adj[i])) for i in range(n)
         }
 
-        self._enumerate_cliques()
-
-    def _enumerate_cliques(self):
-        n = len(self.vertices)
-        adj = self._adj_idx
-        by_dim = []
-
-        def grow(clique, candidates):
-            if len(clique) > len(by_dim):
-                by_dim.append([])
-            by_dim[len(clique) - 1].append(clique)
-            for v in candidates:
-                grow(clique + (v,), [w for w in candidates if w > v and w in adj[v]])
-
-        for v in range(n):
-            grow((v,), [w for w in sorted(adj[v]) if w > v])
-
-        names = self.vertices
-        self.simplices_by_dim = tuple(
-            tuple(tuple(names[i] for i in s) for s in level) for level in by_dim
-        )
-        self.edges = self.simplices_by_dim[1] if len(self.simplices_by_dim) > 1 else ()
+        # The last level's cliques (vertex names), each with the positions of
+        # its later common neighbours; the empty simplex is extended by every vertex.
+        self._frontier = [((), tuple(range(n)))]
+        self._levels = []
 
     # -- basic queries ------------------------------------------------
 
     @property
     def dim(self):
-        return len(self.simplices_by_dim) - 1
+        return len(self.f_vector()) - 1
 
     def f_vector(self):
-        return tuple(len(level) for level in self.simplices_by_dim)
+        self.simplices(len(self.vertices))
+        return tuple(len(level) for level in self._levels)
 
     def simplices(self, k):
-        if 0 <= k < len(self.simplices_by_dim):
-            return self.simplices_by_dim[k]
-        return ()
+        """The k-simplices, in lexicographic order of declaration positions.
+
+        Level k is built on the first request that reaches it: it is level
+        k - 1 with each clique extended by each of its later common neighbours."""
+        adj, names = self._adj_idx, self.vertices
+        while len(self._levels) <= k and self._frontier:
+            self._frontier = [
+                (c + (names[w],), tuple([x for x in later if x > w and x in adj[w]]))
+                for c, later in self._frontier for w in later
+            ]
+            if self._frontier:
+                self._levels.append(tuple([c for c, _ in self._frontier]))
+        return self._levels[k] if 0 <= k < len(self._levels) else ()
+
+    @property
+    def edges(self):
+        return self.simplices(1)
 
     def triangles(self):
         return self.simplices(2)

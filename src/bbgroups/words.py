@@ -267,14 +267,14 @@ def render_word(word):
     return " ".join(parts)
 
 
-def parse_word(text, alphabet, line=None):
+def parse_word(text, alphabet):
     """Parse the word syntax against an alphabet.
 
     Whitespace-separated factors: ``g``, ``g^-1``, ``g^k`` for a nonzero
     decimal k with ``|k| <= sys.maxsize``; directed-edge letters written
     ``[a>b]``.  Raises ParseError with position diagnostics.
     """
-    return word_from_tokens(tokens(text), alphabet, line)
+    return word_from_tokens(tokens(text), alphabet, None)
 
 
 def word_from_tokens(factors, alphabet, line):

@@ -4,8 +4,11 @@ Usage: python3 tests/cli_sweep.py SRC OUT.json
        python3 tests/cli_sweep.py --diff A.json B.json
 
 SRC is the ``src`` directory of the checkout whose ``bbgroups`` is run.
-The sweep covers ``tests/corpus.py`` and 12 seeded
-``random_flag_complex(s, n=7, p=0.5)`` graphs: every verb with and
+The sweep covers ``tests/corpus.py``, 12 seeded
+``random_flag_complex(s, n=7, p=0.5)`` graphs, and K_6 and
+``join_of_pairs(4)``, whose cliques reach dimensions 5 and 3 (their
+``bb-truncated`` runs use ``--max-len 3``: at the default, ``reduce``
+of that output runs for over a minute): every verb with and
 without ``--json``, ``verify`` and ``reduce`` on each ``present`` output
 at the default and small budgets, ``express`` on fixed words,
 ``verify`` and ``reduce`` on malformed presentation files in text and
@@ -85,11 +88,21 @@ def main(src, out_path):
     sys.path.insert(0, os.path.abspath(src))
     sys.path.insert(1, os.path.dirname(os.path.abspath(__file__)))
     from bbgroups.cli import main as cli_main
-    from corpus import corpus, projective_plane, random_flag_complex, suspension
+    from corpus import (
+        complete_graph,
+        corpus,
+        join_of_pairs,
+        projective_plane,
+        random_flag_complex,
+        suspension,
+    )
 
-    graphs = corpus() + [
-        (f"g7_{s}", random_flag_complex(s, n=7, p=0.5)) for s in range(1, 13)
-    ]
+    deep = {"k6": complete_graph(6), "join4": join_of_pairs(4)}
+    graphs = (
+        corpus()
+        + [(f"g7_{s}", random_flag_complex(s, n=7, p=0.5)) for s in range(1, 13)]
+        + list(deep.items())
+    )
     results = {}
     written = set()
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,7 +204,7 @@ def main(src, out_path):
                 ("pi1", ["--kind", "pi1"]),
                 ("finite", ["--kind", "bb-finite"]),
                 ("finite_b1", ["--kind", "bb-finite", "--budget", "1"]),
-                ("trunc", ["--kind", "bb-truncated"]),
+                ("trunc", ["--kind", "bb-truncated"] + (["--max-len", "3"] if name in deep else [])),
                 ("trunc_3_1", ["--kind", "bb-truncated", "--max-len", "3", "--max-exp", "1"]),
             ]
             for kind, options in kinds:

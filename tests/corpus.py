@@ -48,6 +48,12 @@ def octahedron():
     return FlagComplex(verts, edges)
 
 
+def complete_graph(n):
+    """K_n on v0 ... v(n-1): an (n-1)-simplex."""
+    names = [f"v{i}" for i in range(n)]
+    return FlagComplex(names, [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]])
+
+
 def join_of_pairs(pairs=3):
     """Join of ``pairs`` pairs of points; for pairs=3 this is the octahedron."""
     verts = []
@@ -125,6 +131,11 @@ def random_flag_complex(seed, n=8, p=0.45, require_connected=True):
         complex = FlagComplex(verts, edges)
         if not require_connected or complex.is_connected():
             return complex
+
+
+def declared_first(complex, v):
+    """The same graph with v declared first, so v is its basepoint."""
+    return FlagComplex([v] + [w for w in complex.vertices if w != v], complex.edges)
 
 
 def corpus():

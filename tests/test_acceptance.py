@@ -44,6 +44,7 @@ from corpus import (
     c4,
     connected_corpus,
     corpus,
+    declared_first,
     in_row_lattice,
     k3,
     octahedron,
@@ -212,7 +213,7 @@ def test_criterion_7_homomorphism_contracts():
         rng = random.Random(707)
         for name, complex in connected_corpus():
             for basepoint in complex.vertices:
-                ctx = BBContext(complex, basepoint)
+                ctx = BBContext(declared_first(complex, basepoint))
                 a = Word(ctx.vertex_alphabet, [(basepoint, 1)])
                 for e in complex.directed_edges():
                     word = Word(ctx.edge_alphabet, [(e, 1)])

@@ -48,6 +48,7 @@ from bbgroups import (
 from corpus import (
     c4,
     connected_corpus,
+    declared_first,
     edge_complex,
     k3,
     octahedron,
@@ -112,7 +113,7 @@ def test_raag_image_rejects_vertex_words():
 
 
 def test_tree_path_word_examples():
-    ctx = BBContext(path3(), basepoint="a")
+    ctx = BBContext(path3())  # basepoint a
     assert len(tree_path_word(ctx, "a", "a")) == 0
     assert render_word(tree_path_word(ctx, "a", "b")) == "[a>b]"
     p_ac = tree_path_word(ctx, "a", "c")
@@ -169,7 +170,7 @@ def test_twist_conjugation_contract_all_edges_all_basepoints():
         if len(complex.vertices) > 6:
             continue  # keep the full quantifier affordable; acceptance covers the rest
         for basepoint in complex.vertices:
-            ctx = BBContext(complex, basepoint)
+            ctx = BBContext(declared_first(complex, basepoint))
             a = Word(ctx.vertex_alphabet, [(basepoint, 1)])
             for e in complex.directed_edges():
                 word = Word(ctx.edge_alphabet, [(e, 1)])

@@ -1,6 +1,8 @@
 """Tests for flag complex construction, homology, and the graph parsers."""
 
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -21,8 +23,10 @@ from bbgroups import (
     simply_connected_status,
     snf,
 )
+from bbgroups.cli import main
 from corpus import (
     c4,
+    complete_graph,
     connected_corpus,
     corpus,
     grid_disk,
@@ -42,6 +46,10 @@ from oracles import brute_force_simplices, naive_invariant_factors
 # -- construction -------------------------------------------------------
 
 
+def levels(complex):
+    return tuple(complex.simplices(k) for k in range(complex.dim + 1))
+
+
 def test_k3_f_vector():
     assert k3().f_vector() == (3, 3, 1)
 
@@ -51,7 +59,7 @@ def test_octahedron_f_vector_matches_subset_enumeration():
     oracle = brute_force_simplices(complex.vertices, complex.edges)
     assert complex.f_vector() == tuple(len(level) for level in oracle)
     assert complex.f_vector() == (6, 12, 8)
-    assert complex.simplices_by_dim == oracle
+    assert levels(complex) == oracle
 
 
 def test_c4_has_no_triangles():
@@ -62,7 +70,49 @@ def test_simplices_match_oracle_on_random_complexes():
     for seed in (11, 22, 33):
         complex = random_flag_complex(seed, n=7, p=0.5, require_connected=False)
         oracle = brute_force_simplices(complex.vertices, complex.edges)
-        assert complex.simplices_by_dim == oracle
+        assert levels(complex) == oracle
+
+
+def test_levels_do_not_depend_on_the_order_they_are_asked_for():
+    rng = random.Random(4)
+    draws = [
+        (f"g9_{s}", random_flag_complex(s, n=9, p=0.6, require_connected=False))
+        for s in range(8)
+    ]
+    for name, reference in corpus() + draws:
+        graph = (reference.vertices, reference.edges)
+        oracle = brute_force_simplices(*graph)
+        full = FlagComplex(*graph)
+        f = full.f_vector()
+        lazy = FlagComplex(*graph)
+        order = list(range(-1, len(oracle) + 2))
+        rng.shuffle(order)
+        for k in order:
+            expected = oracle[k] if 0 <= k < len(oracle) else ()
+            assert lazy.simplices(k) == FlagComplex(*graph).simplices(k), (name, k)
+            assert lazy.simplices(k) == full.simplices(k) == expected, (name, k)
+        fresh = FlagComplex(*graph)
+        before = (fresh.edges, hash(fresh), fresh == lazy, fresh == full)
+        assert (fresh.dim, fresh.f_vector()) == (lazy.dim, lazy.f_vector()) == (full.dim, f)
+        assert (fresh.edges, hash(fresh), fresh == lazy, fresh == full) == before, name
+        assert before == (oracle[1] if len(oracle) > 1 else (), hash(full), True, True), name
+        assert f == tuple(len(level) for level in oracle), name
+
+
+def test_express_reads_no_level_above_the_edges(tmp_path, capsys):
+    # K16 has 2^16 - 1 simplices; express needs its 120 edges only.
+    k16 = complete_graph(16)
+    graph = tmp_path / "k16.txt"
+    edges = " ".join(f"{u}-{v}" for u, v in k16.edges)
+    graph.write_text(f"vertices: {' '.join(k16.vertices)}\nedges: {edges}\n")
+    tracemalloc.start()
+    try:
+        code = main(["express", str(graph), "v0 v1^-1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (0, "[v0>v1]\n")
+    assert peak < 2 * 2**20
 
 
 def test_flag_property_every_clique_is_a_simplex():

@@ -354,18 +354,18 @@ def test_parse_word_errors():
     with pytest.raises(ParseError, match="malformed factor"):
         parse_word("a^b", AB)
     # superscripts are digits but not decimal; a sign other than one '-', an
-    # underscore, a second caret, an empty exponent or base are malformed
-    for factor in ("a^\u00b2", "a^+2", "a^1_0", "a^--1", "a^2^3", "a^", "^2"):
-        message = f"line 2, column 4: malformed factor {factor!r}"
-        with pytest.raises(ParseError, match=re.escape(message)):
-            parse_word(f"b  {factor} a", AB, line=2)
+    # underscore, a second caret, an empty exponent or base are malformed;
     # a rel: line's columns count from the start of the line
-    with pytest.raises(ParseError, match=re.escape("line 2, column 9: malformed factor 'b^+2'")):
-        parse_presentation("gens: a b\nrel: a  b^+2 a\n")
+    for factor in ("a^\u00b2", "a^+2", "a^1_0", "a^--1", "a^2^3", "a^", "^2", "b^+2"):
+        message = f"line 2, column 9: malformed factor {factor!r}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_presentation(f"gens: a b\nrel: b  {factor} a\n")
     # exponents past sys.maxsize, and past int()'s digit limit, are out of range
     for huge in ("99999999999999999999", "-9223372036854775808", "9" * 5000):
-        with pytest.raises(ParseError, match="column 3: exponent out of range"):
-            parse_word(f"a b^{huge}", AB, line=4)
+        with pytest.raises(ParseError, match="^column 3: exponent out of range"):
+            parse_word(f"a b^{huge}", AB)
+        with pytest.raises(ParseError, match="^line 4, column 8: exponent out of range"):
+            parse_presentation(f"gens: a b\n\n# line 3\nrel: a b^{huge}\n")
 
 
 def test_edge_alphabet_tokens():
