@@ -9,10 +9,12 @@ across alphabets is a hard error.
 The word problem for a right-angled Artin group is decided by a
 heap-of-pieces normal form: a generator's pile holds its runs g^k, each
 with one marker on the pile of every generator it does not commute with.
-A letter adds its sign to the run on top of its pile, if there is one,
-and a run that reaches zero is popped with its markers.  The heap is
-linearized by always emitting the least available run; a pile offers
-only its bottom entry, and nothing while that is a marker.  The result is
+Markers are only counted, all piles' counts in one integer, so pushing or
+popping a run costs a few big-integer operations, not one step per
+non-commuting generator.  A letter adds its sign to the run on top of its
+pile if no marker lies over it, and a run that reaches zero is popped.
+The heap is linearized by always emitting the least available run; a
+pile offers its bottom run while no marker lies under it.  The result is
 the lexicographically least word among all commutation-equivalent ones,
 so two words represent the same group element iff their normal forms are
 equal letter-for-letter.
@@ -25,7 +27,6 @@ generator, and ``substitute`` applies it with one lookup per letter.
 from __future__ import annotations
 
 import sys
-from collections import deque
 
 from .errors import ParseError, tokens
 
@@ -190,46 +191,60 @@ class RaagContext:
     """A right-angled Artin group: vertex generators, adjacent pairs commute.
 
     Commutation is symmetric and irreflexive, derived from the edge set
-    of the owning complex.  ``_pile`` gives a word's heap: per generator a
-    pile of its runs (nonzero exponents) and markers (zeros).
+    of the owning complex.  ``_pile`` gives a word's heap: per generator
+    its runs ``[exponent, markers under it]``, and one integer holding each
+    generator's marker count in a field of ``width`` bits, which a count
+    (at most the word's length) never fills.  A run is pushed or popped by
+    adding or subtracting its generator's blocker mask: one marker in the
+    field of every generator it does not commute with.
     """
 
-    __slots__ = ("complex", "alphabet", "_blockers")
+    __slots__ = ("complex", "alphabet", "_masks")
 
     def __init__(self, complex):
         self.complex = complex
         self.alphabet = vertex_alphabet(complex)
-        n = len(complex.vertices)
-        blockers = []
-        for i, v in enumerate(complex.vertices):
-            adjacent = {complex.vertex_index(w) for w in complex.neighbors(v)}
-            blockers.append(tuple(j for j in range(n) if j != i and j not in adjacent))
-        self._blockers = blockers
+        self._masks = {}  # field width -> (blocker masks, every field's low bit)
 
     def commutes(self, u, v):
         return u != v and self.complex.adjacent(u, v)
 
+    def _blocker_masks(self, width):
+        if width not in self._masks:
+            complex = self.complex
+            ones = sum(1 << i * width for i in range(len(complex.vertices)))
+            masks = [
+                ones - sum(1 << complex.vertex_index(w) * width for w in (v, *complex.neighbors(v)))
+                for v in complex.vertices
+            ]
+            self._masks[width] = masks, ones
+        return self._masks[width]
+
     def _pile(self, word):
         if word.alphabet != self.alphabet:
             raise ValueError("word is not over this RAAG's vertex alphabet")
+        width = len(word.letters).bit_length() + 1
+        field = (1 << width) - 1
+        masks = self._blocker_masks(width)[0]
         index = self.alphabet.index
-        blockers = self._blockers
-        piles = [deque() for _ in self.alphabet.letters]
+        piles = [[] for _ in self.alphabet.letters]
+        counts = 0  # per field: the markers over the pile's top run
         for letter, sign in word.letters:
             i = index[letter]
             pile = piles[i]
-            if pile and pile[-1]:
+            shift = i * width
+            over = counts >> shift & field
+            if pile and not over:
                 # No marker above the run: nothing non-commuting came after it.
-                pile[-1] += sign
-                if not pile[-1]:
+                run = pile[-1]
+                run[0] += sign
+                if not run[0]:
                     pile.pop()
-                    for j in blockers[i]:
-                        piles[j].pop()
+                    counts += (run[1] << shift) - masks[i]
             else:
-                pile.append(sign)
-                for j in blockers[i]:
-                    piles[j].append(0)
-        return piles
+                pile.append([sign, over])
+                counts += masks[i] - (over << shift)
+        return piles, counts, width
 
     def normal_form(self, word):
         """Lexicographically least representative of the reduced heap.
@@ -237,22 +252,40 @@ class RaagContext:
         Letter order: by generator position in the vertex alphabet, with
         g preceding g^-1.
         """
-        piles = self._pile(word)
+        piles, counts, width = self._pile(word)
+        masks, ones = self._blocker_masks(width)
+        highs = ones << width - 1
+        field = (1 << width) - 1
         letters = self.alphabet.letters
-        blockers = self._blockers
+        under = counts  # per field: the markers under the pile's bottom run
+        offered = 0  # the top bit of each field whose pile still holds a run
+        for i, pile in enumerate(piles):
+            if pile:
+                # Runs pop bottom first; an empty run behind the top one holds
+                # the markers over it: the field's count once no run is left.
+                shift = i * width
+                pile.append([0, counts >> shift & field])
+                pile.reverse()
+                under += (pile[-1][1] - pile[0][1]) << shift
+                offered |= 1 << shift + width - 1
         out = []
         while True:
-            # Pile i offers one run (its bottom), so the least is the first offered;
-            # the run's markers lie under every letter of its blocker piles.
-            i = next((i for i, pile in enumerate(piles) if pile and pile[0]), None)
-            if i is None:
+            # With its top bit set, each field drops by one without a borrow,
+            # and the top bit clears iff the field was zero.
+            free = ~((under | highs) - ones) & offered
+            if not free:
                 return Word(self.alphabet, out)
-            out += syllable_letters(letters[i], piles[i].popleft())
-            for j in blockers[i]:
-                piles[j].popleft()
+            shift = (free & -free).bit_length() - width
+            i = shift // width
+            pile = piles[i]
+            out += syllable_letters(letters[i], pile.pop()[0])
+            exp, markers = pile[-1]
+            under += (markers << shift) - masks[i]
+            if not exp:
+                offered ^= 1 << shift + width - 1
 
     def is_identity(self, word):
-        return not any(self._pile(word))
+        return not any(self._pile(word)[0])
 
 
 # -- word text syntax ---------------------------------------------------

@@ -13,7 +13,8 @@ without ``--json``, ``verify`` and ``reduce`` on each ``present`` output
 at the default and small budgets, ``express`` on fixed words,
 ``verify`` and ``reduce`` on malformed presentation files in text and
 JSON form, ``verify`` (with and without ``--json``) of true and false
-relators with long runs on K3 and C4, in text and JSON form,
+relators with long runs on K3, C4 and C6 (where each generator commutes
+with only two of the other five), in text and JSON form,
 ``express``, ``verify`` and ``reduce`` on exponent factors such as
 ``a^+2``, ``a^2^3``, ``^2`` and a superscript or Arabic-Indic exponent,
 every verb on a JSON graph whose vertex name holds a
@@ -67,12 +68,19 @@ MALFORMED_PRESENTATIONS = [
 # Relators with long runs for verify: (name, graph text, generators, relators).
 K3_TEXT = "vertices: a b c\nedges: a-b b-c a-c\n"
 C4_TEXT = "vertices: a b c d\nedges: a-b b-c c-d a-d\n"
+C6_TEXT = "vertices: a b c d e f\nedges: a-b b-c c-d d-e e-f a-f\n"
 SQUARE = "[a>b] [b>c] [c>d] [d>a]"
 LONG_RUN_PRESENTATIONS = [
     ("k3_runs", K3_TEXT, "[a>b] [b>a] [b>c] [c>a]", ["[a>b]^40 [b>a]^40", "[a>b]^40 [b>c]^40 [c>a]^40"]),
     ("k3_false", K3_TEXT, "[a>b] [b>c]", ["[a>b]^40 [b>c]^40"]),
     ("c4_runs", C4_TEXT, SQUARE, ["[a>b]^40 [b>c]^40 [c>d]^40 [d>a]^40", " ".join([SQUARE] * 3)]),
     ("c4_false", C4_TEXT, "[a>b] [b>c] [c>d]", ["[a>b]^40 [b>c]^40", "[a>b]^3 [c>d]^-3"]),
+    (
+        "c6_runs",
+        C6_TEXT,
+        "[a>b] [b>c] [c>d] [d>e] [e>f] [f>a]",
+        ["[a>b]^40 [b>c]^40 [c>d]^40 [d>e]^40 [e>f]^40 [f>a]^40", "[a>b]^40 [b>c]^40 [c>d]^40"],
+    ),
 ]
 
 # Factors over the letter a, each malformed but the last (a^3 in Arabic-Indic).

@@ -140,19 +140,15 @@ class ShuffleClosureOracle:
             for letter, sign in word.letters
         )
 
-    def is_identity_encoded(self, code):
-        memo = self._memo
-        known = memo.get(code)
-        if known is not None:
-            return known
+    def _closure(self, code, stop=None):
+        """The words reachable from code by cancellations and commuting
+        swaps, breadth first; stops early once ``stop`` is dequeued."""
         commutes = self.commutes
         seen = {code}
         queue = deque([code])
-        answer = False
         while queue:
             w = queue.popleft()
-            if not w:
-                answer = True
+            if w == stop:
                 break
             for i in range(len(w) - 1):
                 x, y = w[i], w[i + 1]
@@ -167,12 +163,27 @@ class ShuffleClosureOracle:
                     if nw not in seen:
                         seen.add(nw)
                         queue.append(nw)
+        return seen
+
+    def is_identity_encoded(self, code):
+        memo = self._memo
+        known = memo.get(code)
+        if known is not None:
+            return known
+        seen = self._closure(code, stop=b"")
+        answer = b"" in seen
         for w in seen:
             memo[w] = answer
         return answer
 
     def is_identity(self, word):
         return self.is_identity_encoded(self.encode(word))
+
+    def normal_form(self, word):
+        """The least (length, bytes) word of the closure, as (letter, sign)
+        pairs: letters order by vertex position, with g before g^-1."""
+        least = min(self._closure(self.encode(word)), key=lambda w: (len(w), w))
+        return tuple((self.letters[x >> 1], -1 if x & 1 else 1) for x in least)
 
 
 def permutation_parity(sequence, key=None):

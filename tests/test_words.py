@@ -9,6 +9,7 @@ import pytest
 from bbgroups import (
     Alphabet,
     DirectedEdge,
+    FlagComplex,
     ParseError,
     RaagContext,
     Word,
@@ -20,7 +21,7 @@ from bbgroups import (
     vertex_alphabet,
 )
 from bbgroups.words import homomorphism, substitute
-from corpus import c4, k3, random_word
+from corpus import c4, k3, octahedron, random_word, three_points
 from oracles import ShuffleClosureOracle
 
 AB = Alphabet("named", ("a", "b", "c", "d"))
@@ -319,6 +320,41 @@ def test_normal_form_is_the_minimum_of_its_swap_closure():
                             seen.add(swapped)
                             queue.append(swapped)
             assert encode(start) == min(encode(w) for w in seen)
+
+
+def test_normal_form_matches_the_closure_oracle_letter_for_letter():
+    """Sparse and dense graphs beyond C4 and K3: P4, C5, K4 minus an edge
+    and the octahedron (the RAAG of Stallings' group)."""
+    graphs = [
+        FlagComplex("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
+        FlagComplex("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")]),
+        FlagComplex("abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]),
+        octahedron(),
+    ]
+    rng = random.Random(16)
+    for complex in graphs:
+        ctx = RaagContext(complex)
+        oracle = ShuffleClosureOracle(complex)
+        for _ in range(300):
+            word = random_word(rng, ctx.alphabet, rng.randint(0, 8))
+            assert ctx.normal_form(word).letters == oracle.normal_form(word), word
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_marker_counts_at_the_edge_of_their_field(k):
+    """Words whose lengths straddle 2^k, where a marker count's field gets
+    one bit wider: alternating a c on C4, and on three points alternating
+    b c, then a, whose run lies over a marker from every letter before it."""
+    ctx = ctx4()
+    ctx3 = RaagContext(three_points())
+    for length in (2**k - 1, 2**k, 2**k + 1):
+        w = Word(ctx.alphabet, [("ac"[i % 2], 1) for i in range(length)])
+        b = Word(ctx.alphabet, [("b", 1)])
+        assert ctx.normal_form(w) == w
+        assert ctx.is_identity(w * b * ~w * ~b)
+        u = Word(ctx3.alphabet, [("bc"[i % 2], 1) for i in range(length - 1)] + [("a", 1)])
+        assert ctx3.normal_form(u) == u
+        assert not ctx3.is_identity(u)
 
 
 # -- word syntax -----------------------------------------------------------
