@@ -20,6 +20,7 @@ a bad graph with the same message.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import snf
@@ -297,33 +298,31 @@ def euler_characteristic(complex):
 
 
 def boundary_matrix(complex, k):
-    """Integer matrix of the boundary map C_k -> C_{k-1} (k >= 1).
+    """Sparse integer matrix of the boundary map C_k -> C_{k-1} (k >= 1).
 
     Rows are indexed by (k-1)-simplices, columns by k-simplices, both in
-    the complex's deterministic order.
+    the complex's deterministic order.  Row i is a ``{column: +-1}`` dict
+    of the k-simplices that have (k-1)-simplex i as a face.
     """
     if k < 1:
         raise ValueError("boundary_matrix is defined for k >= 1")
     faces = complex.simplices(k - 1)
-    cells = complex.simplices(k)
     face_index = {s: i for i, s in enumerate(faces)}
-    matrix = [[0] * len(cells) for _ in faces]
-    for j, cell in enumerate(cells):
+    matrix = [{} for _ in faces]
+    for j, cell in enumerate(complex.simplices(k)):
         for i in range(len(cell)):
             face = cell[:i] + cell[i + 1 :]
             matrix[face_index[face]][j] = (-1) ** i
     return matrix
 
 
+@dataclass(frozen=True)
 class HomologyResult:
     """Integral simplicial homology, one (betti, torsion) pair per degree."""
 
-    __slots__ = ("betti", "torsion", "reduced")
-
-    def __init__(self, betti, torsion, reduced):
-        self.betti = tuple(betti)
-        self.torsion = tuple(tuple(t) for t in torsion)
-        self.reduced = reduced
+    betti: tuple
+    torsion: tuple
+    reduced: bool
 
     def is_trivial(self, k):
         """Whether H_k = 0 (no free part, no torsion)."""
@@ -368,8 +367,8 @@ def homology(complex, reduced=False):
     factors = [(1,) if reduced and f else ()]
     factors += [snf.invariant_factors(matrices[k]) for k in range(1, dim + 1)]
     factors.append(())
-    betti = [f[k] - len(factors[k]) - len(factors[k + 1]) for k in range(dim + 1)]
-    torsion = [tuple(d for d in factors[k + 1] if d > 1) for k in range(dim + 1)]
+    betti = tuple(f[k] - len(factors[k]) - len(factors[k + 1]) for k in range(dim + 1))
+    torsion = tuple(tuple(d for d in factors[k + 1] if d > 1) for k in range(dim + 1))
     return HomologyResult(betti, torsion, reduced)
 
 

@@ -84,14 +84,15 @@ class AbelianizationResult:
 
 
 def exponent_matrix(presentation):
-    """|relators| x |generators| matrix of letter exponent sums."""
+    """One ``{generator position: exponent sum}`` row per relator, zero sums dropped."""
     index = presentation.alphabet.index
     rows = []
     for rel in presentation.relators:
-        row = [0] * len(presentation.generators)
+        row = {}
         for letter, sign in rel.letters:
-            row[index[letter]] += sign
-        rows.append(row)
+            j = index[letter]
+            row[j] = row.get(j, 0) + sign
+        rows.append({j: v for j, v in row.items() if v})
     return rows
 
 def abelianization(presentation):

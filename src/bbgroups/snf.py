@@ -1,15 +1,15 @@
 """Exact integer linear algebra: Smith normal form over Z.
 
 This is the single audited kernel behind simplicial homology and
-presentation abelianization.  Matrices are plain lists of lists of
-Python ints, so all arithmetic is arbitrary precision; there are no
-modular or floating-point shortcuts.
+presentation abelianization.  A matrix is a list of sparse rows, each a
+``{column: entry}`` dict of its nonzero Python ints, so all arithmetic is
+arbitrary precision; there are no modular or floating-point shortcuts.
 
-``invariant_factors`` runs in two phases.  Phase 1 diagonalizes on
-sparse rows; row operations clear the pivot's column first, so column
-operations touch only the pivot row.  Phase 2 folds the diagonal into
-its divisibility chain: the units lead, and one gcd/lcm pass orders the
-rest (any diagonal matrix is equivalent to its gcd/lcm chain; Newman,
+``invariant_factors`` runs in two phases.  Phase 1 diagonalizes a
+copy of the rows; row operations clear the pivot's column first, so
+column operations touch only the pivot row.  Phase 2 folds the diagonal
+into its divisibility chain: the units lead, and one gcd/lcm pass orders
+the rest (any diagonal matrix is equivalent to its gcd/lcm chain; Newman,
 *Integral Matrices*, 1972).
 """
 
@@ -17,16 +17,13 @@ from math import gcd
 
 
 def invariant_factors(matrix):
-    """Invariant factors of an integer matrix.
+    """Invariant factors of an integer matrix given as sparse rows.
 
     Returns the nonzero diagonal ``(d_1, ..., d_r)`` of the Smith normal
     form, positive and with ``d_i | d_{i+1}``; ``r`` is the rank of the
-    matrix over Q.  The input matrix is not modified.
+    matrix over Q.  Zero entries are skipped; the input is not modified.
     """
-    n = len(matrix[0]) if matrix else 0
-    if any(len(row) != n for row in matrix):
-        raise ValueError("ragged matrix")
-    rows = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
+    rows = [{j: int(v) for j, v in row.items() if v} for row in matrix]
     rows = [row for row in rows if row]
     factors = []
     while rows:
@@ -74,20 +71,19 @@ def invariant_factors(matrix):
 
 
 def matrix_multiply(a, b):
-    """Product of two integer matrices (lists of rows); zeros are skipped."""
-    if not a or not b:
-        return []
-    if len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
-    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    product = [[0] * len(b[0]) for _ in a]
-    for arow, out in zip(a, product):
-        for x, brow in zip(arow, sparse_b):
-            if x:
-                for j, y in brow:
-                    out[j] += x * y
+    """Product of sparse matrices: row i is the sum of a[i][j] * b[j], zeros dropped."""
+    product = []
+    for arow in a:
+        out = {}
+        for t, x in arow.items():
+            if not 0 <= t < len(b):
+                raise ValueError("dimension mismatch")
+            for j, y in b[t].items():
+                out[j] = out.get(j, 0) + x * y
+        product.append({j: v for j, v in out.items() if v})
     return product
 
 
 def is_zero_matrix(a):
-    return all(x == 0 for row in a for x in row)
+    """Whether every row is empty (sparse rows hold no zero entries)."""
+    return not any(a)

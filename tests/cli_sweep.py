@@ -20,13 +20,15 @@ with only two of the other five), in text and JSON form,
 every verb on a JSON graph whose vertex name holds a
 no-break space (it has no text form), the homology, report and pi1
 verbs on ``projective_plane()`` (H_1 = Z/2; ``bb-truncated`` is skipped
-there: 31 vertices make it too large), and the homology, report and pi1
+there: 31 vertices make it too large), the homology, report and pi1
 verbs on its suspension, whose only torsion is H_2 = Z/2, so torsion
-alone sets its FP level.  OUT maps each run (verb line, file names
-only) to ``[exit code, stdout, first stderr line]``; two checkouts print
-the same CLI output iff their OUT files are equal.  ``--diff`` lists the
-runs whose records differ between two OUT files, with the fields that
-differ, and exits 1 if any do.
+alone sets its FP level, and homology (reduced or not) and report on
+``random_flag_complex(1, n=40, p=0.45)``, whose cliques reach dimension
+6, so the runs cover homology up to that dimension.  OUT maps each run
+(verb line, file names only) to ``[exit code, stdout, first stderr
+line]``; two checkouts print the same CLI output iff their OUT files are
+equal.  ``--diff`` lists the runs whose records differ between two OUT
+files, with the fields that differ, and exits 1 if any do.
 """
 
 import contextlib
@@ -192,6 +194,12 @@ def main(src, out_path):
                 ["present", "--kind", "pi1"],
             ):
                 run(*verb, *fmt, suspended)
+
+        # f = (40, 350, 880, 694, 170, 18, 1), reduced H_2 = Z^35, H_3 = Z^7.
+        g40 = write("g40_1.txt", graph_texts(random_flag_complex(1, n=40, p=0.45))[0])
+        for fmt in ((), ("--json",)):
+            for verb in (["homology"], ["homology", "--reduced"], ["report"]):
+                run(*verb, *fmt, g40)
 
         for name, complex in graphs:
             text, data = graph_texts(complex)

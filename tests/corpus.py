@@ -1,4 +1,4 @@
-"""Shared corpus of flag complexes, random-word helpers and a lattice test."""
+"""Shared corpus of flag complexes, random-word helpers and sparse-matrix helpers."""
 
 import random
 from itertools import combinations
@@ -175,18 +175,19 @@ def random_zero_sum_word(rng, alphabet, pairs):
     return Word(alphabet, letters)
 
 
-def in_row_lattice(matrix, vector):
-    """Whether ``vector`` is an integer combination of the matrix rows.
+def sparse(matrix):
+    """The ``{column: entry}`` rows of a dense matrix, zero entries dropped."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def in_row_lattice(rows, vector):
+    """Whether the dense ``vector`` is an integer combination of the sparse rows.
 
     Uses the Hopfian property of finitely generated abelian groups: for
     sublattices L <= L' of Z^n, equal invariant factors force L = L',
     so appending the vector changes the factors iff it enlarges the
     lattice.
     """
-    rows = [list(row) for row in matrix]
-    n = len(rows[0]) if rows else len(vector)
-    if len(vector) != n:
-        raise ValueError("vector length does not match matrix width")
-    if not rows:
-        return all(x == 0 for x in vector)
-    return snf.invariant_factors(rows) == snf.invariant_factors(rows + [list(vector)])
+    if any(j >= len(vector) for row in rows for j in row):
+        raise ValueError("vector is shorter than the matrix is wide")
+    return snf.invariant_factors(rows) == snf.invariant_factors(rows + sparse([vector]))

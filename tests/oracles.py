@@ -1,10 +1,10 @@
 """Independent oracles the library is checked against.
 
 Each oracle takes the dumbest correct route it can: subset enumeration
-for cliques, textbook corner reduction for Smith normal form, full
-product enumeration for closed walks, breadth-first closure for the
-RAAG word problem.  None of them shares code with the library paths
-they audit.
+for cliques, a subset test for boundary matrices, textbook corner
+reduction for Smith normal form, full product enumeration for closed
+walks, breadth-first closure for the RAAG word problem.  None of them
+shares code with the library paths they audit.
 """
 
 from collections import deque
@@ -65,6 +65,20 @@ def naive_invariant_factors(matrix):
                 diagonal[i], diagonal[i + 1] = g, x * y // g
                 changed = True
     return tuple(diagonal)
+
+
+def dense_boundary_matrix(complex, k):
+    """Dense d_k by subset test: a (k-1)-simplex that is a k-simplex minus its
+    i-th vertex gets the entry (-1)^i in that k-simplex's column."""
+    cells = complex.simplices(k)
+    matrix = []
+    for face in complex.simplices(k - 1):
+        row = []
+        for cell in cells:
+            missing = [i for i, v in enumerate(cell) if v not in face]
+            row.append((-1) ** missing[0] if len(missing) == 1 else 0)
+        matrix.append(row)
+    return matrix
 
 
 def brute_force_simplices(vertices, edges):

@@ -49,6 +49,7 @@ from corpus import (
     k3,
     octahedron,
     random_zero_sum_word,
+    sparse,
     two_points,
 )
 from oracles import ShuffleClosureOracle, naive_invariant_factors
@@ -257,6 +258,6 @@ def test_criterion_8_smith_normal_form_oracle():
             m = rng.randint(1, 8)
             n = rng.randint(1, 8)
             matrix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-            assert snf.invariant_factors(matrix) == naive_invariant_factors(
+            assert snf.invariant_factors(sparse(matrix)) == naive_invariant_factors(
                 matrix
             ), matrix

@@ -36,11 +36,12 @@ from corpus import (
     path3,
     projective_plane,
     random_flag_complex,
+    sparse,
     suspension,
     three_points,
     two_points,
 )
-from oracles import brute_force_simplices, naive_invariant_factors
+from oracles import brute_force_simplices, dense_boundary_matrix, naive_invariant_factors
 
 
 # -- construction -------------------------------------------------------
@@ -205,10 +206,11 @@ def test_homology_reduced():
 
 def test_octahedron_betti_against_naive_snf_oracle():
     complex = octahedron()
-    d1 = boundary_matrix(complex, 1)
-    d2 = boundary_matrix(complex, 2)
+    d1 = dense_boundary_matrix(complex, 1)
+    d2 = dense_boundary_matrix(complex, 2)
     assert len(d1) == 6 and len(d1[0]) == 12
     assert len(d2) == 12 and len(d2[0]) == 8
+    assert [boundary_matrix(complex, k) for k in (1, 2)] == [sparse(d1), sparse(d2)]
     r1 = len(naive_invariant_factors(d1))
     r2 = len(naive_invariant_factors(d2))
     assert (6 - r1, 12 - r1 - r2, 8 - r2) == (1, 0, 1)
@@ -251,6 +253,22 @@ def test_homology_of_large_known_complexes():
     h = homology(suspended, reduced=True)
     assert h.betti == (0, 0, 0, 0)
     assert h.torsion == ((), (), (2,), ())  # H_2 = Z/2
+
+
+def test_homology_of_a_dense_random_flag_complex_stays_small():
+    # Its boundary matrices have 16 million entries, 30,448 of them
+    # nonzero; as dense rows they take about 150 MB.
+    complex = random_flag_complex(1, n=60, p=0.45)
+    tracemalloc.start()
+    try:
+        h = homology(complex, reduced=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert complex.f_vector() == (60, 787, 2903, 3272, 1212, 159, 9)
+    assert h.betti == (0, 0, 41, 76, 0, 0, 0) and not any(h.torsion)
+    assert sum((-1) ** k * b for k, b in enumerate(h.betti)) == euler_characteristic(complex) - 1
+    assert peak < 20 * 2**20
 
 
 def test_homology_torsion_is_a_divisibility_chain():

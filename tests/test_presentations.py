@@ -105,8 +105,8 @@ def test_abelianization_of_free_group():
 
 
 def test_exponent_matrix():
-    p = P(["a", "b"], [L("a b a b-"), L("b b")])
-    assert exponent_matrix(p) == [[2, 0], [0, 2]]
+    p = P(["a", "b"], [L("a b a b-"), L("b b"), L("a b a- b-")])
+    assert exponent_matrix(p) == [{0: 2}, {1: 2}, {}]
 
 
 # -- Tietze simplification ----------------------------------------------------
