@@ -176,7 +176,9 @@ def enumerate_cycle_classes(ctx, max_len):
     identified (the reversed cycle carries its own relators).  A walk
     is keyed by its steps as (initial, terminal) vertex positions; each
     class is represented by its rotation with the least key, and
-    classes come out sorted by (length, key).
+    classes come out sorted by (length, key).  Walks grow on an explicit
+    stack, so ``max_len`` is not bounded by the recursion limit; a walk's
+    final step is taken only if it closes the walk.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
@@ -186,20 +188,16 @@ def enumerate_cycle_classes(ctx, max_len):
     found = set()
 
     # A least rotation starts at its walk's least vertex: grow walks from there.
-    def extend(walk):
-        current = walk[-1]
-        if len(walk) > 2 and current == walk[0]:
-            steps = tuple(zip(walk, walk[1:]))
-            found.add(min(steps[r:] + steps[:r] for r in range(len(steps))))
-        if len(walk) <= max_len:
-            for w in adj[current]:
-                if w >= walk[0]:
-                    walk.append(w)
-                    extend(walk)
-                    walk.pop()
-
     for v in range(len(names)):
-        extend([v])
+        stack = [(v,)]
+        while stack:
+            walk = stack.pop()
+            if len(walk) > 2 and walk[-1] == v:
+                steps = tuple(zip(walk, walk[1:]))
+                found.add(min(steps[r:] + steps[:r] for r in range(len(steps)) if walk[r] == v))
+            if len(walk) <= max_len:
+                final = len(walk) == max_len
+                stack.extend(walk + (w,) for w in adj[walk[-1]] if w >= v and (w == v or not final))
     return tuple(
         DirectedCycle(DirectedEdge(names[i], names[j]) for i, j in key)
         for key in sorted(found, key=lambda key: (len(key), key))

@@ -58,6 +58,8 @@ def json_object(data, keys, what):
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+        except RecursionError:
+            raise ParseError("JSON value nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
     unknown = set(data) - set(keys)

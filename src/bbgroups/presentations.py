@@ -6,8 +6,9 @@ sequence of freely reduced, nonempty relator words over that alphabet.
 A free-form provenance mapping records which construction emitted the
 presentation and with what truncation parameters; provenance rides
 along through serialization but does not take part in equality.
-Tietze moves reuse the free reduction of ``words``.  Abelianizing a
-complex's edge-path presentation gives its H_1 (Hurewicz).
+Tietze moves reuse the free reduction and the word maps of ``words``.
+Abelianizing a complex's edge-path presentation gives its H_1
+(Hurewicz).
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 import enum
 import json as _json
 import re
+from collections import Counter
 from dataclasses import dataclass
 
-from . import snf
+from . import snf, words
 from .errors import ParseError, json_object, reserved_chars, tokens
 from .words import Alphabet, Word, invert_letters, reduce_letters, render_word, word_from_tokens
 
@@ -122,7 +124,8 @@ def _apply_one_move(gens, rels, unshortenable):
     cyclic reduction, trivial-relator deletion, elimination of a
     generator occurring exactly once in some relator, and shortening a
     relator by (a rotation of) another.  Every move is a Tietze
-    transformation, so the presented group never changes.
+    transformation, so the presented group never changes.  Elimination
+    maps the generator to its value by one ``words.homomorphism`` table.
 
     Shortening depends only on the two relators, so the (target, source)
     pairs whose scan found no match are kept in ``unshortenable`` and skipped.
@@ -137,37 +140,26 @@ def _apply_one_move(gens, rels, unshortenable):
             return True
 
     # trivial relators
-    for i, rel in enumerate(rels):
-        if not rel:
-            del rels[i]
-            return True
+    if () in rels:
+        rels.remove(())
+        return True
 
     # generator elimination
     for i, rel in enumerate(rels):
-        counts = {}
-        for letter, _ in rel:
-            counts[letter] = counts.get(letter, 0) + 1
+        counts = Counter(letter for letter, _ in rel)
         for p, (letter, sign) in enumerate(rel):
             if counts[letter] != 1:
                 continue
-            # rel = pre g^sign post = 1, so g^sign = pre^-1 post^-1
-            value = reduce_letters(
-                invert_letters(rel[:p]) + invert_letters(rel[p + 1 :])
-            )
-            if sign < 0:
-                value = invert_letters(value)
-            replaced = []
-            for k, other in enumerate(rels):
-                if k == i:
-                    continue
-                out = []
-                for l, s in other:
-                    if l == letter:
-                        out.extend(value if s > 0 else invert_letters(value))
-                    else:
-                        out.append((l, s))
-                replaced.append(reduce_letters(out))
-            rels[:] = replaced
+            # rel = pre g^sign post = 1, so g^-sign = post pre
+            rest = rel[p + 1 :] + rel[:p]
+            del rels[i]
+            # Relators are freely reduced, so one without the generator stays as it is.
+            holding = [k for k, r in enumerate(rels) if (letter, 1) in r or (letter, -1) in r]
+            images = {g: ((g, 1),) for k in holding for g, _ in rels[k]}
+            images[letter] = invert_letters(rest) if sign > 0 else rest
+            table = words.homomorphism(images)
+            for k in holding:
+                rels[k] = reduce_letters(words.substitute(rels[k], table))
             gens.remove(letter)
             return True
 
@@ -255,7 +247,7 @@ def parse_presentation(text):
                 raise ParseError("duplicate provenance comment", lineno)
             try:
                 provenance = _json.loads(prov.group(1))
-            except _json.JSONDecodeError:
+            except (_json.JSONDecodeError, RecursionError):
                 raise ParseError("malformed provenance JSON", lineno) from None
             if not isinstance(provenance, dict):
                 raise ParseError("provenance must be a JSON object", lineno)

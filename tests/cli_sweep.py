@@ -24,11 +24,16 @@ there: 31 vertices make it too large), the homology, report and pi1
 verbs on its suspension, whose only torsion is H_2 = Z/2, so torsion
 alone sets its FP level, and homology (reduced or not) and report on
 ``random_flag_complex(1, n=40, p=0.45)``, whose cliques reach dimension
-6, so the runs cover homology up to that dimension.  OUT maps each run
-(verb line, file names only) to ``[exit code, stdout, first stderr
-line]``; two checkouts print the same CLI output iff their OUT files are
-equal.  ``--diff`` lists the runs whose records differ between two OUT
-files, with the fields that differ, and exits 1 if any do.
+6, so the runs cover homology up to that dimension, ``present --kind
+bb-truncated --max-len 1050 --max-exp 1`` on one edge (walks longer
+than the recursion limit; ``reduce`` of relators that long would take
+far too long), and ``info``, ``verify`` and ``reduce`` on JSON nested
+100,000 arrays deep.  OUT maps each run (verb line, file names only) to
+``[exit code, stdout, first stderr line]``, or to ``[null, stdout,
+"raised <ExceptionType>"]`` when an exception escapes ``cli.main``; two
+checkouts print the same CLI output iff their OUT files are equal.
+``--diff`` lists the runs whose records differ between two OUT files,
+with the fields that differ, and exits 1 if any do.
 """
 
 import contextlib
@@ -127,9 +132,12 @@ def main(src, out_path):
             stdout, stderr = io.StringIO(), io.StringIO()
             args = [os.path.join(tmp, a) if a in written else a for a in argv]
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli_main(args)
-            # Error messages name the file by its full path; keep its base name.
-            err = stderr.getvalue().replace(tmp + os.sep, "").partition("\n")[0]
+                try:
+                    code = cli_main(args)
+                    # Error messages name the file by its full path; keep its base name.
+                    err = stderr.getvalue().replace(tmp + os.sep, "").partition("\n")[0]
+                except Exception as exc:
+                    code, err = None, f"raised {type(exc).__name__}"
             results[" ".join(argv)] = [code, stdout.getvalue(), err]
             return code, stdout.getvalue()
 
@@ -155,6 +163,15 @@ def main(src, out_path):
             for pres in (write(f"factor{i}.txt", text), write(f"factor{i}.json", json.dumps(data))):
                 run("verify", k3, pres)
                 run("reduce", pres)
+
+        # Walks 1050 steps long, and JSON nested deeper than the recursion limit.
+        edge = write("long_walk_edge.txt", "vertices: a b\nedges: a-b\n")
+        run("present", "--kind", "bb-truncated", "--max-len", "1050", "--max-exp", "1", edge)
+        nested = "[" * 100_000 + "]" * 100_000
+        run("info", write("nested_graph.json", f'{{"vertices": {nested}, "edges": []}}'))
+        nested_pres = write("nested_pres.json", f'{{"gens": {nested}}}')
+        run("verify", k3, nested_pres)
+        run("reduce", nested_pres)
 
         nbsp = write("nbsp.json", json.dumps(NBSP_GRAPH))
         nbsp_pres = write("nbsp_pres.txt", "gens: [c>d]\n")

@@ -1,6 +1,8 @@
 """Tests for the kernel presentations, proof maps, and homotopy moves."""
 
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -279,6 +281,19 @@ def test_cycle_classes_match_product_enumeration_oracle():
             classes = enumerate_cycle_classes(ctx, max_len)
             keys = [tuple((e.initial, e.terminal) for e in c.edges) for c in classes]
             assert keys == brute_force_closed_walk_classes(complex, max_len)
+
+
+def test_cycle_classes_do_not_recurse_per_step():
+    # One class per even length on a single edge; a walk of 200 steps must
+    # not need 200 stack frames.
+    ctx = BBContext(edge_complex())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        classes = enumerate_cycle_classes(ctx, 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [len(c) for c in classes] == list(range(2, 201, 2))
 
 
 def test_k3_cycle_classes_at_length_three():

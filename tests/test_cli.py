@@ -318,6 +318,22 @@ def test_undecodable_file_is_exit_2(capsys, tmp_path):
     assert "UTF-8" in err and "Traceback" not in err
 
 
+def test_deeply_nested_json_is_exit_2(files, capsys, tmp_path):
+    nested = "[" * 100_000 + "]" * 100_000
+    graph = tmp_path / "nested_graph.json"
+    graph.write_text(f'{{"vertices": {nested}, "edges": []}}')
+    pres = tmp_path / "nested_pres.json"
+    pres.write_text(f'{{"gens": {nested}}}')
+    prov = tmp_path / "nested_prov.txt"
+    prov.write_text(f"# provenance: {nested}\ngens: a\n")
+    runs = [["info", str(graph)], ["verify", files["k3.json"], str(pres)], ["reduce", str(pres)]]
+    for argv in runs + [["reduce", str(prov)]]:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err, argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [

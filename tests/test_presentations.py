@@ -148,6 +148,16 @@ def test_tietze_handles_cyclic_reduction_and_powers():
     assert simplified.relators == ()
 
 
+def test_tietze_eliminates_an_inverse_letter_through_both_signs():
+    # c^-1 is the only c in the first relator, so c = b^2 a^2; the next two
+    # relators hold c with both signs, and the first of them then cancels a a^-1.
+    p = P(["a", "b", "c", "d"], [L("a a c- b b"), L("c a- c- b"), L("d c d- c-"), L("d b d")])
+    once, status = tietze_simplify(p, 1)
+    assert status is TietzeStatus.BUDGET_EXHAUSTED
+    assert once == P(["a", "b", "d"], [L("b b a- b-"), L("d b b a a d- a- a- b- b-"), L("d b d")])
+    assert tietze_simplify(p, 100) == (P(["d"], []), TietzeStatus.FIXPOINT)
+
+
 def test_tietze_preserves_abelianization():
     rng = random.Random(21)
     gens = ["g0", "g1", "g2", "g3", "g4", "g5"]
