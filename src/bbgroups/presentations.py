@@ -16,12 +16,12 @@ from __future__ import annotations
 import enum
 import json as _json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import snf, words
 from .errors import ParseError, json_object, reserved_chars, tokens
-from .words import Alphabet, Word, invert_letters, reduce_letters, render_word, word_from_tokens
+from .words import Alphabet, Word, invert_letters, read_word, reduce_letters, render_word
 
 
 def _add_generator(names, g):
@@ -117,7 +117,7 @@ class TietzeStatus(enum.Enum):
     BUDGET_EXHAUSTED = "BudgetExhausted"
 
 
-def _apply_one_move(gens, rels, unshortenable):
+def _apply_one_move(gens, rels, memo):
     """Apply the first applicable elementary move; returns False at fixpoint.
 
     Moves are tried cheapest first, scans in deterministic order:
@@ -127,8 +127,14 @@ def _apply_one_move(gens, rels, unshortenable):
     transformation, so the presented group never changes.  Elimination
     maps the generator to its value by one ``words.homomorphism`` table.
 
-    Shortening depends only on the two relators, so the (target, source)
-    pairs whose scan found no match are kept in ``unshortenable`` and skipped.
+    Shortening depends only on the two relators' letters.  ``memo`` holds,
+    for one ``tietze_simplify`` call, a small integer id per relator text,
+    the source ids per target id whose scan found no match (skipped from
+    then on), and the target's subwords of length k per (target id, k).  A
+    match of a rotation u is longer than |u|/2, so it opens with u's first
+    k = |u|//2 + 1 letters: a rotation whose k-letter opening is not a
+    subword of the target is skipped, and the first match found is the one
+    the full scan would find.
     """
     # cyclic reduction
     for i, rel in enumerate(rels):
@@ -164,13 +170,25 @@ def _apply_one_move(gens, rels, unshortenable):
             return True
 
     # shorten one relator by more than half of a rotation of another
+    ids, unshortenable, subwords = memo
+    keys = [ids.setdefault(r, len(ids)) for r in rels]
     for i, target in enumerate(rels):
+        tried = unshortenable[keys[i]]
         for j, source in enumerate(rels):
-            if i == j or (target, source) in unshortenable:
+            if i == j or keys[j] in tried:
                 continue
+            k = len(source) // 2 + 1
+            openings = subwords.get((keys[i], k))
+            if openings is None:
+                openings = subwords[keys[i], k] = {
+                    target[p : p + k] for p in range(len(target) - k + 1)
+                }
             for base in (source, invert_letters(source)):
+                doubled = base + base
                 for rot in range(len(base)):
-                    u = base[rot:] + base[:rot]
+                    if doubled[rot : rot + k] not in openings:
+                        continue
+                    u = doubled[rot : rot + len(base)]
                     longest = min(len(u), len(target))
                     for length in range(longest, len(u) // 2, -1):
                         pattern = u[:length]
@@ -182,7 +200,7 @@ def _apply_one_move(gens, rels, unshortenable):
                                     + target[p + length :]
                                 )
                                 return True
-            unshortenable.add((target, source))
+            tried.add(keys[j])
     return False
 
 
@@ -199,13 +217,13 @@ def tietze_simplify(presentation, budget=TIETZE_BUDGET):
         raise ValueError("budget must be positive")
     gens = list(presentation.generators)
     rels = [tuple(r.letters) for r in presentation.relators]
-    unshortenable = set()
-    while budget and _apply_one_move(gens, rels, unshortenable):
+    memo = {}, defaultdict(set), {}  # see _apply_one_move
+    while budget and _apply_one_move(gens, rels, memo):
         budget -= 1
     # Deleting a trivial relator is itself a Tietze move; a fixpoint has none left.
     rels = [r for r in rels if r]
     status = TietzeStatus.FIXPOINT
-    if not budget and _apply_one_move(list(gens), list(rels), unshortenable):
+    if not budget and _apply_one_move(list(gens), list(rels), memo):
         status = TietzeStatus.BUDGET_EXHAUSTED
     simplified = Presentation(gens, rels, provenance=presentation.provenance)
     return simplified, status
@@ -236,7 +254,12 @@ def serialize_presentation(presentation):
 
 
 def parse_presentation(text):
-    """Parse the presentation text format; errors carry line/column."""
+    """Parse the presentation text format; errors carry line/column.
+
+    ``gens:`` and provenance lines are read in a first pass, which keeps each
+    ``rel:`` line as it is; relators are read once the generators are known,
+    so a ``rel:`` line may come before the ``gens:`` line.
+    """
     gens = {}
     rel_lines = []
     provenance = None
@@ -253,35 +276,36 @@ def parse_presentation(text):
                 raise ParseError("provenance must be a JSON object", lineno)
             continue
         line = raw.split("#", 1)[0]
-        found = tokens(line)
-        if not found:
+        fields = line.split(None, 1)
+        if not fields:
             continue
-        (head, headcol), body = found[0], found[1:]
-        if head == "gens:":
-            for g, col in body:
-                try:
-                    _add_generator(gens, g)
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno, col) from None
-        elif head == "rel:":
+        if fields[0] == "rel:":
             rel_lines.append((lineno, line))
-        else:
+            continue
+        (head, headcol), *body = tokens(line)
+        if head != "gens:":
             raise ParseError(
                 f"unrecognized line head {head!r} (expected 'gens:' or 'rel:')",
                 lineno,
                 headcol,
             )
-    # Tokenized again as read, to hold one line's tokens at a time, not the file's.
-    return _read_relators(gens, ((n, tokens(line)[1:]) for n, line in rel_lines), provenance)
+        for g, col in body:
+            try:
+                _add_generator(gens, g)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, col) from None
+    return _read_relators(gens, rel_lines, 1, provenance)
 
 
-def _read_relators(gens, rel_tokens, provenance):
-    """The presentation on ``gens``, which passed ``_add_generator``, with relators
-    read from ``(line, tokens)`` pairs; errors are ParseErrors."""
+def _read_relators(gens, rel_lines, start, provenance):
+    """The presentation on ``gens``, which passed ``_add_generator``, with one
+    relator read from each ``(line, text)`` pair, from whitespace field
+    ``start`` of the text on; errors are ParseErrors."""
     alphabet = Alphabet("named", gens)
+    factors = {}
     relators = []
-    for lineno, body in rel_tokens:
-        word = word_from_tokens(body, alphabet, lineno)
+    for lineno, text in rel_lines:
+        word = read_word(text, alphabet, factors, lineno, start)
         if not len(word):
             raise ParseError("relator is empty after free reduction", lineno)
         relators.append(word)
@@ -316,4 +340,4 @@ def presentation_from_json(data):
             _add_generator(names, g)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    return _read_relators(names, ((None, tokens(r)) for r in rel), data.get("provenance"))
+    return _read_relators(names, ((None, r) for r in rel), 0, data.get("provenance"))

@@ -307,27 +307,44 @@ def parse_word(text, alphabet):
     decimal k with ``|k| <= sys.maxsize``; directed-edge letters written
     ``[a>b]``.  Raises ParseError with position diagnostics.
     """
-    return word_from_tokens(tokens(text), alphabet, None)
+    return read_word(text, alphabet, {})
 
 
-def word_from_tokens(factors, alphabet, line):
-    """The word of ``(factor, column)`` tokens, as read by ``parse_word``."""
+def read_word(text, alphabet, factors, line=None, start=0):
+    """The word of ``text``'s whitespace-separated fields from field ``start``
+    on, each a factor as read by ``parse_word``.
+
+    ``factors`` maps each factor text already read over ``alphabet`` to its
+    (letter, sign) pairs: a factor is checked and decoded the first time it
+    is seen, and looked up after that.  A ParseError carries ``line`` and the
+    column of the factor at fault.
+    """
+    fields = text.split()
     letters = []
-    for token, column in factors:
-        base, caret, exp_text = token.partition("^")
-        if not base or caret and not exp_text.removeprefix("-").isdecimal():
-            raise ParseError(f"malformed factor {token!r}", line, column)
-        try:
-            letter = alphabet.letter_for_token(base)
-        except ValueError as exc:
-            raise ParseError(str(exc), line, column) from None
-        try:
-            exp = int(exp_text) if caret else 1
-        except ValueError:  # more digits than int() converts
-            exp = sys.maxsize + 1
-        if exp == 0:
-            raise ParseError("exponent must be nonzero", line, column)
-        if abs(exp) > sys.maxsize:
-            raise ParseError(f"exponent out of range (|k| <= {sys.maxsize})", line, column)
-        letters.extend(syllable_letters(letter, exp))
+    for i in range(start, len(fields)):
+        pairs = factors.get(fields[i])
+        if pairs is None:
+            try:
+                pairs = factors[fields[i]] = _factor_letters(fields[i], alphabet)
+            except ValueError as exc:
+                # str.split and errors.tokens split at the same characters.
+                raise ParseError(str(exc), line, tokens(text)[i][1]) from None
+        letters += pairs
     return Word(alphabet, letters)
+
+
+def _factor_letters(factor, alphabet):
+    """The (letter, sign) pairs of one factor; ValueError says what is wrong."""
+    base, caret, exp_text = factor.partition("^")
+    if not base or caret and not exp_text.removeprefix("-").isdecimal():
+        raise ValueError(f"malformed factor {factor!r}")
+    letter = alphabet.letter_for_token(base)
+    try:
+        exp = int(exp_text) if caret else 1
+    except ValueError:  # more digits than int() converts
+        exp = sys.maxsize + 1
+    if exp == 0:
+        raise ValueError("exponent must be nonzero")
+    if abs(exp) > sys.maxsize:
+        raise ValueError(f"exponent out of range (|k| <= {sys.maxsize})")
+    return syllable_letters(letter, exp)

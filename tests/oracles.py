@@ -3,13 +3,16 @@
 Each oracle takes the dumbest correct route it can: subset enumeration
 for cliques, a subset test for boundary matrices, textbook corner
 reduction for Smith normal form, full product enumeration for closed
-walks, breadth-first closure for the RAAG word problem.  None of them
-shares code with the library paths they audit.
+walks, breadth-first closure for the RAAG word problem, and a Tietze
+loop that rescans every move from scratch.  None of them shares code
+with the library paths they audit.
 """
 
 from collections import deque
 from itertools import combinations, product
 from math import gcd
+
+from bbgroups import Presentation, TietzeStatus
 
 
 def naive_invariant_factors(matrix):
@@ -210,3 +213,81 @@ def permutation_parity(sequence, key=None):
         if keys[i] > keys[j]
     )
     return (-1) ** inversions
+
+
+def _free_reduce(letters):
+    out = []
+    for letter in letters:
+        if out and out[-1] == (letter[0], -letter[1]):
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def _inverse(letters):
+    return tuple((g, -s) for g, s in reversed(letters))
+
+
+def _tietze_move(gens, rels):
+    """The first applicable move, found by a full scan with no memo; False
+    at a fixpoint.  Moves in order: cyclic reduction, deleting a trivial
+    relator, eliminating a generator that occurs once in some relator, and
+    shortening a relator by more than half of a rotation of another or of
+    its inverse (longest match first)."""
+    for i, rel in enumerate(rels):
+        if len(rel) >= 2 and rel[0] == (rel[-1][0], -rel[-1][1]):
+            while len(rel) >= 2 and rel[0] == (rel[-1][0], -rel[-1][1]):
+                rel = rel[1:-1]
+            rels[i] = rel
+            return True
+    if () in rels:
+        rels.remove(())
+        return True
+    for i, rel in enumerate(rels):
+        for p, (g, sign) in enumerate(rel):
+            if [h for h, _ in rel].count(g) != 1:
+                continue
+            rest = rel[p + 1 :] + rel[:p]
+            value = _inverse(rest) if sign > 0 else rest
+            del rels[i]
+            for k, r in enumerate(rels):
+                image = []
+                for h, s in r:
+                    if h == g:
+                        image.extend(value if s > 0 else _inverse(value))
+                    else:
+                        image.append((h, s))
+                rels[k] = _free_reduce(image)
+            gens.remove(g)
+            return True
+    for i, target in enumerate(rels):
+        for j, source in enumerate(rels):
+            if i == j:
+                continue
+            for base in (source, _inverse(source)):
+                for rot in range(len(base)):
+                    u = base[rot:] + base[:rot]
+                    for length in range(min(len(u), len(target)), len(u) // 2, -1):
+                        for p in range(len(target) - length + 1):
+                            if target[p : p + length] == u[:length]:
+                                rels[i] = _free_reduce(
+                                    target[:p] + _inverse(u[length:]) + target[p + length :]
+                                )
+                                return True
+    return False
+
+
+def tietze_reference(presentation, budget):
+    """``(presentation, status)`` after at most ``budget`` moves, as
+    ``tietze_simplify`` promises: the status is BUDGET_EXHAUSTED iff a move
+    is still left once the budget is spent."""
+    gens = list(presentation.generators)
+    rels = [tuple(r.letters) for r in presentation.relators]
+    while budget and _tietze_move(gens, rels):
+        budget -= 1
+    rels = [r for r in rels if r]
+    status = TietzeStatus.FIXPOINT
+    if not budget and _tietze_move(list(gens), list(rels)):
+        status = TietzeStatus.BUDGET_EXHAUSTED
+    return Presentation(gens, rels, provenance=presentation.provenance), status

@@ -1,25 +1,34 @@
 """Tests for presentation storage, abelianization, Tietze moves, and I/O."""
 
+import hashlib
 import random
+import sys
 
 import pytest
 
 from bbgroups import (
+    Alphabet,
     BBContext,
     ParseError,
     Presentation,
     TietzeStatus,
+    Word,
     abelianization,
     directed_cycle_presentation,
     exponent_matrix,
+    finite_presentation,
     parse_presentation,
+    parse_word,
     pi1_presentation,
     presentation_from_json,
     presentation_to_json,
     serialize_presentation,
     tietze_simplify,
 )
-from corpus import connected_corpus, octahedron, random_flag_complex
+from bbgroups.errors import tokens
+from bbgroups.presentations import TIETZE_BUDGET
+from corpus import complete_graph, connected_corpus, octahedron, random_flag_complex
+from oracles import tietze_reference
 
 
 def P(gens, rels, **kw):
@@ -196,6 +205,51 @@ def test_tietze_preserves_abelianization():
             assert (len(after_p.generators), len(after_p.relators)) == (6, 20)
 
 
+def test_tietze_takes_the_moves_of_the_reference_loop():
+    for name, complex in connected_corpus():
+        ctx = BBContext(complex)
+        for p in (
+            pi1_presentation(complex),
+            finite_presentation(ctx),
+            directed_cycle_presentation(ctx, 3, 2),
+        ):
+            for budget in (1, 2, 7, TIETZE_BUDGET):
+                assert tietze_simplify(p, budget) == tietze_reference(p, budget), (name, budget)
+
+
+def test_tietze_takes_the_moves_of_the_reference_loop_on_random_presentations():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def presentations(draw):
+        names = ["a", "b", "c", "d"][: draw(st.integers(2, 4))]
+        letter = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
+        drawn = draw(st.lists(st.lists(letter, min_size=1, max_size=8), max_size=6))
+        words = [Word(Alphabet("named", names), r) for r in drawn]
+        return Presentation(names, [w for w in words if len(w)])
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(presentations(), st.sampled_from((1, 2, 3, 7, TIETZE_BUDGET)))
+    def check(p, budget):
+        assert tietze_simplify(p, budget) == tietze_reference(p, budget)
+
+    check()
+
+
+def test_tietze_fixpoint_of_a_large_kernel_presentation_is_pinned():
+    # 30 generators and 880 relators (4,860 letters) shrink to 5 generators
+    # and 37 relators (334 letters) after about 2,600 moves, most of them
+    # shortenings; a move taken out of order changes the digest.
+    p = directed_cycle_presentation(BBContext(complete_graph(6)), 4, 2)
+    simplified, status = tietze_simplify(p)
+    assert status is TietzeStatus.FIXPOINT
+    text = serialize_presentation(simplified).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "6bd94f2855314990b1b0097fa6217a548accf53b3ba0c8b7b81d960a86be41af"
+    )
+
+
 # -- serialization -------------------------------------------------------------
 
 
@@ -257,6 +311,59 @@ def test_parse_presentation_errors():
         parse_presentation("generators: a\n")
     with pytest.raises(ParseError, match="provenance"):
         parse_presentation("# provenance: {nope}\ngens: a\n")
+
+
+def _parse_error(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return err.value
+
+
+def _parse_word_over_a(text):
+    return parse_word(text, Alphabet("named", ["a"]))
+
+
+def test_parse_diagnostics_point_at_the_factor_at_fault():
+    # A bad factor repeated on one line: its first column.
+    err = _parse_error(parse_presentation, "gens: a\nrel: a b a b\nrel: b\n")
+    assert (str(err), err.line, err.column) == ("line 2, column 8: unknown generator 'b'", 2, 8)
+    err = _parse_error(parse_presentation, "gens: a\nrel: a a^+2 a a^+2\n")
+    assert str(err) == "line 2, column 8: malformed factor 'a^+2'"
+    # A bad factor after many valid lines that share its letters: its own line.
+    text = "gens: a b\n" + "rel: a b^2 a^-1 b\n" * 500 + "rel: a b^0 a\n"
+    assert str(_parse_error(parse_presentation, text)) == (
+        "line 502, column 8: exponent must be nonzero"
+    )
+    # Columns count code points, and fields split at every whitespace character.
+    err = _parse_error(parse_presentation, "gens: a\nrel:\u00a0a\u3000a^-1\u00a0\u00a0z a\n")
+    assert (err.line, err.column) == (2, 14)
+    assert str(_parse_error(_parse_word_over_a, "a\u3000\u00a0z")) == "column 4: unknown generator 'z'"
+    # JSON relators: a column and no line.
+    err = _parse_error(presentation_from_json, {"gens": ["a"], "rel": ["a", "a  b a"]})
+    assert (str(err), err.line, err.column) == ("column 4: unknown generator 'b'", None, 4)
+
+
+def test_split_fields_are_the_tokens_on_every_code_point():
+    # A bad factor's column is that of the token numbered like its field.
+    text = "x".join(map(chr, range(sys.maxunicode + 1)))
+    assert text.split() == [token for token, _ in tokens(text)]
+
+
+def test_a_relator_line_may_come_before_the_generators():
+    p = parse_presentation("rel: a b a^-1 b^-1\ngens: a b\n")
+    assert p == P(["a", "b"], [L("a b a- b-")])
+
+
+def test_each_parse_reads_factors_against_its_own_generators():
+    assert parse_presentation("gens: a b\nrel: a b^2\n").generators == ("a", "b")
+    err = _parse_error(parse_presentation, "gens: a\nrel: a b^2\n")
+    assert str(err) == "line 2, column 8: unknown generator 'b'"
+    assert presentation_from_json({"gens": ["a", "b"], "rel": ["b^2"]}).generators == ("a", "b")
+    with pytest.raises(ParseError, match="unknown generator 'b'"):
+        presentation_from_json({"gens": ["a"], "rel": ["b^2"]})
+    assert len(parse_word("a b^2", Alphabet("named", ["a", "b"]))) == 3
+    with pytest.raises(ParseError, match="unknown generator 'b'"):
+        _parse_word_over_a("b^2")
 
 
 def test_json_mirror_roundtrip():
