@@ -9,8 +9,8 @@ triangle (length-3) cycles already suffice when the complex is simply
 connected, which is how the finite presentation below arises.
 
 Everything claimed about these words is checked through their images in
-the RAAG: ``verify_relator`` pushes an edge word through ``raag_image``
-and asks the normal-form engine whether the result is trivial.  The
+the RAAG: ``verify_relator`` piles an edge word's image, letter by letter
+and unreduced, and asks the normal-form engine whether it is trivial.  The
 module also implements the supporting word transformations (letterwise
 inversion, tree-path conjugation, the cyclic extension of the kernel by
 the basepoint letter) and a homotopy-move engine that rewrites cycle
@@ -139,9 +139,11 @@ def verify_relator(edge_word, ctx):
     True iff the raag_image is the identity.  This is a necessary
     condition for being a relator of the kernel presentation, and a
     sufficient acceptance check because the edge-word group embeds via
-    raag_image.
+    raag_image.  The image is piled unreduced: the pile cancels inverse pairs.
     """
-    return ctx.raag.is_identity(raag_image(edge_word, ctx))
+    if edge_word.alphabet != ctx.edge_alphabet:
+        raise ValueError("word is not over this complex's directed-edge alphabet")
+    return not any(ctx.raag._pile(substitute(edge_word.letters, ctx.raag_table))[0])
 
 
 def express_in_kernel(vertex_word, ctx):
@@ -215,16 +217,16 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
     """
     if max_exp < 1:
         raise ValueError("max_exp must be at least 1")
-    generators = [str(e) for e in ctx.edge_alphabet.letters]
-    names = homomorphism({e: ((str(e), 1),) for e in ctx.edge_alphabet.letters})
+    names = {e: str(e) for e in ctx.edge_alphabet.letters}
+    # Adjacent syllables are distinct edges, so no relator freely reduces.
     relators = (
-        substitute(cycle_relator(cycle, n, ctx).letters, names)
+        [pair for e in cycle.edges for pair in syllable_letters(names[e], n)]
         for cycle in enumerate_cycle_classes(ctx, max_len)
         for k in range(1, max_exp + 1)
         for n in (k, -k)
     )
     return Presentation(
-        generators,
+        names.values(),
         relators,
         provenance={
             "construction": "directed-cycle-relators",

@@ -1,10 +1,11 @@
 """Free-group words over tagged alphabets, and the RAAG word problem.
 
 A Word is a freely reduced sequence of (letter, sign) pairs over a
-declared Alphabet.  Alphabets are tagged ("vertex", "edge", "named") so
-that words over a complex's vertex letters and words over its
-directed-edge letters can never be mixed by accident; concatenating
-across alphabets is a hard error.
+declared Alphabet; construction scans the pairs for an adjacent inverse
+pair at C level and reduces only if it finds one.  Alphabets are tagged
+("vertex", "edge", "named") so that words over a complex's vertex
+letters and words over its directed-edge letters can never be mixed by
+accident; concatenating across alphabets is a hard error.
 
 The word problem for a right-angled Artin group is decided by a
 heap-of-pieces normal form: a generator's pile holds its runs g^k, each
@@ -27,6 +28,7 @@ generator, and ``substitute`` applies it with one lookup per letter.
 from __future__ import annotations
 
 import sys
+from itertools import groupby
 
 from .errors import ParseError, tokens
 
@@ -66,15 +68,17 @@ def syllable_letters(letter, exp):
 
 class Alphabet:
     """An ordered, tagged set of letters; ``index`` gives each letter's
-    position, and ``pairs`` holds the (letter, +-1) pairs a word may use."""
+    position, ``pairs`` holds the (letter, +-1) pairs a word may use and
+    ``inverse_pairs`` the adjacent pairs that free reduction cancels."""
 
-    __slots__ = ("kind", "letters", "index", "pairs", "_by_token")
+    __slots__ = ("kind", "letters", "index", "pairs", "inverse_pairs", "_by_token")
 
     def __init__(self, kind, letters):
         self.kind = kind
         self.letters = tuple(letters)
         self.index = {l: i for i, l in enumerate(self.letters)}
         self.pairs = frozenset((l, s) for l in self.letters for s in (1, -1))
+        self.inverse_pairs = frozenset(((l, s), (l, -s)) for l, s in self.pairs)
         self._by_token = {str(l): l for l in self.letters}
         if len(self._by_token) != len(self.letters):
             raise ValueError("alphabet letters must have distinct text forms")
@@ -115,8 +119,9 @@ class Word:
     """A freely reduced word; immutable.
 
     Construction performs free reduction, so no adjacent (g, s)(g, -s)
-    pair survives.  Words multiply with ``*``, invert with ``~`` and
-    power with ``**``; operands must share an alphabet.
+    pair survives; letters with no such pair are kept as given.  Words
+    multiply with ``*``, invert with ``~`` and power with ``**``;
+    operands must share an alphabet.
     """
 
     __slots__ = ("alphabet", "letters")
@@ -131,8 +136,10 @@ class Word:
                     raise ValueError(
                         f"letter {str(letter)!r} is not in the {alphabet.kind} alphabet"
                     )
+        if not alphabet.inverse_pairs.isdisjoint(zip(letters, letters[1:])):
+            letters = reduce_letters(letters)
         self.alphabet = alphabet
-        self.letters = reduce_letters(letters)
+        self.letters = letters
 
     def __len__(self):
         return len(self.letters)
@@ -169,14 +176,9 @@ class Word:
         return Word(self.alphabet, self.letters * n)
 
     def syllables(self):
-        """Runs of equal letters as (letter, signed exponent) pairs."""
-        out = []
-        for letter, sign in self.letters:
-            if out and out[-1][0] == letter:
-                out[-1][1] += sign
-            else:
-                out.append([letter, sign])
-        return [(l, e) for l, e in out]
+        """Runs of equal letters as (letter, signed exponent) pairs; in a
+        reduced word a run's letters share their sign."""
+        return [(l, s * len(tuple(run))) for (l, s), run in groupby(self.letters)]
 
     def __repr__(self):
         return f"Word({render_word(self) or '1'})"
@@ -191,10 +193,11 @@ class RaagContext:
     """A right-angled Artin group: vertex generators, adjacent pairs commute.
 
     Commutation is symmetric and irreflexive, derived from the edge set
-    of the owning complex.  ``_pile`` gives a word's heap: per generator
-    its runs ``[exponent, markers under it]``, and one integer holding each
-    generator's marker count in a field of ``width`` bits, which a count
-    (at most the word's length) never fills.  A run is pushed or popped by
+    of the owning complex.  ``_pile`` gives the heap of (letter, sign)
+    pairs, reduced or not (an inverse pair cancels in its run): per
+    generator its runs ``[exponent, markers under it]``, and one integer
+    holding each generator's marker count in a field of ``width`` bits,
+    which a count (at most the number of pairs) never fills.  A run is pushed or popped by
     adding or subtracting its generator's blocker mask: one marker in the
     field of every generator it does not commute with.
     """
@@ -220,16 +223,19 @@ class RaagContext:
             self._masks[width] = masks, ones
         return self._masks[width]
 
-    def _pile(self, word):
+    def _vertex_letters(self, word):
         if word.alphabet != self.alphabet:
             raise ValueError("word is not over this RAAG's vertex alphabet")
-        width = len(word.letters).bit_length() + 1
+        return word.letters
+
+    def _pile(self, letters):
+        width = len(letters).bit_length() + 1
         field = (1 << width) - 1
         masks = self._blocker_masks(width)[0]
         index = self.alphabet.index
         piles = [[] for _ in self.alphabet.letters]
         counts = 0  # per field: the markers over the pile's top run
-        for letter, sign in word.letters:
+        for letter, sign in letters:
             i = index[letter]
             pile = piles[i]
             shift = i * width
@@ -252,7 +258,7 @@ class RaagContext:
         Letter order: by generator position in the vertex alphabet, with
         g preceding g^-1.
         """
-        piles, counts, width = self._pile(word)
+        piles, counts, width = self._pile(self._vertex_letters(word))
         masks, ones = self._blocker_masks(width)
         highs = ones << width - 1
         field = (1 << width) - 1
@@ -285,7 +291,7 @@ class RaagContext:
                 offered ^= 1 << shift + width - 1
 
     def is_identity(self, word):
-        return not any(self._pile(word)[0])
+        return not any(self._pile(self._vertex_letters(word))[0])
 
 
 # -- word text syntax ---------------------------------------------------

@@ -16,9 +16,12 @@ at the default and small budgets, ``express`` on fixed words,
 ``verify`` and ``reduce`` on malformed presentation files in text and
 JSON form, ``verify`` (with and without ``--json``) of true and false
 relators with long runs on K3, C4 and C6 (where each generator commutes
-with only two of the other five), in text and JSON form,
-``express``, ``verify`` and ``reduce`` on exponent factors such as
-``a^+2``, ``a^2^3``, ``^2`` and a superscript or Arabic-Indic exponent,
+with only two of the other five), in text and JSON form, ``verify``
+and ``reduce`` (with and without ``--json``) of K3 relators that must
+freely reduce (cancelling inside a run, in a cascade, and to the empty
+word), in text and JSON form, ``express``, ``verify`` and ``reduce``
+on exponent factors such as ``a^+2``, ``a^2^3``, ``^2`` and a
+superscript or Arabic-Indic exponent,
 every verb on a JSON graph whose vertex name holds a
 no-break space (it has no text form), the homology, report and pi1
 verbs on ``projective_plane()`` (H_1 = Z/2; ``bb-truncated`` is skipped
@@ -93,6 +96,13 @@ LONG_RUN_PRESENTATIONS = [
     ),
 ]
 
+# K3 relators that must freely reduce: (name, relator).
+REDUCING_RELATORS = [
+    ("k3_run_cancel", "[a>b]^3 [a>b]^-2 [b>c] [c>a]"),
+    ("k3_cascade", "[a>b] [b>c] [b>c]^-1 [a>b]^-1 [b>c] [c>a] [a>b]"),
+    ("k3_empty", "[a>b] [a>b]^-1"),
+]
+
 # Factors over the letter a, each malformed but the last (a^3 in Arabic-Indic).
 FACTORS = ["a^\u00b2", "a^+2", "a^1_0", "a^--1", "a^2^3", "a^", "^2", "a^\u0663"]
 
@@ -156,6 +166,15 @@ def main(src, out_path):
             for pres in (write(f"{name}.txt", text), write(f"{name}.json", json.dumps(data))):
                 for fmt in ((), ("--json",)):
                     run("verify", *fmt, graph, pres)
+
+        for name, rel in REDUCING_RELATORS:
+            gens = "[a>b] [b>c] [c>a]"
+            text = f"gens: {gens}\nrel: {rel}\n"
+            data = {"gens": gens.split(), "rel": [rel]}
+            for pres in (write(f"{name}.txt", text), write(f"{name}.json", json.dumps(data))):
+                for fmt in ((), ("--json",)):
+                    run("verify", *fmt, k3, pres)
+                    run("reduce", *fmt, pres)
 
         for i, factor in enumerate(FACTORS):
             run("express", k3, f"b^-3 {factor}")

@@ -3,7 +3,8 @@
 Each oracle takes the dumbest correct route it can: subset enumeration
 for cliques, a subset test for boundary matrices, textbook corner
 reduction for Smith normal form, full product enumeration for closed
-walks, breadth-first closure for the RAAG word problem, and a Tietze
+walks, breadth-first closure for the RAAG word problem, a stack loop
+for free reduction, a pair-by-pair merge for syllables, and a Tietze
 loop that rescans every move from scratch.  None of them shares code
 with the library paths they audit.
 """
@@ -215,7 +216,8 @@ def permutation_parity(sequence, key=None):
     return (-1) ** inversions
 
 
-def _free_reduce(letters):
+def free_reduce(letters):
+    """Free reduction by a stack loop over every pair."""
     out = []
     for letter in letters:
         if out and out[-1] == (letter[0], -letter[1]):
@@ -223,6 +225,18 @@ def _free_reduce(letters):
         else:
             out.append(letter)
     return tuple(out)
+
+
+def syllable_runs(letters):
+    """Runs of equal letters as (letter, signed exponent) pairs, merged one
+    pair at a time."""
+    out = []
+    for letter, sign in letters:
+        if out and out[-1][0] == letter:
+            out[-1][1] += sign
+        else:
+            out.append([letter, sign])
+    return [(l, e) for l, e in out]
 
 
 def _inverse(letters):
@@ -258,7 +272,7 @@ def _tietze_move(gens, rels):
                         image.extend(value if s > 0 else _inverse(value))
                     else:
                         image.append((h, s))
-                rels[k] = _free_reduce(image)
+                rels[k] = free_reduce(image)
             gens.remove(g)
             return True
     for i, target in enumerate(rels):
@@ -271,7 +285,7 @@ def _tietze_move(gens, rels):
                     for length in range(min(len(u), len(target)), len(u) // 2, -1):
                         for p in range(len(target) - length + 1):
                             if target[p : p + length] == u[:length]:
-                                rels[i] = _free_reduce(
+                                rels[i] = free_reduce(
                                     target[:p] + _inverse(u[length:]) + target[p + length :]
                                 )
                                 return True

@@ -47,6 +47,7 @@ from bbgroups import (
     tree_path_word,
     verify_relator,
 )
+from bbgroups.words import homomorphism, substitute
 from corpus import (
     c4,
     connected_corpus,
@@ -339,6 +340,31 @@ def test_relator_family_closed_under_letterwise_inversion():
         assert letterwise_inverse(w).letters in family
 
 
+def test_directed_cycle_presentation_matches_relators_built_as_words():
+    for name, complex in connected_corpus():
+        ctx = BBContext(complex)
+        names = homomorphism({e: ((str(e), 1),) for e in ctx.edge_alphabet.letters})
+        for max_len in range(2, 6):
+            for max_exp in (1, 2):
+                pres = directed_cycle_presentation(ctx, max_len, max_exp)
+                relators = [
+                    substitute(cycle_relator(cycle, n, ctx).letters, names)
+                    for cycle in enumerate_cycle_classes(ctx, max_len)
+                    for k in range(1, max_exp + 1)
+                    for n in (k, -k)
+                ]
+                expected = Presentation([str(e) for e in ctx.edge_alphabet.letters], relators)
+                assert pres == expected, (name, max_len, max_exp)
+                assert pres.provenance == {
+                    "construction": "directed-cycle-relators",
+                    "max_len": max_len,
+                    "max_exp": max_exp,
+                    "truncated": True,
+                    "complete": False,
+                    "presents": "kernel (truncated infinite relator family)",
+                }
+
+
 def test_directed_cycle_presentation_validation():
     ctx = k3_ctx()
     with pytest.raises(ValueError, match="max_len"):
@@ -425,6 +451,40 @@ def test_verify_relator_examples():
     assert verify_relator(Word(ctx.edge_alphabet), ctx)  # empty word
     assert not verify_relator(ew(ctx, "[a>b] [b>c]"), ctx)  # open path
     assert verify_relator(ew(ctx, "[a>b] [b>a]"), ctx)
+    with pytest.raises(ValueError, match="directed-edge alphabet"):
+        verify_relator(vw(ctx, "a b^-1"), ctx)
+
+
+def test_verify_relator_agrees_with_the_reduced_image_on_random_words():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    contexts = [BBContext(complex) for _, complex in connected_corpus()]
+
+    @st.composite
+    def edge_words(draw):
+        """Edge words of single edges, backtracks and cancelling pairs
+        e e^-1, so many images are trivial and most cancel inside."""
+        ctx = draw(st.sampled_from(contexts))
+        edges = ctx.edge_alphabet.letters
+        if not edges:
+            return ctx, Word(ctx.edge_alphabet)
+        letters = []
+        for e, s, kind in draw(
+            st.lists(
+                st.tuples(st.sampled_from(edges), st.sampled_from((1, -1)), st.integers(0, 2)),
+                max_size=12,
+            )
+        ):
+            letters += [[(e, s)], [(e, s), (e.reverse(), s)], [(e, s), (e, -s)]][kind]
+        return ctx, Word(ctx.edge_alphabet, letters)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(edge_words())
+    def check(drawn):
+        ctx, word = drawn
+        assert verify_relator(word, ctx) == ctx.raag.is_identity(raag_image(word, ctx))
+
+    check()
 
 
 # -- express_in_kernel ----------------------------------------------------------

@@ -22,7 +22,7 @@ from bbgroups import (
 )
 from bbgroups.words import homomorphism, substitute
 from corpus import c4, k3, octahedron, random_word, three_points
-from oracles import ShuffleClosureOracle
+from oracles import ShuffleClosureOracle, free_reduce, syllable_runs
 
 AB = Alphabet("named", ("a", "b", "c", "d"))
 
@@ -42,6 +42,13 @@ def test_free_reduce_examples():
     )
     already = [("a", 1), ("b", 1), ("a", -1)]
     assert Word(AB, already).letters == tuple(already)
+    a, b, c = ("a", 1), ("b", 1), ("c", 1)
+    a_, b_ = ("a", -1), ("b", -1)
+    assert W(a, a_, b, c).letters == (b, c)  # only the first pair cancels
+    assert W(b, c, a, a_).letters == (b, c)  # only the last pair cancels
+    assert W(a, b, b_, a_).letters == ()  # a cascade
+    u, v = W(a, b), W(b_, c)
+    assert (u * v).letters == (a, c)  # only the junction of u * v cancels
 
 
 def test_nested_cancellation():
@@ -49,6 +56,34 @@ def test_nested_cancellation():
         AB, [("a", 1), ("b", 1), ("c", 1), ("c", -1), ("b", -1), ("a", -1)]
     )
     assert word.letters == ()
+
+
+def test_reduction_gate_matches_the_stack_loop_on_random_letters():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    letter = st.tuples(st.sampled_from(AB.letters), st.sampled_from((1, -1)))
+
+    @st.composite
+    def cancelling_letters(draw):
+        """Letter lists with inserted u u^-1 blocks, so pairs cancel and cascade."""
+        letters = draw(st.lists(letter, max_size=12))
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(letters)))
+            u = draw(st.lists(letter, min_size=1, max_size=4))
+            letters[i:i] = u + [(g, -s) for g, s in reversed(u)]
+        return letters
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cancelling_letters())
+    def check(letters):
+        word = Word(AB, letters)
+        assert word.letters == free_reduce(letters)
+        assert word.syllables() == syllable_runs(word.letters)
+        cut = len(letters) // 2
+        joined = Word(AB, letters[:cut]) * Word(AB, letters[cut:])
+        assert joined.letters == word.letters
+
+    check()
 
 
 def test_letters_must_be_in_alphabet():
@@ -95,6 +130,14 @@ def test_word_algebra():
     assert (w**0).letters == ()
     assert w.syllables() == [("a", 1), ("b", -1)]
     assert W(("a", 1), ("a", 1), ("b", -1)).syllables() == [("a", 2), ("b", -1)]
+    assert W().syllables() == []
+    assert W(("a", -1), ("b", 1), ("a", -1), ("a", -1)).syllables() == [
+        ("a", -1),
+        ("b", 1),
+        ("a", -2),
+    ]
+    # runs merge only after reduction
+    assert W(("a", 1), ("b", 1), ("b", -1), ("a", 1)).syllables() == [("a", 2)]
 
 
 def test_exponent_sum():
