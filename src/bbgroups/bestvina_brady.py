@@ -9,8 +9,9 @@ triangle (length-3) cycles already suffice when the complex is simply
 connected, which is how the finite presentation below arises.
 
 Everything claimed about these words is checked through their images in
-the RAAG: ``verify_relator`` piles an edge word's image, letter by letter
-and unreduced, and asks the normal-form engine whether it is trivial.  The
+the RAAG: ``verify_relator`` maps each edge syllable to a syllable pair,
+reduces the image freely and asks the normal-form engine's piles whether
+what is left is trivial.  The
 module also implements the supporting word transformations (letterwise
 inversion, tree-path conjugation, the cyclic extension of the kernel by
 the basepoint letter) and a homotopy-move engine that rewrites cycle
@@ -27,14 +28,14 @@ from .complexes import DirectedCycle, DirectedEdge, Pi1Status, simply_connected_
 from .errors import ParseError, lex
 from .presentations import TIETZE_BUDGET, Presentation
 from .words import (
+    Alphabet,
     RaagContext,
     Word,
     edge_alphabet,
     exponent_sum,
     homomorphism,
-    reduce_letters,
+    reduce_syllables,
     substitute,
-    syllable_letters,
 )
 
 
@@ -95,7 +96,7 @@ def letterwise_inverse(word):
     An involution on words over any alphabet; on edge words it realizes
     the automorphism sending each directed edge to its inverse.
     """
-    return Word(word.alphabet, [(l, -s) for l, s in word.letters])
+    return Word.from_syllables(word.alphabet, [(l, -e) for l, e in word.syllables()])
 
 
 def basepoint_conjugate(edge_word, ctx):
@@ -130,7 +131,7 @@ def cycle_relator(cycle, n, ctx):
     """
     if n == 0:
         raise ValueError("relator exponent must be nonzero")
-    return Word(ctx.edge_alphabet, [l for e in cycle.edges for l in syllable_letters(e, n)])
+    return Word.from_syllables(ctx.edge_alphabet, [(e, n) for e in cycle.edges])
 
 
 def verify_relator(edge_word, ctx):
@@ -139,11 +140,20 @@ def verify_relator(edge_word, ctx):
     True iff the raag_image is the identity.  This is a necessary
     condition for being a relator of the kernel presentation, and a
     sufficient acceptance check because the edge-word group embeds via
-    raag_image.  The image is piled unreduced: the pile cancels inverse pairs.
+    raag_image.  A syllable [a>b]^k maps to a^k b^-k if b is an end of
+    the next syllable's edge (the first one's, after the last), else to
+    b^-k a^k: both are exact, because a and b commute.  So the image of
+    each c^[n], and of each folded triangle relator, reduces freely to the
+    empty word, and the piles see only what does not cancel.
     """
     if edge_word.alphabet != ctx.edge_alphabet:
         raise ValueError("word is not over this complex's directed-edge alphabet")
-    return not any(ctx.raag._pile(substitute(edge_word.letters, ctx.raag_table))[0])
+    runs = edge_word.syllables()
+    image = []
+    for ((a, b), k), (following, _) in zip(runs, runs[1:] + runs[:1]):
+        image += ((a, k), (b, -k)) if b in following else ((b, -k), (a, k))
+    image = reduce_syllables(image)
+    return not image or not any(ctx.raag._pile(image)[0])
 
 
 def express_in_kernel(vertex_word, ctx):
@@ -162,10 +172,9 @@ def express_in_kernel(vertex_word, ctx):
     v, n = None, 0  # the syllable carried forward; none while n == 0
     for u, m in vertex_word.syllables():
         if n:
-            for f in ctx.tree.path_edges(v, u):
-                out.extend(syllable_letters(f, n))
+            out += [(f, n) for f in ctx.tree.path_edges(v, u)]
         v, n = u, n + m
-    return Word(ctx.edge_alphabet, out)
+    return Word.from_syllables(ctx.edge_alphabet, out)
 
 
 # -- cycle enumeration and the presentations ----------------------------
@@ -218,15 +227,16 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
     if max_exp < 1:
         raise ValueError("max_exp must be at least 1")
     names = {e: str(e) for e in ctx.edge_alphabet.letters}
+    alphabet = Alphabet("named", names.values())
     # Adjacent syllables are distinct edges, so no relator freely reduces.
     relators = (
-        [pair for e in cycle.edges for pair in syllable_letters(names[e], n)]
+        Word.from_syllables(alphabet, [(names[e], n) for e in cycle.edges])
         for cycle in enumerate_cycle_classes(ctx, max_len)
         for k in range(1, max_exp + 1)
         for n in (k, -k)
     )
     return Presentation(
-        names.values(),
+        alphabet.letters,
         relators,
         provenance={
             "construction": "directed-cycle-relators",
@@ -255,9 +265,9 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BU
         raise ValueError("max_exp must be at least 1")
     extra_cycles = tuple(extra_cycles)
     complex = ctx.complex
-    generators = [complex.edge_letter(u, v)[0] for u, v in complex.edges]
+    alphabet = Alphabet("named", [complex.edge_letter(u, v)[0] for u, v in complex.edges])
     # One generator per edge: [b>a] is [a>b]^-1, so backtracks fold away.
-    fold = homomorphism({e: (complex.edge_letter(*e),) for e in ctx.edge_alphabet.letters})
+    fold = {e: complex.edge_letter(*e) for e in ctx.edge_alphabet.letters}
     triangles = (
         DirectedCycle((DirectedEdge(a, b), DirectedEdge(b, c), DirectedEdge(c, a)))
         for a, b, c in complex.triangles()
@@ -267,9 +277,10 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BU
     ]
     relators = []
     for cycle, n in families:
-        letters = reduce_letters(substitute(cycle_relator(cycle, n, ctx).letters, fold))
-        if letters:  # only an extra cycle's relator can fold away entirely
-            relators.append(letters)
+        runs = cycle_relator(cycle, n, ctx).syllables()
+        word = Word.from_syllables(alphabet, [(fold[e][0], fold[e][1] * k) for e, k in runs])
+        if len(word):  # only an extra cycle's relator can fold away entirely
+            relators.append(word)
 
     status = simply_connected_status(complex, budget=tietze_budget)
     complete = status is Pi1Status.CERTIFIED_TRIVIAL and not extra_cycles
@@ -288,7 +299,7 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BU
     }
     if extra_cycles:
         provenance["max_exp"] = max_exp
-    return Presentation(generators, relators, provenance=provenance)
+    return Presentation(alphabet.letters, relators, provenance=provenance)
 
 
 def presentation_relator_edge_words(presentation, ctx):
@@ -297,10 +308,10 @@ def presentation_relator_edge_words(presentation, ctx):
     Only the generators in use must name edges; the first unknown one used raises.
     """
     edge = ctx.edge_alphabet.letter_for_token
-    used = dict.fromkeys(token for rel in presentation.relators for token, _ in rel.letters)
-    table = homomorphism({token: ((edge(token), 1),) for token in used})
+    used = dict.fromkeys(s for rel in presentation.relators for s in rel.syllables())
+    table = {s: (edge(s[0]), s[1]) for s in used}  # one edge syllable per (token, k)
     return [
-        Word(ctx.edge_alphabet, substitute(rel.letters, table))
+        Word.from_syllables(ctx.edge_alphabet, [table[s] for s in rel.syllables()])
         for rel in presentation.relators
     ]
 
@@ -358,7 +369,7 @@ def extension_inverse(x, ctx):
 
 def extension_image(x, ctx):
     """Image in the RAAG: the word's image times basepoint^power."""
-    tail = Word(ctx.vertex_alphabet, syllable_letters(ctx.basepoint, x.power))
+    tail = Word(ctx.vertex_alphabet, [(ctx.basepoint, 1)]) ** x.power
     return raag_image(x.word, ctx) * tail
 
 

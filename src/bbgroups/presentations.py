@@ -43,14 +43,16 @@ class Presentation:
         names = {}
         for g in self.generators:
             _add_generator(names, g)
-        self.alphabet = Alphabet("named", self.generators)
+        alphabet = Alphabet("named", self.generators)
         rels = []
         for r in relators:
-            if not (isinstance(r, Word) and r.alphabet == self.alphabet):
-                r = Word(self.alphabet, r)
+            if not (isinstance(r, Word) and r.alphabet == alphabet):
+                r = Word(alphabet, r)
             if not len(r):
                 raise ValueError("relator is empty after free reduction")
             rels.append(r)
+            alphabet = r.alphabet  # equal to it, so later relators match by identity
+        self.alphabet = alphabet
         self.relators = tuple(rels)
         self.provenance = dict(provenance) if provenance else {}
 
@@ -91,9 +93,9 @@ def exponent_matrix(presentation):
     rows = []
     for rel in presentation.relators:
         row = {}
-        for letter, sign in rel.letters:
+        for letter, exp in rel.syllables():
             j = index[letter]
-            row[j] = row.get(j, 0) + sign
+            row[j] = row.get(j, 0) + exp
         rows.append({j: v for j, v in row.items() if v})
     return rows
 

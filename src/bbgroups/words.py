@@ -1,24 +1,29 @@
 """Free-group words over tagged alphabets, and the RAAG word problem.
 
-A Word is a freely reduced sequence of (letter, sign) pairs over a
-declared Alphabet; construction scans the pairs for an adjacent inverse
-pair at C level and reduces only if it finds one.  Alphabets are tagged
-("vertex", "edge", "named") so that words over a complex's vertex
-letters and words over its directed-edge letters can never be mixed by
-accident; concatenating across alphabets is a hard error.
+A Word stores its freely reduced syllables: (letter, exponent) runs with
+adjacent letters distinct and no exponent 0, and its letter count.  Its
+``letters`` spell it as (letter, sign) pairs, |k| pairs for a run g^k.
+A word is built from such pairs (``Word(alphabet, letters)``, where a
+letter is a syllable of exponent +-1) or from syllables
+(``Word.from_syllables``); either way one stack over syllables
+(``reduce_syllables``) reduces it, and only if two adjacent syllables
+share a letter.  Alphabets are tagged ("vertex", "edge", "named") so
+that words over a complex's vertex letters and words over its
+directed-edge letters can never be mixed by accident; concatenating
+across alphabets is a hard error.
 
 The word problem for a right-angled Artin group is decided by a
 heap-of-pieces normal form: a generator's pile holds its runs g^k, each
 with one marker on the pile of every generator it does not commute with.
 Markers are only counted, all piles' counts in one integer, so pushing or
 popping a run costs a few big-integer operations, not one step per
-non-commuting generator.  A letter adds its sign to the run on top of its
-pile if no marker lies over it, and a run that reaches zero is popped.
-The heap is linearized by always emitting the least available run; a
-pile offers its bottom run while no marker lies under it.  The result is
-the lexicographically least word among all commutation-equivalent ones,
-so two words represent the same group element iff their normal forms are
-equal letter-for-letter.
+non-commuting generator.  A syllable adds its exponent to the run on top
+of its pile if no marker lies over it, and a run that reaches zero is
+popped.  The heap is linearized by always emitting the least available
+run; a pile offers its bottom run while no marker lies under it.  The
+result is the lexicographically least word among all
+commutation-equivalent ones, so two words represent the same group
+element iff their normal forms are equal syllable for syllable.
 
 A word map is a free-group homomorphism, fixed by the generators'
 images: ``homomorphism`` makes its table over both signs of each
@@ -28,20 +33,40 @@ generator, and ``substitute`` applies it with one lookup per letter.
 from __future__ import annotations
 
 import sys
-from itertools import groupby
 
 from .errors import ParseError, tokens
 
 
-def reduce_letters(letters):
-    """Free reduction of (letter, sign) pairs: cancel adjacent inverse pairs."""
+def reduce_syllables(syllables):
+    """Free reduction of (letter, exponent) runs: a stack on which a run
+    merges into a top run of its letter, and a run that reaches 0 is popped."""
     stack = []
-    for letter, sign in letters:
-        if stack and stack[-1][0] == letter and stack[-1][1] == -sign:
-            stack.pop()
+    for run in syllables:
+        letter, exp = run
+        if stack and stack[-1][0] == letter:
+            exp += stack.pop()[1]
+            if exp:
+                stack.append((letter, exp))
         else:
-            stack.append((letter, sign))
-    return tuple(stack)
+            stack.append(run)
+    return stack
+
+
+def spell(syllables):
+    """The (letter, sign) pairs of (letter, exponent) runs, |exponent| pairs each."""
+    out = []
+    for run in syllables:
+        exp = run[1]
+        if exp == 1 or exp == -1:
+            out.append(run)
+        else:
+            out += [(run[0], 1 if exp > 0 else -1)] * abs(exp)
+    return tuple(out)
+
+
+def reduce_letters(letters):
+    """Free reduction of (letter, sign) pairs, as syllables of exponent +-1."""
+    return spell(reduce_syllables(letters))
 
 
 def invert_letters(letters):
@@ -61,24 +86,17 @@ def substitute(letters, table):
     return [pair for letter in letters for pair in table[letter]]
 
 
-def syllable_letters(letter, exp):
-    """The (letter, sign) pairs of the syllable ``letter^exp``."""
-    return [(letter, 1 if exp > 0 else -1)] * abs(exp)
-
-
 class Alphabet:
     """An ordered, tagged set of letters; ``index`` gives each letter's
-    position, ``pairs`` holds the (letter, +-1) pairs a word may use and
-    ``inverse_pairs`` the adjacent pairs that free reduction cancels."""
+    position and ``pairs`` holds the (letter, +-1) pairs a word may use."""
 
-    __slots__ = ("kind", "letters", "index", "pairs", "inverse_pairs", "_by_token")
+    __slots__ = ("kind", "letters", "index", "pairs", "_by_token")
 
     def __init__(self, kind, letters):
         self.kind = kind
         self.letters = tuple(letters)
         self.index = {l: i for i, l in enumerate(self.letters)}
         self.pairs = frozenset((l, s) for l in self.letters for s in (1, -1))
-        self.inverse_pairs = frozenset(((l, s), (l, -s)) for l, s in self.pairs)
         self._by_token = {str(l): l for l in self.letters}
         if len(self._by_token) != len(self.letters):
             raise ValueError("alphabet letters must have distinct text forms")
@@ -118,13 +136,16 @@ def edge_alphabet(complex):
 class Word:
     """A freely reduced word; immutable.
 
-    Construction performs free reduction, so no adjacent (g, s)(g, -s)
-    pair survives; letters with no such pair are kept as given.  Words
-    multiply with ``*``, invert with ``~`` and power with ``**``;
+    Stored as its syllables, (letter, exponent) runs with adjacent letters
+    distinct and no exponent 0, and its letter count, which ``len`` gives.
+    ``Word(alphabet, letters)`` takes (letter, +-1) pairs and
+    ``Word.from_syllables`` takes runs of any nonzero exponent; both
+    reduce freely.  ``letters`` spells the word as (letter, +-1) pairs.
+    Words multiply with ``*``, invert with ``~`` and power with ``**``;
     operands must share an alphabet.
     """
 
-    __slots__ = ("alphabet", "letters")
+    __slots__ = ("alphabet", "_runs", "_length")
 
     def __init__(self, alphabet, letters=()):
         letters = tuple(letters)
@@ -136,13 +157,51 @@ class Word:
                     raise ValueError(
                         f"letter {str(letter)!r} is not in the {alphabet.kind} alphabet"
                     )
-        if not alphabet.inverse_pairs.isdisjoint(zip(letters, letters[1:])):
-            letters = reduce_letters(letters)
+        self._store(alphabet, letters)
+
+    @classmethod
+    def from_syllables(cls, alphabet, syllables):
+        """The word of (letter, exponent) tuples, each exponent a nonzero int."""
+        runs = tuple(syllables)
+        index = alphabet.index
+        for letter, exp in runs:
+            if type(exp) is not int or not exp:
+                raise ValueError(f"syllable exponent must be a nonzero integer, got {exp!r}")
+            if letter not in index:
+                raise ValueError(f"letter {str(letter)!r} is not in the {alphabet.kind} alphabet")
+        return cls._of(alphabet, runs)
+
+    @classmethod
+    def _of(cls, alphabet, runs):
+        word = cls.__new__(cls)
+        word._store(alphabet, runs)
+        return word
+
+    def _store(self, alphabet, runs):
+        """Keep checked runs, reduced if two adjacent runs share a letter."""
+        length, last = 0, None
+        for letter, exp in runs:
+            if letter == last:
+                runs = reduce_syllables(runs)
+                length = sum([abs(e) for _, e in runs])
+                break
+            length += abs(exp)
+            last = letter
         self.alphabet = alphabet
-        self.letters = letters
+        self._runs = tuple(runs)
+        self._length = length
+
+    @property
+    def letters(self):
+        """The (letter, +-1) pairs of the word; its runs if every run is one letter."""
+        return self._runs if self._length == len(self._runs) else spell(self._runs)
+
+    def syllables(self):
+        """The stored runs, as a list of (letter, signed exponent) pairs."""
+        return list(self._runs)
 
     def __len__(self):
-        return len(self.letters)
+        return self._length
 
     def __iter__(self):
         return iter(self.letters)
@@ -151,11 +210,11 @@ class Word:
         return (
             isinstance(other, Word)
             and self.alphabet == other.alphabet
-            and self.letters == other.letters
+            and self._runs == other._runs
         )
 
     def __hash__(self):
-        return hash((self.alphabet, self.letters))
+        return hash((self.alphabet, self._runs))
 
     def __mul__(self, other):
         if not isinstance(other, Word):
@@ -165,20 +224,15 @@ class Word:
                 f"cannot concatenate words over different alphabets "
                 f"({self.alphabet.kind} vs {other.alphabet.kind})"
             )
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word._of(self.alphabet, self._runs + other._runs)
 
     def __invert__(self):
-        return Word(self.alphabet, invert_letters(self.letters))
+        return Word._of(self.alphabet, tuple([(l, -e) for l, e in reversed(self._runs)]))
 
     def __pow__(self, n):
         if n < 0:
             return (~self) ** (-n)
-        return Word(self.alphabet, self.letters * n)
-
-    def syllables(self):
-        """Runs of equal letters as (letter, signed exponent) pairs; in a
-        reduced word a run's letters share their sign."""
-        return [(l, s * len(tuple(run))) for (l, s), run in groupby(self.letters)]
+        return Word._of(self.alphabet, self._runs * n)
 
     def __repr__(self):
         return f"Word({render_word(self) or '1'})"
@@ -186,20 +240,21 @@ class Word:
 
 def exponent_sum(word):
     """Sum of letter signs; the total-exponent homomorphism to Z."""
-    return sum(s for _, s in word.letters)
+    return sum(e for _, e in word.syllables())
 
 
 class RaagContext:
     """A right-angled Artin group: vertex generators, adjacent pairs commute.
 
     Commutation is symmetric and irreflexive, derived from the edge set
-    of the owning complex.  ``_pile`` gives the heap of (letter, sign)
-    pairs, reduced or not (an inverse pair cancels in its run): per
-    generator its runs ``[exponent, markers under it]``, and one integer
-    holding each generator's marker count in a field of ``width`` bits,
-    which a count (at most the number of pairs) never fills.  A run is pushed or popped by
-    adding or subtracting its generator's blocker mask: one marker in the
-    field of every generator it does not commute with.
+    of the owning complex.  ``_pile`` gives the heap of (letter, exponent)
+    syllables, reduced or not (a syllable adds its exponent to an open run
+    of its letter): per generator its runs ``[exponent, markers under
+    it]``, and one integer holding each generator's marker count in a
+    field of ``width`` bits, which a count (at most the number of
+    syllables) never fills.  A run is pushed or popped by adding or
+    subtracting its generator's blocker mask: one marker in the field of
+    every generator it does not commute with.
     """
 
     __slots__ = ("complex", "alphabet", "_masks")
@@ -223,19 +278,19 @@ class RaagContext:
             self._masks[width] = masks, ones
         return self._masks[width]
 
-    def _vertex_letters(self, word):
+    def _vertex_runs(self, word):
         if word.alphabet != self.alphabet:
             raise ValueError("word is not over this RAAG's vertex alphabet")
-        return word.letters
+        return word._runs
 
-    def _pile(self, letters):
-        width = len(letters).bit_length() + 1
+    def _pile(self, syllables):
+        width = len(syllables).bit_length() + 1
         field = (1 << width) - 1
         masks = self._blocker_masks(width)[0]
         index = self.alphabet.index
         piles = [[] for _ in self.alphabet.letters]
         counts = 0  # per field: the markers over the pile's top run
-        for letter, sign in letters:
+        for letter, exp in syllables:
             i = index[letter]
             pile = piles[i]
             shift = i * width
@@ -243,12 +298,12 @@ class RaagContext:
             if pile and not over:
                 # No marker above the run: nothing non-commuting came after it.
                 run = pile[-1]
-                run[0] += sign
+                run[0] += exp
                 if not run[0]:
                     pile.pop()
                     counts += (run[1] << shift) - masks[i]
             else:
-                pile.append([sign, over])
+                pile.append([exp, over])
                 counts += masks[i] - (over << shift)
         return piles, counts, width
 
@@ -258,7 +313,7 @@ class RaagContext:
         Letter order: by generator position in the vertex alphabet, with
         g preceding g^-1.
         """
-        piles, counts, width = self._pile(self._vertex_letters(word))
+        piles, counts, width = self._pile(self._vertex_runs(word))
         masks, ones = self._blocker_masks(width)
         highs = ones << width - 1
         field = (1 << width) - 1
@@ -280,18 +335,18 @@ class RaagContext:
             # and the top bit clears iff the field was zero.
             free = ~((under | highs) - ones) & offered
             if not free:
-                return Word(self.alphabet, out)
+                return Word._of(self.alphabet, out)
             shift = (free & -free).bit_length() - width
             i = shift // width
             pile = piles[i]
-            out += syllable_letters(letters[i], pile.pop()[0])
+            out.append((letters[i], pile.pop()[0]))
             exp, markers = pile[-1]
             under += (markers << shift) - masks[i]
             if not exp:
                 offered ^= 1 << shift + width - 1
 
     def is_identity(self, word):
-        return not any(self._pile(self._vertex_letters(word))[0])
+        return not any(self._pile(self._vertex_runs(word))[0])
 
 
 # -- word text syntax ---------------------------------------------------
@@ -299,11 +354,7 @@ class RaagContext:
 
 def render_word(word):
     """Whitespace-separated factors ``g``, ``g^k``; edge letters as [a>b]."""
-    parts = []
-    for letter, exp in word.syllables():
-        token = str(letter)
-        parts.append(token if exp == 1 else f"{token}^{exp}")
-    return " ".join(parts)
+    return " ".join([f"{l}" if e == 1 else f"{l}^{e}" for l, e in word.syllables()])
 
 
 def parse_word(text, alphabet):
@@ -321,26 +372,26 @@ def read_word(text, alphabet, factors, line=None, start=0):
     on, each a factor as read by ``parse_word``.
 
     ``factors`` maps each factor text already read over ``alphabet`` to its
-    (letter, sign) pairs: a factor is checked and decoded the first time it
-    is seen, and looked up after that.  A ParseError carries ``line`` and the
-    column of the factor at fault.
+    syllable (letter, exponent): a factor is checked and decoded the first
+    time it is seen, and looked up after that.  A ParseError carries
+    ``line`` and the column of the factor at fault.
     """
     fields = text.split()
-    letters = []
+    runs = []
     for i in range(start, len(fields)):
-        pairs = factors.get(fields[i])
-        if pairs is None:
+        syllable = factors.get(fields[i])
+        if syllable is None:
             try:
-                pairs = factors[fields[i]] = _factor_letters(fields[i], alphabet)
+                syllable = factors[fields[i]] = _factor_syllable(fields[i], alphabet)
             except ValueError as exc:
                 # str.split and errors.tokens split at the same characters.
                 raise ParseError(str(exc), line, tokens(text)[i][1]) from None
-        letters += pairs
-    return Word(alphabet, letters)
+        runs.append(syllable)
+    return Word._of(alphabet, runs)
 
 
-def _factor_letters(factor, alphabet):
-    """The (letter, sign) pairs of one factor; ValueError says what is wrong."""
+def _factor_syllable(factor, alphabet):
+    """The syllable (letter, exponent) of one factor; ValueError says what is wrong."""
     base, caret, exp_text = factor.partition("^")
     if not base or caret and not exp_text.removeprefix("-").isdecimal():
         raise ValueError(f"malformed factor {factor!r}")
@@ -353,4 +404,4 @@ def _factor_letters(factor, alphabet):
         raise ValueError("exponent must be nonzero")
     if abs(exp) > sys.maxsize:
         raise ValueError(f"exponent out of range (|k| <= {sys.maxsize})")
-    return syllable_letters(letter, exp)
+    return letter, exp

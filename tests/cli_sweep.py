@@ -19,7 +19,10 @@ relators with long runs on K3, C4 and C6 (where each generator commutes
 with only two of the other five), in text and JSON form, ``verify``
 and ``reduce`` (with and without ``--json``) of K3 relators that must
 freely reduce (cancelling inside a run, in a cascade, and to the empty
-word), in text and JSON form, ``express``, ``verify`` and ``reduce``
+word), in text and JSON form, ``verify`` and ``reduce`` (with and
+without ``--json``) of K3 relators whose syllables are 10^5 letters
+long, in text and JSON form, ``express`` (with and without ``--json``)
+on K3 of ``a^1000000 b^-1000000``, ``express``, ``verify`` and ``reduce``
 on exponent factors such as ``a^+2``, ``a^2^3``, ``^2`` and a
 superscript or Arabic-Indic exponent,
 every verb on a JSON graph whose vertex name holds a
@@ -103,6 +106,18 @@ REDUCING_RELATORS = [
     ("k3_empty", "[a>b] [a>b]^-1"),
 ]
 
+# K3 relators whose syllables are 10^5 letters long: several for verify, and
+# one for reduce (Tietze spells a relator out letter by letter and matches
+# every pair of relators, so two relators this long would take too long).
+HUGE = 100_000
+HUGE_VERIFY = [
+    f"[a>b]^{HUGE} [b>c]^{HUGE} [c>a]^{HUGE}",
+    f"[a>b]^-{HUGE} [b>c]^-{HUGE} [c>a]^-{HUGE}",
+    f"[a>b]^{HUGE} [b>c]^{HUGE}",
+    f"[a>b]^{HUGE} [a>b]^-{HUGE - 1} [b>c] [c>a]",
+]
+HUGE_REDUCE = [f"[a>b]^{HUGE} [b>c]^{HUGE} [c>a]^-{HUGE}"]
+
 # Factors over the letter a, each malformed but the last (a^3 in Arabic-Indic).
 FACTORS = ["a^\u00b2", "a^+2", "a^1_0", "a^--1", "a^2^3", "a^", "^2", "a^\u0663"]
 
@@ -175,6 +190,19 @@ def main(src, out_path):
                 for fmt in ((), ("--json",)):
                     run("verify", *fmt, k3, pres)
                     run("reduce", *fmt, pres)
+
+        gens = "[a>b] [b>c] [c>a]"
+        for name, rels in (("huge_verify", HUGE_VERIFY), ("huge_reduce", HUGE_REDUCE)):
+            text = f"gens: {gens}\n" + "".join(f"rel: {r}\n" for r in rels)
+            data = {"gens": gens.split(), "rel": rels}
+            for pres in (write(f"{name}.txt", text), write(f"{name}.json", json.dumps(data))):
+                for fmt in ((), ("--json",)):
+                    if rels is HUGE_VERIFY:
+                        run("verify", *fmt, k3, pres)
+                    else:
+                        run("reduce", *fmt, pres)
+        for fmt in ((), ("--json",)):
+            run("express", *fmt, k3, "a^1000000 b^-1000000")
 
         for i, factor in enumerate(FACTORS):
             run("express", k3, f"b^-3 {factor}")

@@ -16,6 +16,7 @@ from bbgroups import (
     InsertMove,
     ParseError,
     Presentation,
+    RaagContext,
     RotateMove,
     TriangleMove,
     Word,
@@ -462,21 +463,22 @@ def test_verify_relator_agrees_with_the_reduced_image_on_random_words():
 
     @st.composite
     def edge_words(draw):
-        """Edge words of single edges, backtracks and cancelling pairs
-        e e^-1, so many images are trivial and most cancel inside."""
+        """Edge words of single syllables e^k (0 < |k| <= 3), backtracks
+        e^k ebar^k and cancelling pairs e^k e^-k, so many images are
+        trivial and most cancel inside."""
         ctx = draw(st.sampled_from(contexts))
         edges = ctx.edge_alphabet.letters
         if not edges:
             return ctx, Word(ctx.edge_alphabet)
-        letters = []
-        for e, s, kind in draw(
+        runs = []
+        for e, k, kind in draw(
             st.lists(
-                st.tuples(st.sampled_from(edges), st.sampled_from((1, -1)), st.integers(0, 2)),
+                st.tuples(st.sampled_from(edges), st.sampled_from((1, -1, 2, -2, 3, -3)), st.integers(0, 2)),
                 max_size=12,
             )
         ):
-            letters += [[(e, s)], [(e, s), (e.reverse(), s)], [(e, s), (e, -s)]][kind]
-        return ctx, Word(ctx.edge_alphabet, letters)
+            runs += [[(e, k)], [(e, k), (e.reverse(), k)], [(e, k), (e, -k)]][kind]
+        return ctx, Word.from_syllables(ctx.edge_alphabet, runs)
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(edge_words())
@@ -485,6 +487,32 @@ def test_verify_relator_agrees_with_the_reduced_image_on_random_words():
         assert verify_relator(word, ctx) == ctx.raag.is_identity(raag_image(word, ctx))
 
     check()
+
+
+def test_verify_relator_pinned_syllable_cases(monkeypatch):
+    """c^[n] for n < 0 and a folded bb-finite triangle relator telescope: the
+    image reduces freely to the empty word, so the piles see nothing."""
+    piled = []
+    pile = RaagContext._pile
+    monkeypatch.setattr(RaagContext, "_pile", lambda self, runs: piled.append(runs) or pile(self, runs))
+    ctx = k3_ctx()
+    for text in ("[a>b]^-2 [b>c]^-2 [c>a]^-2", "[a>b]^3 [b>c]^3 [c>a]^3", "[a>b] [b>a]"):
+        assert verify_relator(ew(ctx, text), ctx), text
+    assert piled == []
+    assert not verify_relator(ew(ctx, "[a>b]^2 [b>a]"), ctx)
+    assert piled == [[("a", 2), ("b", -1), ("a", -1)]]
+
+    piled.clear()
+    assert render_word(finite_presentation(ctx).relators[0]) == "[a>b] [b>c] [a>c]^-1"
+    for complex in (k3(), octahedron(), c4()):
+        bb = BBContext(complex)
+        pres = finite_presentation(bb, extra_cycles=fundamental_cycle_basis(bb), max_exp=2)
+        words = presentation_relator_edge_words(pres, bb)
+        assert words and all(verify_relator(w, bb) for w in words)
+    assert piled == []
+    truncated = directed_cycle_presentation(ctx, 4, 3)
+    assert all(verify_relator(w, ctx) for w in presentation_relator_edge_words(truncated, ctx))
+    assert piled == []
 
 
 # -- express_in_kernel ----------------------------------------------------------

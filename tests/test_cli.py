@@ -3,6 +3,7 @@
 import json
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -177,6 +178,19 @@ def test_express_domain_error(files, capsys):
     assert main(["express", files["c4.txt"], "a"]) == 1
     err = capsys.readouterr().err
     assert "exponent sum" in err
+
+
+def test_express_keeps_a_huge_exponent_as_one_syllable(files, capsys):
+    assert main(["express", files["k3.json"], "a^1000000000 b^-1000000000"]) == 0
+    assert capsys.readouterr().out == "[a>b]^1000000000\n"
+    tracemalloc.start()
+    try:
+        assert main(["express", files["k3.json"], "a^1000000 b^-1000000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "[a>b]^1000000\n"
+    assert peak < 1_000_000  # 10^6 letter pairs would take 8 MB of pointers alone
 
 
 def test_reduce(files, capsys, tmp_path):

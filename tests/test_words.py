@@ -86,6 +86,58 @@ def test_reduction_gate_matches_the_stack_loop_on_random_letters():
     check()
 
 
+def test_from_syllables_agrees_with_the_letter_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    syllable = st.tuples(
+        st.sampled_from(AB.letters), st.integers(-3, 3).filter(bool)
+    )
+
+    @st.composite
+    def cancelling_syllables(draw):
+        """Syllable lists with inserted u u^-1 blocks and split runs, so
+        syllables merge, cancel to zero and cascade (a^2 b b^-1 a^-2)."""
+        runs = draw(st.lists(syllable, max_size=8))
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(runs)))
+            u = draw(st.lists(syllable, min_size=1, max_size=3))
+            runs[i:i] = u + [(g, -e) for g, e in reversed(u)]
+        return runs
+
+    def spelled(runs):
+        return [(g, 1 if e > 0 else -1) for g, e in runs for _ in range(abs(e))]
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cancelling_syllables(), cancelling_syllables(), st.integers(-3, 3))
+    def check(runs, other, n):
+        word = Word.from_syllables(AB, runs)
+        letters = free_reduce(spelled(runs))
+        assert word.letters == letters
+        assert len(word) == len(letters)
+        assert word.syllables() == syllable_runs(letters)
+        by_letters = Word(AB, spelled(runs))
+        assert word == by_letters and hash(word) == hash(by_letters)
+        right = Word.from_syllables(AB, other)
+        assert (word * right).letters == free_reduce(letters + free_reduce(spelled(other)))
+        assert (~word).letters == free_reduce([(g, -s) for g, s in reversed(letters)])
+        assert (word**n).letters == free_reduce(
+            list(letters if n >= 0 else (~word).letters) * abs(n)
+        )
+
+    check()
+    assert Word.from_syllables(AB, [("a", 2), ("b", 1), ("b", -1), ("a", -2)]).letters == ()
+
+
+def test_from_syllables_rejects_bad_exponents():
+    for exp in (0, 1.0, 2.5, "2", None, True):
+        with pytest.raises(ValueError, match="nonzero integer"):
+            Word.from_syllables(AB, [("a", 1), ("b", exp)])
+    with pytest.raises(ValueError, match="not in the named alphabet"):
+        Word.from_syllables(AB, [("a", 2), ("z", 3)])
+    assert Word.from_syllables(AB, [("a", 10**12)]).syllables() == [("a", 10**12)]
+    assert len(Word.from_syllables(AB, [("a", 10**12), ("b", -1)])) == 10**12 + 1
+
+
 def test_letters_must_be_in_alphabet():
     with pytest.raises(ValueError, match="not in the named alphabet"):
         Word(AB, [("z", 1)])
