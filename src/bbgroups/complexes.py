@@ -375,25 +375,28 @@ def homology(complex, reduced=False):
 # -- fundamental group -------------------------------------------------
 
 
-def pi1_presentation(complex):
-    """Edge-path presentation of the fundamental group.
-
-    Generators are the non-tree edges of the breadth-first spanning tree
-    from the first vertex (named by ``FlagComplex.edge_letter``); each
-    triangle contributes one relator, with tree edges eliminated.
-    """
+def _tree_edges(complex):
+    """The edges of the breadth-first spanning tree from the first vertex."""
     if not complex.is_connected():
         raise ValueError("complex is not connected")
-    basepoint = complex.vertices[0]
-    tree = complex.spanning_tree(basepoint)
+    tree = complex.spanning_tree(complex.vertices[0])
+    return {e for e in complex.edges if tree.has_edge(*e)}
 
-    generators = [
-        complex.edge_letter(u, v)[0] for u, v in complex.edges if not tree.has_edge(u, v)
-    ]
+
+def _edge_path_presentation(complex, trivial):
+    """Edge-path presentation of pi_1 at the first vertex, with the edges in
+    ``trivial`` deleted.
+
+    ``trivial`` holds a spanning tree's edges and edges that are trivial
+    in pi_1; every other edge is a generator (named by
+    ``FlagComplex.edge_letter``), and each triangle contributes the word
+    of its remaining edges, if any, as a relator.
+    """
+    generators = [complex.edge_letter(u, v)[0] for u, v in complex.edges if (u, v) not in trivial]
     relators = []
     for a, b, c in complex.triangles():
-        pairs = ((a, b), (b, c), (c, a))
-        word = [complex.edge_letter(x, y) for x, y in pairs if not tree.has_edge(x, y)]
+        sides = (((a, b), a, b), ((b, c), b, c), ((a, c), c, a))
+        word = [complex.edge_letter(x, y) for e, x, y in sides if e not in trivial]
         if word:
             relators.append(word)
     return Presentation(
@@ -401,9 +404,56 @@ def pi1_presentation(complex):
         relators,
         provenance={
             "construction": "edge-path-pi1",
-            "basepoint": basepoint,
+            "basepoint": complex.vertices[0],
         },
     )
+
+
+def pi1_presentation(complex):
+    """Edge-path presentation of the fundamental group.
+
+    Generators are the non-tree edges of the breadth-first spanning tree
+    from the first vertex (named by ``FlagComplex.edge_letter``); each
+    triangle contributes one relator, with tree edges eliminated.
+    """
+    return _edge_path_presentation(complex, _tree_edges(complex))
+
+
+def _collapse(complex):
+    """Greedy edge-triangle matching from the spanning tree (a discrete gradient).
+
+    Tree edges start trivial.  A triangle with exactly one non-trivial
+    edge matches that edge, which becomes trivial: the triangle's
+    relator writes it as a word in tree edges and earlier matched edges.
+    A stack holds the triangles that have exactly one non-trivial edge
+    left.  Returns ``(tree, pairs, critical)``: the tree's edges, the
+    ``(triangle, edge)`` pairs in matching order, and the unmatched
+    non-tree edges in edge order.
+    """
+    tree = _tree_edges(complex)
+    trivial = set(tree)
+    triangles = complex.triangles()
+    sides = [((a, b), (b, c), (a, c)) for a, b, c in triangles]
+    cofaces = {e: [] for e in complex.edges}
+    for t, edges in enumerate(sides):
+        for e in edges:
+            cofaces[e].append(t)
+    open_edges = [3 - len(trivial.intersection(edges)) for edges in sides]
+    stack = [t for t, k in enumerate(open_edges) if k == 1]
+    pairs = []
+    while stack:
+        t = stack.pop()
+        if open_edges[t] != 1:
+            continue
+        e = next(e for e in sides[t] if e not in trivial)
+        trivial.add(e)
+        pairs.append((triangles[t], e))
+        for s in cofaces[e]:
+            open_edges[s] -= 1
+            if open_edges[s] == 1:
+                stack.append(s)
+    critical = [e for e in complex.edges if e not in trivial]
+    return tree, pairs, critical
 
 
 class Pi1Status(enum.Enum):
@@ -415,13 +465,23 @@ class Pi1Status(enum.Enum):
 def simply_connected_status(complex, budget=TIETZE_BUDGET):
     """Tri-state simple-connectivity certificate.
 
-    Nontriviality is certified by a nonzero abelianization of the
-    edge-path presentation, i.e. H_1 != 0 (Hurewicz); triviality by
-    bounded Tietze simplification of the same presentation reaching the
-    empty presentation.  Anything else is honestly Unknown (triviality
-    of a fundamental group is undecidable in general).
+    Triviality comes from a collapse first: ``_collapse`` matches edges
+    to triangles from the spanning tree, and every matched edge is
+    trivial in pi_1, so pi_1 is presented by the edge-path presentation
+    with tree and matched edges deleted (generators are the critical
+    edges).  No critical edge certifies triviality outright.  Otherwise
+    nontriviality is certified by a nonzero abelianization of that
+    residual presentation, i.e. H_1 != 0 (Hurewicz), and triviality by
+    bounded Tietze simplification (``budget`` moves) of the residual
+    reaching the empty presentation.  Anything else is honestly Unknown
+    (triviality of a fundamental group is undecidable in general).
     """
-    pres = pi1_presentation(complex)
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    tree, pairs, critical = _collapse(complex)
+    if not critical:
+        return Pi1Status.CERTIFIED_TRIVIAL
+    pres = _edge_path_presentation(complex, tree.union(e for _, e in pairs))
     h1 = abelianization(pres)
     if h1.rank or h1.torsion:
         return Pi1Status.CERTIFIED_NONTRIVIAL

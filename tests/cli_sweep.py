@@ -30,7 +30,10 @@ no-break space (it has no text form), the homology, report and pi1
 verbs on ``projective_plane()`` (H_1 = Z/2; ``bb-truncated`` is skipped
 there: 31 vertices make it too large), the homology, report and pi1
 verbs on its suspension, whose only torsion is H_2 = Z/2, so torsion
-alone sets its FP level, and homology (reduced or not) and report on
+alone sets its FP level, ``report`` (at the default budget and
+``--budget 2``) and ``present --kind pi1|bb-finite`` on ``dunce_hat()``,
+whose pi_1 = 1 is certified only by Tietze past the collapse, so at
+budget 2 it is unknown, and homology (reduced or not) and report on
 ``random_flag_complex(1, n=40, p=0.45)``, whose cliques reach dimension
 6, so the runs cover homology up to that dimension, ``present --kind
 bb-truncated --max-len 1050 --max-exp 1`` on one edge (walks longer
@@ -42,15 +45,19 @@ far too long), and ``info``, ``verify`` and ``reduce`` on JSON nested
 checkouts print the same CLI output iff their OUT files are equal.
 After writing OUT, the sweep lists the runs that raised and exits 1 if
 any did.  ``--diff`` lists the runs whose records differ between two
-OUT files, with the fields that differ, and exits 1 if any do.
+OUT files, with the fields that differ, then counts them per verb and
+options (the arguments before the first file name), and exits 1 if any
+differ.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
+from collections import Counter
 
 
 def graph_texts(complex):
@@ -134,6 +141,7 @@ def main(src, out_path):
     from corpus import (
         complete_graph,
         corpus,
+        dunce_hat,
         join_of_pairs,
         projective_plane,
         random_flag_complex,
@@ -261,6 +269,16 @@ def main(src, out_path):
             ):
                 run(*verb, *fmt, suspended)
 
+        hat = write("dunce_hat.txt", graph_texts(dunce_hat())[0])
+        for fmt in ((), ("--json",)):
+            for verb in (
+                ["report"],
+                ["report", "--budget", "2"],
+                ["present", "--kind", "pi1"],
+                ["present", "--kind", "bb-finite"],
+            ):
+                run(*verb, *fmt, hat)
+
         # f = (40, 350, 880, 694, 170, 18, 1), reduced H_2 = Z^35, H_3 = Z^7.
         g40 = write("g40_1.txt", graph_texts(random_flag_complex(1, n=40, p=0.45))[0])
         for fmt in ((), ("--json",)):
@@ -327,6 +345,13 @@ def diff(a_path, b_path):
             what = ", ".join(f for f, x, y in zip(FIELDS, a[run], b[run]) if x != y)
         print(f"{run}: {what}")
     print(f"{len(differing)} of {len(runs)} runs differ")
+    # Every run names a file, and every file name holds a dot.
+    groups = Counter(
+        " ".join(itertools.takewhile(lambda arg: "." not in arg, run.split()))
+        for run in differing
+    )
+    for group, count in sorted(groups.items()):
+        print(f"{count:6d}  {group}")
     return 1 if differing else 0
 
 

@@ -68,19 +68,16 @@ def join_of_pairs(pairs=3):
     return FlagComplex(verts, edges)
 
 
-def projective_plane():
-    """Order complex of the 6-vertex projective plane; flag, H_1 = Z/2.
+def order_complex(triangles):
+    """Order complex of the simplicial complex spanned by ``triangles``
+    (vertex-label tuples): its faces are the vertices, adjacent when one
+    face contains the other.  Always flag; homeomorphic to the complex.
 
-    The face list is the standard minimal triangulation (every edge of
-    K6 lies in exactly two of the ten triangles); taking comparability
-    of faces as adjacency gives its barycentric subdivision, which is
-    always a flag complex.  Kept out of ``corpus()``: 31 vertices are too
-    many for the brute-force subset oracles run over the corpus.
+    A face is named ``f`` followed by its sorted labels, and faces are
+    declared by dimension, then in sorted order.
     """
-    triangles = ["125", "126", "134", "136", "145", "234", "235", "246", "356", "456"]
-    faces = [frozenset(v) for v in "123456"]
-    faces += [frozenset(e) for e in combinations("123456", 2)]
-    faces += [frozenset(t) for t in triangles]
+    faces = {frozenset(s) for t in triangles for k in (1, 2, 3) for s in combinations(t, k)}
+    faces = sorted(faces, key=lambda f: (len(f), sorted(f)))
     names = {f: "f" + "".join(sorted(f)) for f in faces}
     edges = [
         (names[a], names[b])
@@ -88,6 +85,40 @@ def projective_plane():
         if a < b or b < a
     ]
     return FlagComplex([names[f] for f in faces], edges)
+
+
+def projective_plane():
+    """Order complex of the 6-vertex projective plane; flag, H_1 = Z/2.
+
+    The face list is the standard minimal triangulation (every edge of
+    K6 lies in exactly two of the ten triangles).  Kept out of
+    ``corpus()``: 31 vertices are too many for the brute-force subset
+    oracles run over the corpus.
+    """
+    triangles = ["125", "126", "134", "136", "145", "234", "235", "246", "356", "456"]
+    return order_complex(triangles)
+
+
+def dunce_hat():
+    """Order complex of a triangulated dunce hat: contractible, not collapsible.
+
+    A disk whose boundary 9-gon P0 ... P8 reads the loop a = v0 v1 v2
+    three times as a a a^-1, with a ring r0 ... r8 and a centre c inside
+    it; f = (79, 240, 162), acyclic, and the spanning-tree matching of
+    ``complexes`` leaves critical edges.  Kept out of ``corpus()``: 79
+    vertices are too many for the brute-force subset oracles.
+    """
+    boundary = ["v0", "v1", "v2", "v0", "v1", "v2", "v0", "v2", "v1"]
+    ring = [f"r{i}" for i in range(9)]
+    triangles = []
+    for i in range(9):
+        j = (i + 1) % 9
+        triangles += [
+            (boundary[i], boundary[j], ring[i]),
+            (boundary[j], ring[j], ring[i]),
+            (ring[i], ring[j], "c"),
+        ]
+    return order_complex(triangles)
 
 
 def grid_disk(m):

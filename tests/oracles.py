@@ -4,9 +4,10 @@ Each oracle takes the dumbest correct route it can: subset enumeration
 for cliques, a subset test for boundary matrices, textbook corner
 reduction for Smith normal form, full product enumeration for closed
 walks, breadth-first closure for the RAAG word problem, a stack loop
-for free reduction, a pair-by-pair merge for syllables, and a Tietze
-loop that rescans every move from scratch.  None of them shares code
-with the library paths they audit.
+for free reduction, a pair-by-pair merge for syllables, a Tietze loop
+that rescans every move from scratch, and a set-by-set replay of a
+collapse certificate.  None of them shares code with the library paths
+they audit.
 """
 
 from collections import deque
@@ -305,3 +306,34 @@ def tietze_reference(presentation, budget):
     if not budget and _tietze_move(list(gens), list(rels)):
         status = TietzeStatus.BUDGET_EXHAUSTED
     return Presentation(gens, rels, provenance=presentation.provenance), status
+
+
+def collapse_replays(complex, tree, pairs, critical):
+    """Whether a collapse certificate replays on the complex's edge set.
+
+    ``tree`` must be a spanning tree: n - 1 edges that reach every vertex
+    from the first.  Its edges start trivial.  In order, each
+    ``(triangle, edge)`` pair's triangle must span three edges, exactly
+    one of them not yet trivial, and that one must be the pair's edge,
+    which becomes trivial.  At the end the non-trivial edges must be
+    exactly ``critical``, listed once each.
+    """
+    edges = {frozenset(e) for e in complex.edges}
+    trivial = {frozenset(e) for e in tree}
+    if not trivial <= edges or len(trivial) != len(complex.vertices) - 1:
+        return False
+    reached = set(complex.vertices[:1])
+    while True:
+        grown = reached.union(*(e for e in trivial if e & reached))
+        if grown == reached:
+            break
+        reached = grown
+    if len(reached) != len(complex.vertices):
+        return False
+    for triangle, edge in pairs:
+        sides = {frozenset(p) for p in combinations(set(triangle), 2)}
+        if len(sides) != 3 or not sides <= edges or sides - trivial != {frozenset(edge)}:
+            return False
+        trivial |= sides
+    left = [frozenset(e) for e in critical]
+    return len(set(left)) == len(left) and set(left) == edges - trivial

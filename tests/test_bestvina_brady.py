@@ -53,6 +53,7 @@ from corpus import (
     c4,
     connected_corpus,
     declared_first,
+    dunce_hat,
     edge_complex,
     k3,
     octahedron,
@@ -407,7 +408,10 @@ def test_finite_presentation_octahedron():
     assert pres.provenance["complete"] is True
     for word in presentation_relator_edge_words(pres, ctx):
         assert verify_relator(word, ctx)
-    unsure = finite_presentation(ctx, tietze_budget=5).provenance
+    # The collapse certifies pi_1 = 1 with no Tietze move, at any budget.
+    sure = finite_presentation(ctx, tietze_budget=1).provenance
+    assert sure["complete"] is True and sure["simply_connected"] == "CertifiedTrivial"
+    unsure = finite_presentation(BBContext(dunce_hat()), tietze_budget=5).provenance
     assert unsure["complete"] is False and unsure["simply_connected"] == "Unknown"
 
 

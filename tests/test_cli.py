@@ -9,12 +9,19 @@ import pytest
 
 from bbgroups import parse_presentation, presentation_to_json
 from bbgroups.cli import build_parser, main
+from corpus import dunce_hat
 
 C4_TEXT = "vertices: a b c d\nedges: a-b b-c c-d a-d\n"
 K3_JSON = '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}'
 OCTA_TEXT = (
     "vertices: u0 u1 v0 v1 w0 w1\n"
     "edges: u0-v0 u0-v1 u0-w0 u0-w1 u1-v0 u1-v1 u1-w0 u1-w1 v0-w0 v0-w1 v1-w0 v1-w1\n"
+)
+
+HAT = dunce_hat()
+HAT_TEXT = (
+    "vertices: " + " ".join(HAT.vertices) + "\n"
+    "edges: " + " ".join(f"{u}-{v}" for u, v in HAT.edges) + "\n"
 )
 
 
@@ -28,6 +35,7 @@ def files(tmp_path):
         ("two.txt", "vertices: a b\n"),
         ("edge.txt", "vertices: a b\nedges: a-b\n"),
         ("bad.txt", "vortices: a\n"),
+        ("hat.txt", HAT_TEXT),
     ]:
         p = tmp_path / name
         p.write_text(text)
@@ -119,8 +127,14 @@ def test_report_octahedron(files, capsys):
     assert data["corollary7_applies"] is True
     assert data["fp_level"] == 2
 
+    # The collapse certifies pi_1 = 1 with no Tietze move, at any budget.
     assert main(["report", "--budget", "1", files["octa.txt"]]) == 0
+    assert "finitely presented: yes" in capsys.readouterr().out
+
+    assert main(["report", "--budget", "2", files["hat.txt"]]) == 0
     assert "finitely presented: unknown" in capsys.readouterr().out
+    assert main(["report", files["hat.txt"]]) == 0
+    assert "finitely presented: yes" in capsys.readouterr().out
 
 
 def test_present_and_verify_roundtrip(files, capsys, tmp_path):

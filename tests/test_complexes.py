@@ -24,11 +24,14 @@ from bbgroups import (
     snf,
 )
 from bbgroups.cli import main
+from bbgroups.complexes import _collapse, _edge_path_presentation
+from bbgroups.presentations import TIETZE_BUDGET
 from corpus import (
     c4,
     complete_graph,
     connected_corpus,
     corpus,
+    dunce_hat,
     grid_disk,
     join_of_pairs,
     k3,
@@ -41,7 +44,12 @@ from corpus import (
     three_points,
     two_points,
 )
-from oracles import brute_force_simplices, dense_boundary_matrix, naive_invariant_factors
+from oracles import (
+    brute_force_simplices,
+    collapse_replays,
+    dense_boundary_matrix,
+    naive_invariant_factors,
+)
 
 
 # -- construction -------------------------------------------------------
@@ -316,10 +324,17 @@ def test_pi1_abelianization_matches_first_homology():
 
 
 def test_simply_connected_status_examples():
-    assert simply_connected_status(octahedron()) is Pi1Status.CERTIFIED_TRIVIAL
-    # Tietze needs more than 5 moves to empty the octahedron's pi1 presentation.
-    assert simply_connected_status(octahedron(), budget=5) is Pi1Status.UNKNOWN
-    assert simply_connected_status(octahedron(), budget=10) is Pi1Status.CERTIFIED_TRIVIAL
+    # The spanning-tree collapse matches every non-tree edge of the
+    # octahedron, so it is certified with no Tietze move at any budget.
+    for budget in (1, 5, 10, TIETZE_BUDGET):
+        assert simply_connected_status(octahedron(), budget) is Pi1Status.CERTIFIED_TRIVIAL
+    # The dunce hat is contractible but not collapsible: its 24 critical
+    # edges take Tietze more than 5 moves and at most 50 to empty.
+    hat = dunce_hat()
+    for budget in (1, 2, 5):
+        assert simply_connected_status(hat, budget) is Pi1Status.UNKNOWN
+    for budget in (50, TIETZE_BUDGET):
+        assert simply_connected_status(hat, budget) is Pi1Status.CERTIFIED_TRIVIAL
     assert simply_connected_status(c4()) is Pi1Status.CERTIFIED_NONTRIVIAL
     assert simply_connected_status(k3()) is Pi1Status.CERTIFIED_TRIVIAL
     with pytest.raises(ValueError, match="connected"):
@@ -327,6 +342,52 @@ def test_simply_connected_status_examples():
     for name, complex in connected_corpus():
         nontrivial = simply_connected_status(complex) is Pi1Status.CERTIFIED_NONTRIVIAL
         assert nontrivial == (not homology(complex, reduced=True).is_trivial(1)), name
+
+
+def test_simply_connected_status_of_a_dense_random_flag_complex():
+    # 2148 non-tree edges and 15,091 triangles: Tietze on the whole
+    # edge-path presentation ran for a minute and still answered Unknown;
+    # the collapse matches every non-tree edge.
+    assert simply_connected_status(random_flag_complex(1, n=100, p=0.45)) is (
+        Pi1Status.CERTIFIED_TRIVIAL
+    )
+
+
+def test_collapse_certificate_replays_and_its_residual_abelianizes_to_h1():
+    cases = (
+        connected_corpus()
+        + [(f"g9_{s}", random_flag_complex(s, n=9, p=0.5)) for s in range(1, 25)]
+        + [(f"g14_{s}", random_flag_complex(s, n=14, p=0.35)) for s in range(1, 9)]
+        + [("grid5", grid_disk(5)), ("rp2", projective_plane()), ("hat", dunce_hat())]
+    )
+    for name, complex in cases:
+        tree, pairs, critical = _collapse(complex)
+        assert collapse_replays(complex, tree, pairs, critical), name
+        residual = _edge_path_presentation(complex, tree.union(e for _, e in pairs))
+        assert residual.generators == tuple(complex.edge_letter(*e)[0] for e in critical)
+        ab = abelianization(residual)
+        h = homology(complex, reduced=True)
+        h1 = (h.betti[1], h.torsion[1]) if len(h.betti) > 1 else (0, ())
+        assert (ab.rank, ab.torsion) == h1, name
+        if not critical:
+            assert h.is_trivial(1), name
+
+
+def test_collapse_replay_rejects_tampered_certificates():
+    complex = dunce_hat()
+    tree, pairs, critical = _collapse(complex)
+    assert len(critical) == 24
+    assert collapse_replays(complex, tree, pairs, critical)
+    # Pair i's triangle holds pair i - 1's edge, so it must come after it.
+    i = next(i for i in range(1, len(pairs)) if set(pairs[i - 1][1]) <= set(pairs[i][0]))
+    swapped = pairs[: i - 1] + [pairs[i], pairs[i - 1]] + pairs[i + 1 :]
+    assert not collapse_replays(complex, tree, swapped, critical)
+    (a, b, c), edge = pairs[0]
+    wrong = next(e for e in ((a, b), (b, c), (a, c)) if e != edge)
+    assert not collapse_replays(complex, tree, [((a, b, c), wrong)] + pairs[1:], critical)
+    assert not collapse_replays(complex, tree, pairs, critical[1:])
+    assert not collapse_replays(complex, tree, pairs, critical + critical[:1])
+    assert not collapse_replays(complex, set(list(tree)[1:]), pairs, critical)
 
 
 # -- spanning trees -------------------------------------------------------

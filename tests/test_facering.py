@@ -20,6 +20,7 @@ from bbgroups import (
 from corpus import (
     c4,
     corpus,
+    dunce_hat,
     k3,
     octahedron,
     path3,
@@ -194,7 +195,15 @@ def test_octahedron_report():
     assert report.corollary7_applies is True
     text = render_report_text(report)
     assert "finitely presented but not of type FP" in text
-    assert finiteness_report(octahedron(), tietze_budget=5).finitely_presented == "unknown"
+    assert finiteness_report(octahedron(), tietze_budget=1).finitely_presented == "yes"
+
+
+def test_dunce_hat_report():
+    # Contractible, so H_Delta is of type F; pi_1 = 1 needs Tietze past the collapse.
+    report = finiteness_report(dunce_hat())
+    assert report.finitely_presented == "yes"
+    assert report.fp_level is None and report.chi_delta == 1
+    assert finiteness_report(dunce_hat(), tietze_budget=5).finitely_presented == "unknown"
 
 
 def test_two_points_report():
