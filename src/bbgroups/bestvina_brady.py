@@ -24,7 +24,8 @@ from collections import deque
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .complexes import DirectedCycle, DirectedEdge, Pi1Status, simply_connected_status
+from .complexes import DirectedCycle, DirectedEdge, Pi1Status, basepoint_tree
+from .complexes import edge_path_presentation, simply_connected_status
 from .errors import ParseError, lex
 from .presentations import TIETZE_BUDGET, Presentation
 from .words import (
@@ -40,15 +41,14 @@ from .words import (
 
 
 class BBContext:
-    """A connected flag complex with its first vertex as basepoint and the
-    BFS spanning tree from it."""
+    """A connected flag complex with ``complexes.basepoint_tree``, the BFS
+    spanning tree from its first vertex, the basepoint; a disconnected or
+    empty complex raises ValueError("complex is not connected")."""
 
     def __init__(self, complex):
-        if not complex.is_connected():
-            raise ValueError("complex is not connected")
         self.complex = complex
-        self.basepoint = complex.vertices[0]
-        self.tree = complex.spanning_tree(self.basepoint)
+        self.tree = basepoint_tree(complex)
+        self.basepoint = self.tree.root
         self.edge_alphabet = edge_alphabet(complex)
         self.raag = RaagContext(complex)
 
@@ -252,12 +252,14 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
 def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BUDGET):
     """One generator per undirected edge; backtracks folded away.
 
-    Relators: for each triangle (oriented from its least vertex toward
-    the lesser neighbor) the two cycle relators with n = +1 and n = -1,
-    plus ``c^[n]`` for each supplied extra cycle and 0 < |n| <= max_exp.
-    When the complex is certified simply connected and no extra cycles
-    were supplied, this is a complete presentation of the kernel;
-    otherwise it presents the edge group with only backtrack and
+    Generators and triangle relators come from the edge-path builder
+    ``complexes.edge_path_presentation`` with no edge deleted: each
+    triangle a < b < c gives ``c^[1] = [a>b] [b>c] [a>c]^-1`` followed
+    by its letterwise inverse ``c^[-1]``.  Then come ``c^[n]`` for each
+    supplied extra cycle and 0 < |n| <= max_exp, folded onto the same
+    generators.  When the complex is certified simply connected and no
+    extra cycles were supplied, this is a complete presentation of the
+    kernel; otherwise it presents the edge group with only backtrack and
     triangle relations (plus the truncated extra families), and the
     provenance says so explicitly.
     """
@@ -265,22 +267,18 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BU
         raise ValueError("max_exp must be at least 1")
     extra_cycles = tuple(extra_cycles)
     complex = ctx.complex
-    alphabet = Alphabet("named", [complex.edge_letter(u, v)[0] for u, v in complex.edges])
-    # One generator per edge: [b>a] is [a>b]^-1, so backtracks fold away.
-    fold = {e: complex.edge_letter(*e) for e in ctx.edge_alphabet.letters}
-    triangles = (
-        DirectedCycle((DirectedEdge(a, b), DirectedEdge(b, c), DirectedEdge(c, a)))
-        for a, b, c in complex.triangles()
-    )
-    families = [(cycle, n) for cycle in triangles for n in (1, -1)] + [
-        (cycle, n) for cycle in extra_cycles for k in range(1, max_exp + 1) for n in (k, -k)
-    ]
-    relators = []
-    for cycle, n in families:
-        runs = cycle_relator(cycle, n, ctx).syllables()
-        word = Word.from_syllables(alphabet, [(fold[e][0], fold[e][1] * k) for e, k in runs])
-        if len(word):  # only an extra cycle's relator can fold away entirely
-            relators.append(word)
+    edge_path = edge_path_presentation(complex, ())
+    relators = [w for r in edge_path.relators for w in (r, letterwise_inverse(r))]
+    if extra_cycles:
+        # One generator per edge: [b>a] is [a>b]^-1, so backtracks fold away.
+        fold = {e: complex.edge_letter(*e) for e in ctx.edge_alphabet.letters}
+        words = (
+            Word.from_syllables(edge_path.alphabet, [(fold[e][0], fold[e][1] * n) for e in cycle])
+            for cycle in extra_cycles
+            for k in range(1, max_exp + 1)
+            for n in (k, -k)
+        )
+        relators += [w for w in words if len(w)]  # a cycle of backtracks can fold away
 
     status = simply_connected_status(complex, budget=tietze_budget)
     complete = status is Pi1Status.CERTIFIED_TRIVIAL and not extra_cycles
@@ -299,7 +297,7 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BU
     }
     if extra_cycles:
         provenance["max_exp"] = max_exp
-    return Presentation(alphabet.letters, relators, provenance=provenance)
+    return Presentation(edge_path.generators, relators, provenance=provenance)
 
 
 def presentation_relator_edge_words(presentation, ctx):
@@ -325,7 +323,7 @@ def fundamental_cycle_basis(ctx):
     """
     out = []
     for u, v in ctx.complex.edges:
-        if ctx.tree.has_edge(u, v):
+        if (u, v) in ctx.tree.edges:
             continue
         edges = (
             ctx.tree.path_edges(ctx.basepoint, u)

@@ -226,9 +226,6 @@ class FlagComplex:
     def is_connected(self):
         return bool(self.vertices) and len(_bfs_parents(self, self.vertices[0])) == len(self.vertices)
 
-    def spanning_tree(self, root):
-        return SpanningTree(self, root)
-
     def __eq__(self, other):
         return (
             isinstance(other, FlagComplex)
@@ -257,7 +254,8 @@ def _bfs_parents(complex, root):
 
 
 class SpanningTree:
-    """Breadth-first spanning tree, neighbors visited in vertex order."""
+    """Breadth-first spanning tree, neighbors visited in vertex order; ``edges``
+    holds its edges as (earlier, later) pairs, the form ``FlagComplex.edges`` uses."""
 
     def __init__(self, complex, root):
         complex.vertex_index(root)
@@ -266,10 +264,10 @@ class SpanningTree:
         self.parent = _bfs_parents(complex, root)
         if len(self.parent) != len(complex.vertices):
             raise ValueError("complex is not connected")
-        self.order = tuple(self.parent)
-
-    def has_edge(self, u, v):
-        return self.parent.get(u) == v or self.parent.get(v) == u
+        pos = complex._vidx
+        self.edges = frozenset(
+            (p, v) if pos[p] < pos[v] else (v, p) for v, p in self.parent.items() if p is not None
+        )
 
     def path_vertices(self, u, v):
         """The unique tree path from u to v, as a vertex list."""
@@ -375,28 +373,28 @@ def homology(complex, reduced=False):
 # -- fundamental group -------------------------------------------------
 
 
-def _tree_edges(complex):
-    """The edges of the breadth-first spanning tree from the first vertex."""
-    if not complex.is_connected():
+def basepoint_tree(complex):
+    """The spanning tree from the first vertex, the basepoint; raises
+    ValueError("complex is not connected") if disconnected or empty."""
+    if not complex.vertices:
         raise ValueError("complex is not connected")
-    tree = complex.spanning_tree(complex.vertices[0])
-    return {e for e in complex.edges if tree.has_edge(*e)}
+    return SpanningTree(complex, complex.vertices[0])
 
 
-def _edge_path_presentation(complex, trivial):
+def edge_path_presentation(complex, trivial):
     """Edge-path presentation of pi_1 at the first vertex, with the edges in
     ``trivial`` deleted.
 
-    ``trivial`` holds a spanning tree's edges and edges that are trivial
-    in pi_1; every other edge is a generator (named by
-    ``FlagComplex.edge_letter``), and each triangle contributes the word
-    of its remaining edges, if any, as a relator.
+    ``trivial`` holds edges that are trivial in pi_1, such as a spanning
+    tree's; every other edge u-v, u declared first, is a generator named
+    ``[u>v]``.  Each triangle a < b < c contributes the word
+    ``[a>b] [b>c] [a>c]^-1`` of its remaining edges, if any, as a relator.
     """
-    generators = [complex.edge_letter(u, v)[0] for u, v in complex.edges if (u, v) not in trivial]
+    generators = [str(DirectedEdge(u, v)) for u, v in complex.edges if (u, v) not in trivial]
     relators = []
     for a, b, c in complex.triangles():
-        sides = (((a, b), a, b), ((b, c), b, c), ((a, c), c, a))
-        word = [complex.edge_letter(x, y) for e, x, y in sides if e not in trivial]
+        sides = ((a, b, 1), (b, c, 1), (a, c, -1))
+        word = [(str(DirectedEdge(u, v)), sign) for u, v, sign in sides if (u, v) not in trivial]
         if word:
             relators.append(word)
     return Presentation(
@@ -412,11 +410,11 @@ def _edge_path_presentation(complex, trivial):
 def pi1_presentation(complex):
     """Edge-path presentation of the fundamental group.
 
-    Generators are the non-tree edges of the breadth-first spanning tree
-    from the first vertex (named by ``FlagComplex.edge_letter``); each
-    triangle contributes one relator, with tree edges eliminated.
+    Generators are the edges off ``basepoint_tree``, ``[u>v]`` for u
+    declared before v; each triangle contributes one relator, with tree
+    edges eliminated.
     """
-    return _edge_path_presentation(complex, _tree_edges(complex))
+    return edge_path_presentation(complex, basepoint_tree(complex).edges)
 
 
 def _collapse(complex):
@@ -430,7 +428,7 @@ def _collapse(complex):
     ``(triangle, edge)`` pairs in matching order, and the unmatched
     non-tree edges in edge order.
     """
-    tree = _tree_edges(complex)
+    tree = basepoint_tree(complex).edges
     trivial = set(tree)
     triangles = complex.triangles()
     sides = [((a, b), (b, c), (a, c)) for a, b, c in triangles]
@@ -481,7 +479,7 @@ def simply_connected_status(complex, budget=TIETZE_BUDGET):
     tree, pairs, critical = _collapse(complex)
     if not critical:
         return Pi1Status.CERTIFIED_TRIVIAL
-    pres = _edge_path_presentation(complex, tree.union(e for _, e in pairs))
+    pres = edge_path_presentation(complex, tree.union(e for _, e in pairs))
     h1 = abelianization(pres)
     if h1.rank or h1.torsion:
         return Pi1Status.CERTIFIED_NONTRIVIAL

@@ -26,8 +26,10 @@ on K3 of ``a^1000000 b^-1000000``, ``express``, ``verify`` and ``reduce``
 on exponent factors such as ``a^+2``, ``a^2^3``, ``^2`` and a
 superscript or Arabic-Indic exponent,
 every verb on a JSON graph whose vertex name holds a
-no-break space (it has no text form), the homology, report and pi1
-verbs on ``projective_plane()`` (H_1 = Z/2; ``bb-truncated`` is skipped
+no-break space (it has no text form), every verb (with and without
+``--json``) on the graph with no vertices in text (``vertices:``) and
+JSON form, and ``reduce`` of the empty presentation, the homology,
+report and pi1 verbs on ``projective_plane()`` (H_1 = Z/2; ``bb-truncated`` is skipped
 there: 31 vertices make it too large), the homology, report and pi1
 verbs on its suspension, whose only torsion is H_2 = Z/2, so torsion
 alone sets its FP level, ``report`` (at the default budget and
@@ -239,6 +241,27 @@ def main(src, out_path):
                 run("present", "--kind", kind, *fmt, nbsp)
             run("express", *fmt, nbsp, "c d^-1")
             run("verify", *fmt, nbsp, nbsp_pres)
+
+        # The graph with no vertices, which the kernel verbs reject as not connected.
+        empty_text = write("empty.txt", "vertices:\n")
+        empty_json = write("empty.json", json.dumps({"vertices": [], "edges": []}))
+        empty_pres = write("empty_pres.txt", "gens:\n")
+        for fmt in ((), ("--json",)):
+            for graph in (empty_text, empty_json):
+                for verb in (
+                    ["info"],
+                    ["homology"],
+                    ["homology", "--reduced"],
+                    ["euler"],
+                    ["hilbert"],
+                    ["report"],
+                ):
+                    run(*verb, *fmt, graph)
+                for kind in ("pi1", "bb-finite", "bb-truncated"):
+                    run("present", "--kind", kind, *fmt, graph)
+                run("express", *fmt, graph, "")
+                run("verify", *fmt, graph, empty_pres)
+            run("reduce", *fmt, empty_pres)
 
         rp2 = write("rp2.txt", graph_texts(projective_plane())[0])
         for fmt, ext in (((), "txt"), (("--json",), "json")):

@@ -5,8 +5,9 @@ for cliques, a subset test for boundary matrices, textbook corner
 reduction for Smith normal form, full product enumeration for closed
 walks, breadth-first closure for the RAAG word problem, a stack loop
 for free reduction, a pair-by-pair merge for syllables, a Tietze loop
-that rescans every move from scratch, and a set-by-set replay of a
-collapse certificate.  None of them shares code with the library paths
+that rescans every move from scratch, a set-by-set replay of a
+collapse certificate, and the directed-cycle construction of the finite
+kernel presentation.  None of them shares code with the library paths
 they audit.
 """
 
@@ -14,7 +15,17 @@ from collections import deque
 from itertools import combinations, product
 from math import gcd
 
-from bbgroups import Presentation, TietzeStatus
+from bbgroups import (
+    Alphabet,
+    DirectedCycle,
+    DirectedEdge,
+    Pi1Status,
+    Presentation,
+    TietzeStatus,
+    Word,
+    cycle_relator,
+    simply_connected_status,
+)
 
 
 def naive_invariant_factors(matrix):
@@ -337,3 +348,45 @@ def collapse_replays(complex, tree, pairs, critical):
         trivial |= sides
     left = [frozenset(e) for e in critical]
     return len(set(left)) == len(left) and set(left) == edges - trivial
+
+
+def finite_presentation_reference(ctx, extra_cycles=(), max_exp=1):
+    """``finite_presentation`` by the directed-cycle route: a DirectedCycle
+    a > b > c > a per triangle with its ``cycle_relator`` for n = 1 and
+    n = -1, then each extra cycle's for n = k, -k (0 < k <= max_exp), each
+    relator folded onto one generator per edge by ``edge_letter`` and
+    dropped if it folds away.  The provenance is rebuilt from the pi_1
+    certificate at the default budget."""
+    complex = ctx.complex
+    alphabet = Alphabet("named", [complex.edge_letter(u, v)[0] for u, v in complex.edges])
+    fold = {e: complex.edge_letter(*e) for e in ctx.edge_alphabet.letters}
+    families = [
+        (DirectedCycle((DirectedEdge(a, b), DirectedEdge(b, c), DirectedEdge(c, a))), n)
+        for a, b, c in complex.triangles()
+        for n in (1, -1)
+    ]
+    families += [(c, n) for c in extra_cycles for k in range(1, max_exp + 1) for n in (k, -k)]
+    relators = []
+    for cycle, n in families:
+        runs = cycle_relator(cycle, n, ctx).syllables()
+        word = Word.from_syllables(alphabet, [(fold[e][0], fold[e][1] * k) for e, k in runs])
+        if len(word):
+            relators.append(word)
+    status = simply_connected_status(complex)
+    complete = status is Pi1Status.CERTIFIED_TRIVIAL and not extra_cycles
+    if complete:
+        presents = "kernel (complete finite presentation)"
+    elif extra_cycles:
+        presents = "edge group with backtrack/triangle relators plus truncated extra-cycle families"
+    else:
+        presents = "edge group with backtrack/triangle relators only (maps onto the kernel)"
+    provenance = {
+        "construction": "edge-triangle-presentation",
+        "complete": complete,
+        "presents": presents,
+        "simply_connected": status.value,
+        "extra_cycles": len(extra_cycles),
+    }
+    if extra_cycles:
+        provenance["max_exp"] = max_exp
+    return Presentation(alphabet.letters, relators, provenance=provenance)

@@ -62,7 +62,7 @@ from corpus import (
     random_zero_sum_word,
     two_points,
 )
-from oracles import brute_force_closed_walk_classes
+from oracles import brute_force_closed_walk_classes, finite_presentation_reference
 
 
 def k3_ctx():
@@ -413,6 +413,18 @@ def test_finite_presentation_octahedron():
     assert sure["complete"] is True and sure["simply_connected"] == "CertifiedTrivial"
     unsure = finite_presentation(BBContext(dunce_hat()), tietze_budget=5).provenance
     assert unsure["complete"] is False and unsure["simply_connected"] == "Unknown"
+
+
+def test_finite_presentation_matches_the_directed_cycle_construction():
+    for name, complex in connected_corpus() + [("dunce_hat", dunce_hat())]:
+        ctx = BBContext(complex)
+        basis = fundamental_cycle_basis(ctx)
+        for extras, max_exp in (((), 1), (basis, 1), (basis, 2)):
+            got = finite_presentation(ctx, extras, max_exp)
+            want = finite_presentation_reference(ctx, extras, max_exp)
+            assert got.generators == want.generators, (name, max_exp)
+            assert got.relators == want.relators, (name, len(extras), max_exp)
+            assert got.provenance == want.provenance, (name, len(extras), max_exp)
 
 
 def test_finite_presentation_edge_and_point():

@@ -36,6 +36,9 @@ def files(tmp_path):
         ("edge.txt", "vertices: a b\nedges: a-b\n"),
         ("bad.txt", "vortices: a\n"),
         ("hat.txt", HAT_TEXT),
+        ("empty.txt", "vertices:\n"),
+        ("empty.json", '{"vertices": [], "edges": []}'),
+        ("empty_pres.txt", "gens:\n"),
     ]:
         p = tmp_path / name
         p.write_text(text)
@@ -330,6 +333,20 @@ def test_domain_error_disconnected(files, capsys):
     assert main(["present", "--kind", "bb-finite", files["two.txt"]]) == 1
     err = capsys.readouterr().err
     assert "not connected" in err
+
+
+@pytest.mark.parametrize("name", ["empty.txt", "empty.json"])
+def test_the_empty_graph_is_a_domain_error(name, files, capsys):
+    graph = files[name]
+    runs = [["present", "--kind", kind, graph] for kind in ("pi1", "bb-finite", "bb-truncated")]
+    runs += [["express", graph, ""], ["verify", graph, files["empty_pres.txt"]]]
+    for argv in runs:
+        for fmt in ([], ["--json"]):
+            assert main(argv[:1] + fmt + argv[1:]) == 1, argv
+            assert capsys.readouterr() == ("", "error: complex is not connected\n"), argv
+    for fmt in ([], ["--json"]):
+        assert main(["report", *fmt, graph]) == 1
+        assert capsys.readouterr() == ("", "error: the kernel group needs a nonempty complex\n")
 
 
 def test_file_syntax_error_is_exit_2(files, capsys):

@@ -24,7 +24,7 @@ from bbgroups import (
     snf,
 )
 from bbgroups.cli import main
-from bbgroups.complexes import _collapse, _edge_path_presentation
+from bbgroups.complexes import _collapse, edge_path_presentation
 from bbgroups.presentations import TIETZE_BUDGET
 from corpus import (
     c4,
@@ -363,7 +363,7 @@ def test_collapse_certificate_replays_and_its_residual_abelianizes_to_h1():
     for name, complex in cases:
         tree, pairs, critical = _collapse(complex)
         assert collapse_replays(complex, tree, pairs, critical), name
-        residual = _edge_path_presentation(complex, tree.union(e for _, e in pairs))
+        residual = edge_path_presentation(complex, tree.union(e for _, e in pairs))
         assert residual.generators == tuple(complex.edge_letter(*e)[0] for e in critical)
         ab = abelianization(residual)
         h = homology(complex, reduced=True)
@@ -394,13 +394,13 @@ def test_collapse_replay_rejects_tampered_certificates():
 
 
 def test_bfs_tree_is_deterministic():
-    tree = c4().spanning_tree("a")
+    tree = SpanningTree(c4(), "a")
     assert tree.parent == {"a": None, "b": "a", "d": "a", "c": "b"}
-    assert tree.order == ("a", "b", "d", "c")
+    assert tuple(tree.parent) == ("a", "b", "d", "c")
 
 
 def test_tree_paths():
-    tree = path3().spanning_tree("a")
+    tree = SpanningTree(path3(), "a")
     assert tree.path_vertices("a", "c") == ["a", "b", "c"]
     assert tree.path_vertices("c", "a") == ["c", "b", "a"]
     assert tree.path_vertices("b", "b") == ["b"]
@@ -442,13 +442,17 @@ def test_tree_paths_match_an_independent_search():
     complexes = connected_corpus() + [("path6", path6), ("spider", _spider())]
     for name, complex in complexes:
         for root in complex.vertices:
-            tree = complex.spanning_tree(root)
+            tree = SpanningTree(complex, root)
+            pairs = {frozenset((w, p)) for w, p in tree.parent.items() if p is not None}
+            assert {frozenset(e) for e in tree.edges} == pairs, (name, root)
+            assert len(tree.edges) == len(complex.vertices) - 1, (name, root)
+            assert tree.edges <= set(complex.edges), (name, root)
             for u in complex.vertices:
                 for v in complex.vertices:
                     path = tree.path_vertices(u, v)
                     assert path == _tree_path_oracle(tree, u, v), (name, root, u, v)
                     assert path == tree.path_vertices(v, u)[::-1], (name, root, u, v)
-    tree = _spider().spanning_tree("x3")
+    tree = SpanningTree(_spider(), "x3")
     assert tree.path_vertices("y2", "z3") == ["y2", "y1", "o", "z1", "z2", "z3"]
     assert tree.path_vertices("x1", "z1") == ["x1", "o", "z1"]
 
@@ -459,7 +463,7 @@ def test_spanning_tree_rejects_bad_roots_and_disconnected_complexes():
     with pytest.raises(ValueError, match="unknown vertex 'z'"):
         SpanningTree(two_points(), "z")
     with pytest.raises(ValueError, match="unknown vertex 'z'"):
-        path3().spanning_tree("a").path_vertices("z", "q")
+        SpanningTree(path3(), "a").path_vertices("z", "q")
     assert not FlagComplex([], []).is_connected()
     assert FlagComplex(["a"], []).is_connected()
     assert not three_points().is_connected()
