@@ -188,29 +188,33 @@ def enumerate_cycle_classes(ctx, max_len):
     is keyed by its steps as (initial, terminal) vertex positions; each
     class is represented by its rotation with the least key, and
     classes come out sorted by (length, key).  Walks grow on an explicit
-    stack, so ``max_len`` is not bounded by the recursion limit; a walk's
-    final step is taken only if it closes the walk.
+    stack, so ``max_len`` is not bounded by the recursion limit; a walk
+    of ``max_len - 1`` steps is not grown but closed, if one adjacency
+    test of its last vertex with its first allows.  Each cycle is made of
+    the edge alphabet's own ``DirectedEdge`` objects, looked up by step.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     complex = ctx.complex
-    names = complex.vertices
-    adj = [[complex.vertex_index(w) for w in complex.neighbors(v)] for v in names]
+    index = complex.vertex_index
+    step = {(index(e.initial), index(e.terminal)): e for e in ctx.edge_alphabet.letters}
+    adj = [[index(w) for w in complex.neighbors(v)] for v in complex.vertices]
     found = set()
 
     # A least rotation starts at its walk's least vertex: grow walks from there.
-    for v in range(len(names)):
+    for v in range(len(adj)):
         stack = [(v,)]
         while stack:
             walk = stack.pop()
             if len(walk) > 2 and walk[-1] == v:
                 steps = tuple(zip(walk, walk[1:]))
                 found.add(min(steps[r:] + steps[:r] for r in range(len(steps)) if walk[r] == v))
-            if len(walk) <= max_len:
-                final = len(walk) == max_len
-                stack.extend(walk + (w,) for w in adj[walk[-1]] if w >= v and (w == v or not final))
+            if len(walk) < max_len:
+                stack.extend(walk + (w,) for w in adj[walk[-1]] if w >= v)
+            elif (walk[-1], v) in step:  # never true of a closed walk: no loops
+                stack.append(walk + (v,))
     return tuple(
-        DirectedCycle(DirectedEdge(names[i], names[j]) for i, j in key)
+        DirectedCycle(map(step.__getitem__, key))
         for key in sorted(found, key=lambda key: (len(key), key))
     )
 
@@ -228,9 +232,10 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
         raise ValueError("max_exp must be at least 1")
     names = {e: str(e) for e in ctx.edge_alphabet.letters}
     alphabet = Alphabet("named", names.values())
-    # Adjacent syllables are distinct edges, so no relator freely reduces.
+    # Adjacent syllables are distinct edges, so no relator freely reduces
+    # and every syllable is a checked (generator, nonzero int) pair.
     relators = (
-        Word.from_syllables(alphabet, [(names[e], n) for e in cycle.edges])
+        Word._of(alphabet, [(names[e], n) for e in cycle.edges])
         for cycle in enumerate_cycle_classes(ctx, max_len)
         for k in range(1, max_exp + 1)
         for n in (k, -k)
@@ -303,13 +308,21 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BU
 def presentation_relator_edge_words(presentation, ctx):
     """The relators of an edge-generated presentation, as edge words.
 
-    Only the generators in use must name edges; the first unknown one used raises.
+    Only the generators in use must name edges; the first unknown one used
+    raises.  Each syllable (token, k) is re-lettered to (edge, k) once, the
+    first time it occurs.
     """
-    edge = ctx.edge_alphabet.letter_for_token
-    used = dict.fromkeys(s for rel in presentation.relators for s in rel.syllables())
-    table = {s: (edge(s[0]), s[1]) for s in used}  # one edge syllable per (token, k)
+    alphabet = ctx.edge_alphabet
+    table = {}
+
+    def edge_run(syllable):
+        run = table[syllable] = (alphabet.letter_for_token(syllable[0]), syllable[1])
+        return run
+
+    # A relator's tokens are checked generators with distinct neighbours, and
+    # distinct tokens name distinct edges, so its edge runs are checked and reduced.
     return [
-        Word.from_syllables(ctx.edge_alphabet, [table[s] for s in rel.syllables()])
+        Word._of(alphabet, [table.get(s) or edge_run(s) for s in rel.syllables()])
         for rel in presentation.relators
     ]
 

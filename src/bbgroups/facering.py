@@ -140,13 +140,14 @@ def finiteness_report(complex, tietze_budget=TIETZE_BUDGET):
     """Apply the classification to a complex.
 
     Homology is computed once, reduced: the unreduced b_0 of a nonempty
-    complex is one more, and simply_connected_status reads H_1 off pi_1.
+    complex is one more, the complex is connected iff reduced H_0 = 0, and
+    simply_connected_status reads H_1 off pi_1.
     """
     if not complex.vertices:
         raise ValueError("the kernel group needs a nonempty complex")
 
-    connected = complex.is_connected()
     reduced = homology(complex, reduced=True)
+    connected = reduced.is_trivial(0)
     fp_level = None
     for k in range(len(reduced.betti)):
         if not reduced.is_trivial(k):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import snf, words
 from .errors import ParseError, json_object, reserved_chars, tokens
-from .words import Alphabet, Word, invert_letters, read_word, reduce_letters, render_word
+from .words import Alphabet, Word, invert_letters, read_word, reduce_letters, write_word
 
 
 def _add_generator(names, g):
@@ -250,8 +250,8 @@ def serialize_presentation(presentation):
     if presentation.generators:
         gens_line += " " + " ".join(presentation.generators)
     lines.append(gens_line)
-    for rel in presentation.relators:
-        lines.append("rel: " + render_word(rel))
+    factors = {}
+    lines += ["rel: " + write_word(rel, factors) for rel in presentation.relators]
     return "\n".join(lines) + "\n"
 
 
@@ -316,9 +316,10 @@ def _read_relators(gens, rel_lines, start, provenance):
 
 def presentation_to_json(presentation):
     """JSON mirror with the text format's field names."""
+    factors = {}
     data = {
         "gens": list(presentation.generators),
-        "rel": [render_word(r) for r in presentation.relators],
+        "rel": [write_word(r, factors) for r in presentation.relators],
     }
     if presentation.provenance:
         data["provenance"] = dict(presentation.provenance)

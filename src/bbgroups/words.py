@@ -354,7 +354,23 @@ class RaagContext:
 
 def render_word(word):
     """Whitespace-separated factors ``g``, ``g^k``; edge letters as [a>b]."""
-    return " ".join([f"{l}" if e == 1 else f"{l}^{e}" for l, e in word.syllables()])
+    return write_word(word, {})
+
+
+def write_word(word, factors):
+    """The text of ``word``, as ``render_word`` writes it.
+
+    ``factors`` maps each syllable already written to its factor text: a
+    syllable is formatted the first time it is seen, and looked up after that.
+    """
+    return " ".join([factors.get(s) or _factor_text(s, factors) for s in word._runs])
+
+
+def _factor_text(syllable, factors):
+    """The factor ``g`` or ``g^k`` of a syllable (g, k), recorded in ``factors``."""
+    letter, exp = syllable
+    text = factors[syllable] = f"{letter}" if exp == 1 else f"{letter}^{exp}"
+    return text
 
 
 def parse_word(text, alphabet):

@@ -278,12 +278,18 @@ def test_cycle_classes_match_product_enumeration_oracle():
     unsorted = FlagComplex(
         ["z", "b", "y", "a"], [("z", "b"), ("b", "y"), ("y", "z"), ("y", "a")]
     )
-    for complex in (edge_complex(), path3(), k3(), c4(), unsorted):
+    # Up to length 6 the last step closes walks whose last vertex is, and is
+    # not, a neighbour of the first.
+    cases = [(edge_complex(), 4), (path3(), 4), (k3(), 6), (c4(), 6), (unsorted, 6)]
+    for complex, longest in cases:
         ctx = BBContext(complex)
-        for max_len in (2, 3, 4):
+        edges = {e: e for e in ctx.edge_alphabet.letters}
+        for max_len in range(2, longest + 1):
             classes = enumerate_cycle_classes(ctx, max_len)
             keys = [tuple((e.initial, e.terminal) for e in c.edges) for c in classes]
             assert keys == brute_force_closed_walk_classes(complex, max_len)
+            # cycles are made of the edge alphabet's own letters
+            assert all(edges[e] is e for c in classes for e in c.edges)
 
 
 def test_cycle_classes_do_not_recurse_per_step():
@@ -389,6 +395,42 @@ def test_relator_edge_words_check_only_the_generators_in_use():
     both = Presentation(["junk", "[a>b]", "zz"], [[("[a>b]", 1), ("zz", -1)], [("junk", 1)]])
     with pytest.raises(ValueError, match="unknown generator 'zz'"):
         presentation_relator_edge_words(both, ctx)
+
+
+def test_relator_edge_words_match_words_built_syllable_by_syllable():
+    def expected(pres, ctx):
+        return [
+            Word.from_syllables(
+                ctx.edge_alphabet, [(DirectedEdge.parse(t), k) for t, k in rel.syllables()]
+            )
+            for rel in pres.relators
+        ]
+
+    def agree(pres, ctx):
+        words = presentation_relator_edge_words(pres, ctx)
+        built = expected(pres, ctx)
+        assert words == built
+        assert [len(w) for w in words] == [len(w) for w in built]
+        assert [w.letters for w in words] == [w.letters for w in built]
+
+    for name, complex in connected_corpus():
+        ctx = BBContext(complex)
+        for max_len in range(2, 6):
+            agree(directed_cycle_presentation(ctx, max_len, 2), ctx)
+    ctx = k3_ctx()
+    # one token under both signs of a repeated exponent: two table entries
+    powers = Presentation(
+        ["[a>b]", "[b>c]", "[c>a]"],
+        [
+            [("[a>b]", 1), ("[a>b]", 1), ("[b>c]", 1)],
+            [("[a>b]", -1), ("[a>b]", -1), ("[c>a]", 1), ("[a>b]", 1), ("[a>b]", 1)],
+        ],
+    )
+    assert [render_word(r) for r in powers.relators] == [
+        "[a>b]^2 [b>c]",
+        "[a>b]^-2 [c>a] [a>b]^2",
+    ]
+    agree(powers, ctx)
 
 
 def test_finite_presentation_k3():

@@ -224,6 +224,28 @@ def test_c4_report_is_the_rank_one_bieri_case():
     assert report.corollary7_applies is False
 
 
+def test_report_makes_one_breadth_first_search(monkeypatch):
+    # Reduced H_0 answers connectivity; only the collapse's spanning tree searches.
+    from bbgroups import complexes
+
+    searches = []
+    original = complexes._bfs_parents
+
+    def counting(complex, root):
+        searches.append(root)
+        return original(complex, root)
+
+    monkeypatch.setattr(complexes, "_bfs_parents", counting)
+    for complex in (octahedron(), c4()):
+        searches.clear()
+        assert finiteness_report(complex).finitely_generated is True
+        assert len(searches) == 1
+    searches.clear()
+    report = finiteness_report(two_points())
+    assert report.finitely_generated is False and report.finitely_presented == "no"
+    assert "finitely generated: no" in render_report_text(report)
+
+
 def test_simplex_report_is_type_fp():
     report = finiteness_report(k3())
     assert report.fp_level is None  # acyclic: FP(n) for every n

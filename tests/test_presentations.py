@@ -22,6 +22,7 @@ from bbgroups import (
     pi1_presentation,
     presentation_from_json,
     presentation_to_json,
+    render_word,
     serialize_presentation,
     tietze_simplify,
 )
@@ -268,6 +269,46 @@ def test_serialize_parse_roundtrip():
 def test_serialize_empty_presentation():
     p = P([], [])
     assert parse_presentation(serialize_presentation(p)) == p
+
+
+def test_serialize_parse_roundtrip_on_random_presentations():
+    # Syllables repeat across relators, so the writers' factor tables are hit.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exponents = [k for k in range(-3, 4) if k]
+
+    @st.composite
+    def presentations(draw):
+        pool = ["a", "b", "[a>b]", "[b>a]", "x1", "[x>y]"]
+        names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+        alphabet = Alphabet("named", names)
+        syllable = st.tuples(st.sampled_from(names), st.sampled_from(exponents))
+        shared = draw(st.lists(syllable, min_size=1, max_size=5))
+        runs = st.lists(st.sampled_from(shared) | syllable, min_size=1, max_size=6)
+        words = [Word.from_syllables(alphabet, r) for r in draw(st.lists(runs, max_size=6))]
+        provenance = draw(
+            st.none()
+            | st.dictionaries(
+                st.sampled_from(["construction", "max_len", "truncated"]),
+                st.integers(-5, 5) | st.booleans() | st.sampled_from(["x", "[a>b]", "a # b"]),
+            )
+        )
+        return Presentation(names, [w for w in words if len(w)], provenance=provenance)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(presentations())
+    def check(p):
+        text = serialize_presentation(p)
+        parsed = parse_presentation(text)
+        assert parsed == p and parsed.provenance == p.provenance
+        rel_lines = [line for line in text.splitlines() if line.startswith("rel:")]
+        assert rel_lines == ["rel: " + render_word(r) for r in p.relators]
+        data = presentation_to_json(p)
+        assert data["rel"] == [render_word(r) for r in p.relators]
+        mirrored = presentation_from_json(data)
+        assert mirrored == p and mirrored.provenance == p.provenance
+
+    check()
 
 
 def test_roundtrip_for_every_corpus_presentation():
