@@ -26,8 +26,9 @@ from functools import cached_property
 
 from .complexes import DirectedCycle, DirectedEdge, Pi1Status, basepoint_tree
 from .complexes import edge_path_presentation, simply_connected_status
-from .errors import ParseError, lex
+from .errors import ParseError, lex, parse_text_or_json
 from .presentations import TIETZE_BUDGET, Presentation
+from .presentations import _json_parts, _read_relator_words, _text_parts
 from .words import (
     Alphabet,
     RaagContext,
@@ -146,9 +147,10 @@ def verify_relator(edge_word, ctx):
     each c^[n], and of each folded triangle relator, reduces freely to the
     empty word, and the piles see only what does not cancel.
     """
-    if edge_word.alphabet != ctx.edge_alphabet:
+    alphabet = edge_word.alphabet
+    if alphabet is not ctx.edge_alphabet and alphabet != ctx.edge_alphabet:
         raise ValueError("word is not over this complex's directed-edge alphabet")
-    runs = edge_word.syllables()
+    runs = edge_word._runs
     image = []
     for ((a, b), k), (following, _) in zip(runs, runs[1:] + runs[:1]):
         image += ((a, k), (b, -k)) if b in following else ((b, -k), (a, k))
@@ -213,8 +215,9 @@ def enumerate_cycle_classes(ctx, max_len):
                 stack.extend(walk + (w,) for w in adj[walk[-1]] if w >= v)
             elif (walk[-1], v) in step:  # never true of a closed walk: no loops
                 stack.append(walk + (v,))
+    # Each key's steps meet end to start and close up, so each cycle is valid.
     return tuple(
-        DirectedCycle(map(step.__getitem__, key))
+        DirectedCycle._trusted(tuple(map(step.__getitem__, key)))
         for key in sorted(found, key=lambda key: (len(key), key))
     )
 
@@ -232,18 +235,20 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
         raise ValueError("max_exp must be at least 1")
     names = {e: str(e) for e in ctx.edge_alphabet.letters}
     alphabet = Alphabet("named", names.values())
-    # Adjacent syllables are distinct edges, so no relator freely reduces
-    # and every syllable is a checked (generator, nonzero int) pair.
-    relators = (
-        Word._of(alphabet, [(names[e], n) for e in cycle.edges])
-        for cycle in enumerate_cycle_classes(ctx, max_len)
-        for k in range(1, max_exp + 1)
-        for n in (k, -k)
-    )
-    return Presentation(
-        alphabet.letters,
+    # Adjacent syllables are distinct edges, so no relator freely reduces,
+    # every syllable is a checked (generator, nonzero int) pair and c^[+-k]
+    # is k letters per edge; edge names are checked generators.
+    relators = []
+    for cycle in enumerate_cycle_classes(ctx, max_len):
+        gens = [names[e] for e in cycle.edges]
+        for k in range(1, max_exp + 1):
+            for n in (k, -k):
+                runs = tuple([(g, n) for g in gens])
+                relators.append(Word._trusted(alphabet, runs, k * len(gens)))
+    return Presentation._trusted(
+        alphabet,
         relators,
-        provenance={
+        {
             "construction": "directed-cycle-relators",
             "max_len": max_len,
             "max_exp": max_exp,
@@ -308,23 +313,50 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BU
 def presentation_relator_edge_words(presentation, ctx):
     """The relators of an edge-generated presentation, as edge words.
 
-    Only the generators in use must name edges; the first unknown one used
-    raises.  Each syllable (token, k) is re-lettered to (edge, k) once, the
-    first time it occurs.
+    A generator names the edge whose text it is (``_edge_factors``).  Only
+    the generators in use must name edges; the first one used that names
+    none raises ValueError.
     """
-    alphabet = ctx.edge_alphabet
-    table = {}
+    factors = _edge_factors(presentation.generators, ctx)
+    # Distinct generators stand for distinct letters, so reduced runs stay reduced.
+    words = []
+    for rel in presentation.relators:
+        runs = tuple([(factors[g][0], k) for g, k in rel._runs])
+        words.append(Word._trusted(ctx.edge_alphabet, runs, len(rel)))
+    return _edges_only(words, factors)
 
-    def edge_run(syllable):
-        run = table[syllable] = (alphabet.letter_for_token(syllable[0]), syllable[1])
-        return run
 
-    # A relator's tokens are checked generators with distinct neighbours, and
-    # distinct tokens name distinct edges, so its edge runs are checked and reduced.
-    return [
-        Word._of(alphabet, [table.get(s) or edge_run(s) for s in rel.syllables()])
-        for rel in presentation.relators
-    ]
+def _edge_factors(generators, ctx):
+    """The factor table of a presentation's generators over ctx's edges: each
+    generator's text -> (the edge it names, 1), or (its own name, 1) if it
+    names none."""
+    edges = ctx.edge_alphabet.factors()
+    return {g: edges.get(g) or (g, 1) for g in generators}
+
+
+def _edges_only(words, factors):
+    """``words``, unless one uses a generator that names no edge (a name in
+    ``factors``): then ValueError names the first one used."""
+    if all(type(letter) is DirectedEdge for letter, _ in factors.values()):
+        return words
+    for word in words:
+        for letter, _ in word._runs:
+            if type(letter) is not DirectedEdge:
+                raise ValueError(f"unknown generator {letter!r}")
+    return words
+
+
+def _read_edge_relators(text, ctx):
+    """The relators of a presentation file (text or JSON form), each read
+    straight onto ctx's edges by the rule of ``presentation_relator_edge_words``.
+
+    Every syntax error is found first (ParseError), as when the file is
+    parsed and then re-lettered; then a generator in use that names no edge
+    raises ValueError.
+    """
+    gens, rel_lines, start, _ = parse_text_or_json(text, _json_parts, _text_parts)
+    factors = _edge_factors(gens, ctx)
+    return _edges_only(_read_relator_words(rel_lines, start, ctx.edge_alphabet, factors), factors)
 
 
 def fundamental_cycle_basis(ctx):

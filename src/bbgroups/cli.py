@@ -180,8 +180,7 @@ def _run_present(ns):
 def _run_verify(ns):
     complex = _load_complex(ns.complex)
     ctx = bb.BBContext(complex)
-    presentation = _load_presentation(ns.presentation)
-    words = bb.presentation_relator_edge_words(presentation, ctx)
+    words = bb._read_edge_relators(_read(ns.presentation), ctx)
     failures = [i for i, w in enumerate(words) if not bb.verify_relator(w, ctx)]
     if ns.json:
         return _dump_json(
@@ -194,7 +193,7 @@ def _run_verify(ns):
     lines = [f"relators: {len(words)}", f"verified: {len(words) - len(failures)}"]
     if failures:
         for i in failures:
-            lines.append(f"FAILED relator {i}: {render_word(presentation.relators[i])}")
+            lines.append(f"FAILED relator {i}: {render_word(words[i])}")
     else:
         lines.append("all relators verified")
     return "\n".join(lines) + "\n", (0 if not failures else 1)

@@ -141,7 +141,8 @@ def finiteness_report(complex, tietze_budget=TIETZE_BUDGET):
 
     Homology is computed once, reduced: the unreduced b_0 of a nonempty
     complex is one more, the complex is connected iff reduced H_0 = 0, and
-    simply_connected_status reads H_1 off pi_1.
+    H_1 != 0 means pi_1 != 1 (Hurewicz), so simply_connected_status is
+    asked only when H_1 = 0.
     """
     if not complex.vertices:
         raise ValueError("the kernel group needs a nonempty complex")
@@ -158,7 +159,11 @@ def finiteness_report(complex, tietze_budget=TIETZE_BUDGET):
         presented = "no"
         status = None
     else:
-        status = simply_connected_status(complex, budget=tietze_budget)
+        status = (
+            simply_connected_status(complex, budget=tietze_budget)
+            if reduced.is_trivial(1)
+            else Pi1Status.CERTIFIED_NONTRIVIAL
+        )
         presented = {
             Pi1Status.CERTIFIED_TRIVIAL: "yes",
             Pi1Status.CERTIFIED_NONTRIVIAL: "no",

@@ -56,6 +56,18 @@ class Presentation:
         self.relators = tuple(rels)
         self.provenance = dict(provenance) if provenance else {}
 
+    @classmethod
+    def _trusted(cls, alphabet, relators, provenance):
+        """The presentation on a named alphabet whose letters passed
+        ``_add_generator``, of nonempty words over that alphabet its builder
+        has made; nothing is checked again."""
+        presentation = cls.__new__(cls)
+        presentation.generators = alphabet.letters
+        presentation.alphabet = alphabet
+        presentation.relators = tuple(relators)
+        presentation.provenance = dict(provenance) if provenance else {}
+        return presentation
+
     def is_empty(self):
         return not self.generators and not self.relators
 
@@ -262,22 +274,29 @@ def parse_presentation(text):
     ``rel:`` line as it is; relators are read once the generators are known,
     so a ``rel:`` line may come before the ``gens:`` line.
     """
+    return _read_relators(*_text_parts(text))
+
+
+def _text_parts(text):
+    """The first pass of ``parse_presentation``: ``(generators, rel_lines, 1,
+    provenance)`` for ``_read_relator_words``, generators as name -> position."""
     gens = {}
     rel_lines = []
     provenance = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        prov = _PROVENANCE_RE.match(raw.strip())
-        if prov:
-            if provenance is not None:
-                raise ParseError("duplicate provenance comment", lineno)
-            try:
-                provenance = _json.loads(prov.group(1))
-            except (_json.JSONDecodeError, RecursionError):
-                raise ParseError("malformed provenance JSON", lineno) from None
-            if not isinstance(provenance, dict):
-                raise ParseError("provenance must be a JSON object", lineno)
-            continue
-        line = raw.split("#", 1)[0]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:  # a comment, perhaps the provenance line
+            prov = _PROVENANCE_RE.match(line.strip())
+            if prov:
+                if provenance is not None:
+                    raise ParseError("duplicate provenance comment", lineno)
+                try:
+                    provenance = _json.loads(prov.group(1))
+                except (_json.JSONDecodeError, RecursionError):
+                    raise ParseError("malformed provenance JSON", lineno) from None
+                if not isinstance(provenance, dict):
+                    raise ParseError("provenance must be a JSON object", lineno)
+                continue
+            line = line.split("#", 1)[0]
         fields = line.split(None, 1)
         if not fields:
             continue
@@ -296,22 +315,29 @@ def parse_presentation(text):
                 _add_generator(gens, g)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno, col) from None
-    return _read_relators(gens, rel_lines, 1, provenance)
+    return gens, rel_lines, 1, provenance
 
 
-def _read_relators(gens, rel_lines, start, provenance):
-    """The presentation on ``gens``, which passed ``_add_generator``, with one
-    relator read from each ``(line, text)`` pair, from whitespace field
-    ``start`` of the text on; errors are ParseErrors."""
-    alphabet = Alphabet("named", gens)
-    factors = {}
+def _read_relator_words(rel_lines, start, alphabet, factors):
+    """One nonempty word over ``alphabet`` per ``(line, text)`` pair, read by
+    ``words.read_word`` from whitespace field ``start`` of the text on, each
+    token standing for the letter ``factors`` gives it; errors are
+    ParseErrors."""
     relators = []
     for lineno, text in rel_lines:
         word = read_word(text, alphabet, factors, lineno, start)
         if not len(word):
             raise ParseError("relator is empty after free reduction", lineno)
         relators.append(word)
-    return Presentation(gens, relators, provenance=provenance)
+    return relators
+
+
+def _read_relators(gens, rel_lines, start, provenance):
+    """The presentation on ``gens``, which passed ``_add_generator``, with its
+    relators read by ``_read_relator_words``, each token its own letter."""
+    alphabet = Alphabet("named", gens)
+    relators = _read_relator_words(rel_lines, start, alphabet, alphabet.factors())
+    return Presentation._trusted(alphabet, relators, provenance)
 
 
 def presentation_to_json(presentation):
@@ -328,6 +354,12 @@ def presentation_to_json(presentation):
 
 def presentation_from_json(data):
     """Inverse of presentation_to_json; accepts a dict or JSON text."""
+    return _read_relators(*_json_parts(data))
+
+
+def _json_parts(data):
+    """The checks of ``presentation_from_json``, then its ``(generators,
+    rel_lines, 0, provenance)`` for ``_read_relator_words``."""
     data = json_object(data, ("gens", "rel", "provenance"), "presentation JSON")
     gens = data.get("gens", [])
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
@@ -343,4 +375,4 @@ def presentation_from_json(data):
             _add_generator(names, g)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    return _read_relators(names, ((None, r) for r in rel), 0, data.get("provenance"))
+    return names, [(None, r) for r in rel], 0, data.get("provenance")

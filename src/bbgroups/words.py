@@ -107,6 +107,10 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"unknown generator {token!r}") from None
 
+    def factors(self):
+        """A new factor table for ``read_word``: each letter's text -> (letter, 1)."""
+        return {token: (l, 1) for token, l in self._by_token.items()}
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -175,6 +179,16 @@ class Word:
     def _of(cls, alphabet, runs):
         word = cls.__new__(cls)
         word._store(alphabet, runs)
+        return word
+
+    @classmethod
+    def _trusted(cls, alphabet, runs, length):
+        """The word of a tuple of runs its builder has checked and reduced,
+        ``length`` letters long; nothing is scanned."""
+        word = cls.__new__(cls)
+        word.alphabet = alphabet
+        word._runs = runs
+        word._length = length
         return word
 
     def _store(self, alphabet, runs):
@@ -380,17 +394,19 @@ def parse_word(text, alphabet):
     decimal k with ``|k| <= sys.maxsize``; directed-edge letters written
     ``[a>b]``.  Raises ParseError with position diagnostics.
     """
-    return read_word(text, alphabet, {})
+    return read_word(text, alphabet, alphabet.factors())
 
 
 def read_word(text, alphabet, factors, line=None, start=0):
-    """The word of ``text``'s whitespace-separated fields from field ``start``
-    on, each a factor as read by ``parse_word``.
+    """The word over ``alphabet`` of ``text``'s whitespace-separated fields
+    from field ``start`` on, each a factor as read by ``parse_word``.
 
-    ``factors`` maps each factor text already read over ``alphabet`` to its
-    syllable (letter, exponent): a factor is checked and decoded the first
-    time it is seen, and looked up after that.  A ParseError carries
-    ``line`` and the column of the factor at fault.
+    ``factors`` maps factor texts to syllables (letter, exponent).  It starts
+    with one entry ``g -> (letter, 1)`` per generator token g, which fixes
+    the letter each token stands for (``Alphabet.factors()``, or another
+    lettering); any other factor ``g^k`` is checked and decoded the first
+    time it is seen, recorded, and looked up after that.  A ParseError
+    carries ``line`` and the column of the factor at fault.
     """
     fields = text.split()
     runs = []
@@ -398,7 +414,7 @@ def read_word(text, alphabet, factors, line=None, start=0):
         syllable = factors.get(fields[i])
         if syllable is None:
             try:
-                syllable = factors[fields[i]] = _factor_syllable(fields[i], alphabet)
+                syllable = factors[fields[i]] = _factor_syllable(fields[i], factors)
             except ValueError as exc:
                 # str.split and errors.tokens split at the same characters.
                 raise ParseError(str(exc), line, tokens(text)[i][1]) from None
@@ -406,12 +422,15 @@ def read_word(text, alphabet, factors, line=None, start=0):
     return Word._of(alphabet, runs)
 
 
-def _factor_syllable(factor, alphabet):
-    """The syllable (letter, exponent) of one factor; ValueError says what is wrong."""
+def _factor_syllable(factor, factors):
+    """The syllable (letter, exponent) of one factor g^k, the letter that of
+    g's entry in ``factors``; ValueError says what is wrong."""
     base, caret, exp_text = factor.partition("^")
     if not base or caret and not exp_text.removeprefix("-").isdecimal():
         raise ValueError(f"malformed factor {factor!r}")
-    letter = alphabet.letter_for_token(base)
+    # A key with no '^' is a generator token: factors that fail are not recorded.
+    if base not in factors:
+        raise ValueError(f"unknown generator {base!r}")
     try:
         exp = int(exp_text) if caret else 1
     except ValueError:  # more digits than int() converts
@@ -420,4 +439,4 @@ def _factor_syllable(factor, alphabet):
         raise ValueError("exponent must be nonzero")
     if abs(exp) > sys.maxsize:
         raise ValueError(f"exponent out of range (|k| <= {sys.maxsize})")
-    return letter, exp
+    return factors[base][0], exp

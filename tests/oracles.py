@@ -8,23 +8,33 @@ for free reduction, a pair-by-pair merge for syllables, a Tietze loop
 that rescans every move from scratch, a set-by-set replay of a
 collapse certificate, and the directed-cycle construction of the finite
 kernel presentation.  None of them shares code with the library paths
-they audit.
+they audit, except ``verify_reference``: it checks ``bbgroups verify``
+against the route that parses a whole presentation file and only then
+re-letters its relators onto edges.
 """
 
+import json
 from collections import deque
 from itertools import combinations, product
 from math import gcd
 
 from bbgroups import (
     Alphabet,
+    BBContext,
     DirectedCycle,
     DirectedEdge,
+    ParseError,
     Pi1Status,
     Presentation,
     TietzeStatus,
     Word,
     cycle_relator,
+    parse_presentation,
+    presentation_from_json,
+    presentation_relator_edge_words,
+    render_word,
     simply_connected_status,
+    verify_relator,
 )
 
 
@@ -390,3 +400,32 @@ def finite_presentation_reference(ctx, extra_cycles=(), max_exp=1):
     if extra_cycles:
         provenance["max_exp"] = max_exp
     return Presentation(alphabet.letters, relators, provenance=provenance)
+
+
+def verify_reference(complex, text, as_json=False):
+    """What ``bbgroups verify [--json]`` gives for a connected complex and a
+    presentation file's text, as ``(exit code, stdout, first stderr line)``:
+    the file parsed whole by ``parse_presentation`` or
+    ``presentation_from_json``, then ``presentation_relator_edge_words``,
+    then ``verify_relator`` per relator."""
+    ctx = BBContext(complex)
+    try:
+        if text.lstrip().startswith("{"):
+            presentation = presentation_from_json(text)
+        else:
+            presentation = parse_presentation(text)
+        words = presentation_relator_edge_words(presentation, ctx)
+    except ParseError as exc:
+        return 2, "", f"error: {exc}"
+    except ValueError as exc:
+        return 1, "", f"error: {exc}"
+    failures = [i for i, w in enumerate(words) if not verify_relator(w, ctx)]
+    verified = len(words) - len(failures)
+    if as_json:
+        data = {"relators": len(words), "verified": verified, "failures": failures}
+        out = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = [f"relators: {len(words)}", f"verified: {verified}"]
+        lines += [f"FAILED relator {i}: {render_word(presentation.relators[i])}" for i in failures]
+        out = "\n".join(lines + ([] if failures else ["all relators verified"])) + "\n"
+    return int(bool(failures)), out, ""

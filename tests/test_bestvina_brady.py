@@ -45,9 +45,11 @@ from bbgroups import (
     relator_to_cycle,
     render_moves,
     render_word,
+    serialize_presentation,
     tree_path_word,
     verify_relator,
 )
+from bbgroups import bestvina_brady as bb_module
 from bbgroups.words import homomorphism, substitute
 from corpus import (
     c4,
@@ -371,6 +373,22 @@ def test_directed_cycle_presentation_matches_relators_built_as_words():
                     "complete": False,
                     "presents": "kernel (truncated infinite relator family)",
                 }
+
+
+def test_trusted_relators_match_words_built_from_syllables():
+    # directed_cycle_presentation and verify's read build their words without
+    # a scan; each must equal the checked, reduced word of the same runs.
+    for name, complex in connected_corpus():
+        ctx = BBContext(complex)
+        for max_len in range(2, 6):
+            for max_exp in (1, 2, 3):
+                pres = directed_cycle_presentation(ctx, max_len, max_exp)
+                read = bb_module._read_edge_relators(serialize_presentation(pres), ctx)
+                for words in (pres.relators, read):
+                    for word in words:
+                        built = Word.from_syllables(word.alphabet, word.syllables())
+                        assert word == built, (name, max_len, max_exp)
+                        assert len(word) == len(built) and word.letters == built.letters
 
 
 def test_directed_cycle_presentation_validation():

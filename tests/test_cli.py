@@ -7,9 +7,10 @@ import tracemalloc
 
 import pytest
 
-from bbgroups import parse_presentation, presentation_to_json
+from bbgroups import Word, parse_presentation, presentation_to_json
 from bbgroups.cli import build_parser, main
-from corpus import dunce_hat
+from corpus import connected_corpus, dunce_hat, k3
+from oracles import verify_reference
 
 C4_TEXT = "vertices: a b c d\nedges: a-b b-c c-d a-d\n"
 K3_JSON = '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}'
@@ -164,6 +165,77 @@ def test_verify_fails_on_a_non_relator(files, capsys, tmp_path):
     pres_file.write_text("gens: [a>b]\nrel: [a>b]\n")
     assert main(["verify", files["k3.json"], str(pres_file)]) == 1
     assert "FAILED relator 0" in capsys.readouterr().out
+
+
+def _graph_text(complex):
+    return (
+        "vertices: " + " ".join(complex.vertices) + "\n"
+        "edges: " + " ".join(f"{u}-{v}" for u, v in complex.edges) + "\n"
+    )
+
+
+def _json_form(text):
+    """The JSON form of a presentation text: its gens and rel lines."""
+    gens = [line.split()[1:] for line in text.splitlines() if line.startswith("gens:")]
+    rel = [line.split(None, 1)[1] for line in text.splitlines() if line.startswith("rel:")]
+    return json.dumps({"gens": gens[0] if gens else [], "rel": rel})
+
+
+# Presentation files over K3 with a problem each, and the exit code of verify.
+K3_CASES = [
+    ("gens: [a>b] [b>c] [c>a]\nrel: [a>b] [b>c] [c>a]\nrel: [a>b] [b>c]^2\n", 1),  # false relator
+    ("gens: [a>b]\nrel: [a>b] [b>c]\n", 2),  # undeclared generator
+    ("gens: [a>b]\nrel: [a>b]^x\n", 2),  # malformed factor
+    ("gens: [a>b] [b>a]\nrel: [b>a] [a>b]^2 [a>b]^-2 [b>a]^-1\n", 2),  # empty after reduction
+    ("gens: junk [a>b] [a>z]\nrel: [a>b] [a>z]\nrel: junk\n", 1),  # non-edge generators, used
+    ("gens: [a>b] junk [b>a]\nrel: [a>b] [b>a]\n", 0),  # a non-edge generator, unused
+    ("gens: [a>b] junk\nrel: [a>b] junk\nrel: [a>b]^0\n", 2),  # exit 2 wins over exit 1
+]
+
+
+def test_verify_matches_the_parse_then_reletter_route(capsys, tmp_path):
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err.splitlines()[0] if err else ""
+
+    def agree(complex, graph, text, expected=None):
+        path = tmp_path / "pres"
+        path.write_text(text)
+        for flags in ([], ["--json"]):
+            got = run(["verify", *flags, str(graph), str(path)])
+            assert got == verify_reference(complex, text, as_json=bool(flags)), (graph, text)
+            assert expected is None or got[0] == expected, (text, got)
+
+    for name, complex in connected_corpus():
+        graph = tmp_path / f"{name}.txt"
+        graph.write_text(_graph_text(complex))
+        for kind in ("bb-finite", "bb-truncated"):
+            for flags in ([], ["--json"]):
+                code, text, _ = run(["present", "--kind", kind, *flags, str(graph)])
+                assert code == 0
+                agree(complex, graph, text, 0)
+    graph = tmp_path / "k3.txt"
+    graph.write_text(_graph_text(k3()))
+    for text, expected in K3_CASES:
+        agree(k3(), graph, text, expected)
+        agree(k3(), graph, _json_form(text), expected)
+
+
+def test_present_and_verify_scan_each_truncated_relator_once(files, capsys, tmp_path, monkeypatch):
+    # Word._store is the scan of a relator's runs (letter count, adjacent letters).
+    scans = []
+    store = Word._store
+    monkeypatch.setattr(Word, "_store", lambda w, a, runs: scans.append(runs) or store(w, a, runs))
+    assert main(["present", "--kind", "bb-truncated", files["octa.txt"]]) == 0
+    text = capsys.readouterr().out
+    relators = text.count("\nrel: ")
+    assert relators > 100 and scans == []
+    path = tmp_path / "octa_truncated.txt"
+    path.write_text(text)
+    assert main(["verify", files["octa.txt"], str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"relators: {relators}\nverified: {relators}\n")
+    assert len(scans) == relators
 
 
 def test_present_truncated(files, capsys):

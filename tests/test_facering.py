@@ -7,6 +7,7 @@ import pytest
 
 from bbgroups import (
     FlagComplex,
+    Pi1Status,
     euler_characteristic,
     face_monomial,
     finiteness_report,
@@ -19,15 +20,18 @@ from bbgroups import (
 )
 from corpus import (
     c4,
+    connected_corpus,
     corpus,
     dunce_hat,
     k3,
     octahedron,
     path3,
     projective_plane,
+    random_flag_complex,
     suspension,
     two_points,
 )
+from bbgroups.presentations import TIETZE_BUDGET
 from oracles import brute_force_simplices, permutation_parity
 
 
@@ -225,7 +229,8 @@ def test_c4_report_is_the_rank_one_bieri_case():
 
 
 def test_report_makes_one_breadth_first_search(monkeypatch):
-    # Reduced H_0 answers connectivity; only the collapse's spanning tree searches.
+    # Reduced H_0 answers connectivity; only the collapse's spanning tree
+    # searches, and C4's H_1 != 0 answers without a collapse.
     from bbgroups import complexes
 
     searches = []
@@ -236,14 +241,46 @@ def test_report_makes_one_breadth_first_search(monkeypatch):
         return original(complex, root)
 
     monkeypatch.setattr(complexes, "_bfs_parents", counting)
-    for complex in (octahedron(), c4()):
+    for complex, count in ((octahedron(), 1), (c4(), 0)):
         searches.clear()
         assert finiteness_report(complex).finitely_generated is True
-        assert len(searches) == 1
+        assert len(searches) == count
     searches.clear()
     report = finiteness_report(two_points())
     assert report.finitely_generated is False and report.finitely_presented == "no"
     assert "finitely generated: no" in render_report_text(report)
+
+
+def test_report_answers_as_simply_connected_status(monkeypatch):
+    # H_1 != 0 answers "no" (Hurewicz); only H_1 = 0 asks for the pi_1 status.
+    from bbgroups import complexes, facering
+
+    asked = []
+    status = complexes.simply_connected_status
+
+    def counting(complex, budget):
+        asked.append(complex)
+        return status(complex, budget=budget)
+
+    monkeypatch.setattr(facering, "simply_connected_status", counting)
+    answer = {
+        Pi1Status.CERTIFIED_TRIVIAL: "yes",
+        Pi1Status.CERTIFIED_NONTRIVIAL: "no",
+        Pi1Status.UNKNOWN: "unknown",
+    }
+    complexes_ = connected_corpus() + [("dunce_hat", dunce_hat()), ("rp2", projective_plane())]
+    complexes_ += [(f"random{s}", random_flag_complex(s)) for s in range(32)]
+    for name, complex in complexes_:
+        h1_trivial = homology(complex, reduced=True).is_trivial(1)
+        for budget in (1, 2, TIETZE_BUDGET):
+            asked.clear()
+            report = facering.finiteness_report(complex, tietze_budget=budget)
+            expected = status(complex, budget=budget)
+            assert report.finitely_presented == answer[expected], (name, budget)
+            assert report.corollary7_applies == (
+                expected is Pi1Status.CERTIFIED_TRIVIAL and report.chi_delta != 1
+            ), (name, budget)
+            assert asked == ([complex] if h1_trivial else []), (name, budget)
 
 
 def test_simplex_report_is_type_fp():
