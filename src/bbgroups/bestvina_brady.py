@@ -27,7 +27,7 @@ from functools import cached_property
 from .complexes import DirectedCycle, DirectedEdge, Pi1Status, basepoint_tree
 from .complexes import edge_path_presentation, simply_connected_status
 from .errors import ParseError, lex, parse_text_or_json
-from .presentations import TIETZE_BUDGET, Presentation
+from .presentations import TIETZE_BUDGET, Presentation, parse_presentation, presentation_from_json
 from .presentations import _json_parts, _read_relator_words, _text_parts
 from .words import (
     Alphabet,
@@ -200,26 +200,29 @@ def enumerate_cycle_classes(ctx, max_len):
     complex = ctx.complex
     index = complex.vertex_index
     step = {(index(e.initial), index(e.terminal)): e for e in ctx.edge_alphabet.letters}
-    adj = [[index(w) for w in complex.neighbors(v)] for v in complex.vertices]
-    found = set()
+    # Neighbours in descending position, so the stack pops the least first.
+    adj = [[index(w) for w in reversed(complex.neighbors(v))] for v in complex.vertices]
+    by_length = [[] for _ in range(max_len + 1)]
 
-    # A least rotation starts at its walk's least vertex: grow walks from there.
+    # A least rotation starts at its walk's least vertex v: grow walks from
+    # there, least neighbour first, so each length's walks close in key order
+    # (comparing keys is comparing vertex sequences).  A closed walk is kept
+    # iff no rotation of it starting at v is smaller (the necklace test).
     for v in range(len(adj)):
         stack = [(v,)]
         while stack:
             walk = stack.pop()
             if len(walk) > 2 and walk[-1] == v:
-                steps = tuple(zip(walk, walk[1:]))
-                found.add(min(steps[r:] + steps[:r] for r in range(len(steps)) if walk[r] == v))
+                c = walk[:-1]
+                if all(c <= c[r:] + c[:r] for r in range(1, len(c)) if c[r] == v):
+                    # The steps meet end to start and close up: a valid cycle.
+                    edges = tuple(map(step.__getitem__, zip(walk, walk[1:])))
+                    by_length[len(c)].append(DirectedCycle._trusted(edges))
             if len(walk) < max_len:
                 stack.extend(walk + (w,) for w in adj[walk[-1]] if w >= v)
             elif (walk[-1], v) in step:  # never true of a closed walk: no loops
                 stack.append(walk + (v,))
-    # Each key's steps meet end to start and close up, so each cycle is valid.
-    return tuple(
-        DirectedCycle._trusted(tuple(map(step.__getitem__, key)))
-        for key in sorted(found, key=lambda key: (len(key), key))
-    )
+    return tuple(cycle for cycles in by_length for cycle in cycles)
 
 
 def directed_cycle_presentation(ctx, max_len, max_exp):
@@ -313,50 +316,34 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BU
 def presentation_relator_edge_words(presentation, ctx):
     """The relators of an edge-generated presentation, as edge words.
 
-    A generator names the edge whose text it is (``_edge_factors``).  Only
-    the generators in use must name edges; the first one used that names
-    none raises ValueError.
+    A generator names the edge whose text it is.  Only the generators in
+    use must name edges; the first one used that names none raises
+    ValueError.
     """
-    factors = _edge_factors(presentation.generators, ctx)
+    edge = ctx.edge_alphabet.letter_for_token  # ValueError: unknown generator
     # Distinct generators stand for distinct letters, so reduced runs stay reduced.
-    words = []
-    for rel in presentation.relators:
-        runs = tuple([(factors[g][0], k) for g, k in rel._runs])
-        words.append(Word._trusted(ctx.edge_alphabet, runs, len(rel)))
-    return _edges_only(words, factors)
-
-
-def _edge_factors(generators, ctx):
-    """The factor table of a presentation's generators over ctx's edges: each
-    generator's text -> (the edge it names, 1), or (its own name, 1) if it
-    names none."""
-    edges = ctx.edge_alphabet.factors()
-    return {g: edges.get(g) or (g, 1) for g in generators}
-
-
-def _edges_only(words, factors):
-    """``words``, unless one uses a generator that names no edge (a name in
-    ``factors``): then ValueError names the first one used."""
-    if all(type(letter) is DirectedEdge for letter, _ in factors.values()):
-        return words
-    for word in words:
-        for letter, _ in word._runs:
-            if type(letter) is not DirectedEdge:
-                raise ValueError(f"unknown generator {letter!r}")
-    return words
+    return [
+        Word._trusted(ctx.edge_alphabet, tuple([(edge(g), k) for g, k in rel._runs]), len(rel))
+        for rel in presentation.relators
+    ]
 
 
 def _read_edge_relators(text, ctx):
-    """The relators of a presentation file (text or JSON form), each read
-    straight onto ctx's edges by the rule of ``presentation_relator_edge_words``.
+    """The relators of a presentation file (text or JSON form) as edge words,
+    as ``presentation_relator_edge_words`` gives them for the parsed file.
 
-    Every syntax error is found first (ParseError), as when the file is
-    parsed and then re-lettered; then a generator in use that names no edge
-    raises ValueError.
+    If every declared generator names an edge, as in every ``present``
+    output, each relator is read straight onto the edges.  Otherwise the
+    file is parsed whole, so every syntax error (ParseError) comes before a
+    generator in use that names no edge (ValueError).
     """
     gens, rel_lines, start, _ = parse_text_or_json(text, _json_parts, _text_parts)
-    factors = _edge_factors(gens, ctx)
-    return _edges_only(_read_relator_words(rel_lines, start, ctx.edge_alphabet, factors), factors)
+    edges = ctx.edge_alphabet.factors()
+    if edges.keys() >= gens.keys():
+        factors = {g: edges[g] for g in gens}
+        return _read_relator_words(rel_lines, start, ctx.edge_alphabet, factors)
+    presentation = parse_text_or_json(text, presentation_from_json, parse_presentation)
+    return presentation_relator_edge_words(presentation, ctx)
 
 
 def fundamental_cycle_basis(ctx):

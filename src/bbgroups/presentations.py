@@ -219,16 +219,25 @@ def _apply_one_move(gens, rels, memo):
 
 
 TIETZE_BUDGET = 10000  # default move budget of every Tietze caller
+TIETZE_MAX_LETTERS = 10**7  # Tietze spells relators out letter by letter
 
 
 def tietze_simplify(presentation, budget=TIETZE_BUDGET):
     """Bounded Tietze simplification.
 
     Returns ``(presentation, status)`` where status reports whether a
-    fixpoint was reached or the move budget ran out first.
+    fixpoint was reached or the move budget ran out first.  A presentation
+    whose relators hold more than ``TIETZE_MAX_LETTERS`` letters raises
+    ValueError before any is spelled out.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    letters = presentation.total_relator_length()
+    if letters > TIETZE_MAX_LETTERS:
+        raise ValueError(
+            f"relators hold {letters} letters; Tietze simplification takes at most"
+            f" {TIETZE_MAX_LETTERS}"
+        )
     gens = list(presentation.generators)
     rels = [tuple(r.letters) for r in presentation.relators]
     memo = {}, defaultdict(set), {}  # see _apply_one_move

@@ -130,22 +130,20 @@ def brute_force_simplices(vertices, edges):
 def brute_force_closed_walk_classes(complex, max_len):
     """Rotation classes of closed directed walks, by product enumeration.
 
-    Only usable on small complexes (cost |directed edges|^length).
-    Each class is given by its rotation with the least tuple of
-    (initial, terminal) declaration positions, written as vertex-name
-    pairs; classes are listed by (length, position tuple).
+    Only usable on small complexes (cost |vertices|^length): a closed
+    walk of length l is a sequence of l vertex positions, each adjacent to
+    the next and the last to the first.  Each class is given by its
+    rotation with the least tuple of (initial, terminal) declaration
+    positions, written as vertex-name pairs; classes are listed by
+    (length, position tuple).
     """
-    position = {v: i for i, v in enumerate(complex.vertices)}
-    des = complex.directed_edges()
+    names = complex.vertices
     classes = set()
     for l in range(2, max_len + 1):
-        for combo in product(des, repeat=l):
-            if all(
-                combo[i].terminal == combo[(i + 1) % l].initial for i in range(l)
-            ):
-                keys = [(position[e.initial], position[e.terminal]) for e in combo]
+        for walk in product(range(len(names)), repeat=l):
+            keys = [(walk[i], walk[(i + 1) % l]) for i in range(l)]
+            if all(complex.adjacent(names[i], names[j]) for i, j in keys):
                 classes.add(min(tuple(keys[r:] + keys[:r]) for r in range(l)))
-    names = complex.vertices
     return [
         tuple((names[i], names[j]) for i, j in key)
         for key in sorted(classes, key=lambda key: (len(key), key))

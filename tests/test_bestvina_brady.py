@@ -53,6 +53,7 @@ from bbgroups import bestvina_brady as bb_module
 from bbgroups.words import homomorphism, substitute
 from corpus import (
     c4,
+    complete_graph,
     connected_corpus,
     declared_first,
     dunce_hat,
@@ -60,6 +61,7 @@ from corpus import (
     k3,
     octahedron,
     path3,
+    random_flag_complex,
     random_word,
     random_zero_sum_word,
     two_points,
@@ -281,15 +283,22 @@ def test_cycle_classes_match_product_enumeration_oracle():
         ["z", "b", "y", "a"], [("z", "b"), ("b", "y"), ("y", "z"), ("y", "a")]
     )
     # Up to length 6 the last step closes walks whose last vertex is, and is
-    # not, a neighbour of the first.
+    # not, a neighbour of the first.  K_4, K_5 and G(6, 0.5) have many
+    # periodic and vertex-repeating walks.
     cases = [(edge_complex(), 4), (path3(), 4), (k3(), 6), (c4(), 6), (unsorted, 6)]
+    cases += [(complete_graph(4), 5), (complete_graph(5), 5)]
+    cases += [(random_flag_complex(s, n=6, p=0.5), 5) for s in range(1, 11)]
     for complex, longest in cases:
         ctx = BBContext(complex)
         edges = {e: e for e in ctx.edge_alphabet.letters}
+        index = complex.vertex_index
         for max_len in range(2, longest + 1):
             classes = enumerate_cycle_classes(ctx, max_len)
             keys = [tuple((e.initial, e.terminal) for e in c.edges) for c in classes]
             assert keys == brute_force_closed_walk_classes(complex, max_len)
+            # in (length, key) order, each class once
+            order = [(len(k), tuple((index(a), index(b)) for a, b in k)) for k in keys]
+            assert order == sorted(set(order))
             # cycles are made of the edge alphabet's own letters
             assert all(edges[e] is e for c in classes for e in c.edges)
 

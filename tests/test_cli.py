@@ -7,8 +7,10 @@ import tracemalloc
 
 import pytest
 
-from bbgroups import Word, parse_presentation, presentation_to_json
+from bbgroups import BBContext, Word, parse_presentation, presentation_to_json
+from bbgroups import bestvina_brady as bb_module
 from bbgroups.cli import build_parser, main
+from bbgroups.presentations import TIETZE_MAX_LETTERS
 from corpus import connected_corpus, dunce_hat, k3
 from oracles import verify_reference
 
@@ -193,19 +195,48 @@ K3_CASES = [
 ]
 
 
-def test_verify_matches_the_parse_then_reletter_route(capsys, tmp_path):
+def test_verify_matches_the_parse_then_reletter_route(capsys, tmp_path, monkeypatch):
+    # verify reads relators straight onto the edges ("direct") when every
+    # declared generator names an edge, and parses the file whole ("parse")
+    # otherwise; either way each word it returns holds only its alphabet's letters.
+    routes, returned = [], []
+    read_direct, read = bb_module._read_relator_words, bb_module._read_edge_relators
+    monkeypatch.setattr(
+        bb_module, "_read_relator_words", lambda *args: routes.append("direct") or read_direct(*args)
+    )
+    for name in ("parse_presentation", "presentation_from_json"):
+        parse = getattr(bb_module, name)
+        monkeypatch.setattr(bb_module, name, lambda t, parse=parse: routes.append("parse") or parse(t))
+    monkeypatch.setattr(
+        bb_module, "_read_edge_relators", lambda t, ctx: returned.extend(read(t, ctx)) or returned
+    )
+
     def run(argv):
         code = main(argv)
         out, err = capsys.readouterr()
         return code, out, err.splitlines()[0] if err else ""
 
+    def declared(text):
+        if text.lstrip().startswith("{"):
+            return json.loads(text)["gens"]
+        return next(line.split()[1:] for line in text.splitlines() if line.startswith("gens:"))
+
     def agree(complex, graph, text, expected=None):
         path = tmp_path / "pres"
         path.write_text(text)
+        edges = {str(e) for e in BBContext(complex).edge_alphabet.letters}
+        route = "direct" if edges.issuperset(declared(text)) else "parse"
         for flags in ([], ["--json"]):
+            routes.clear()
+            returned.clear()
             got = run(["verify", *flags, str(graph), str(path)])
             assert got == verify_reference(complex, text, as_json=bool(flags)), (graph, text)
             assert expected is None or got[0] == expected, (text, got)
+            assert routes == [route], (text, routes)
+            assert all(l in w.alphabet.index for w in returned for l, _ in w.syllables()), text
+            seen.add(route)
+
+    seen = set()
 
     for name, complex in connected_corpus():
         graph = tmp_path / f"{name}.txt"
@@ -220,6 +251,7 @@ def test_verify_matches_the_parse_then_reletter_route(capsys, tmp_path):
     for text, expected in K3_CASES:
         agree(k3(), graph, text, expected)
         agree(k3(), graph, _json_form(text), expected)
+    assert seen == {"direct", "parse"}
 
 
 def test_present_and_verify_scan_each_truncated_relator_once(files, capsys, tmp_path, monkeypatch):
@@ -301,6 +333,22 @@ def test_huge_exponent_is_a_syntax_error(files, capsys, tmp_path):
     express_err, reduce_err = captured.err.splitlines()
     assert express_err == f"error: column 1: exponent out of range (|k| <= {sys.maxsize})"
     assert reduce_err.startswith("error: line 2, column 6: exponent out of range")
+
+
+def test_reduce_refuses_a_presentation_past_the_tietze_letter_cap(capsys, tmp_path):
+    huge = TIETZE_MAX_LETTERS + 1
+    text = f"gens: a\nrel: a^{huge}\n"
+    for name, content in (("huge.txt", text), ("huge.json", _json_form(text))):
+        pres_file = tmp_path / name
+        pres_file.write_text(content)
+        for flags in ([], ["--json"]):
+            assert main(["reduce", *flags, str(pres_file)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: relators hold {huge} letters;"
+                f" Tietze simplification takes at most {TIETZE_MAX_LETTERS}\n"
+            )
 
 
 def test_reduce_budget_runs_out_on_a_trivial_relator(files, capsys, tmp_path):

@@ -26,8 +26,9 @@ from bbgroups import (
     serialize_presentation,
     tietze_simplify,
 )
+from bbgroups import presentations
 from bbgroups.errors import tokens
-from bbgroups.presentations import TIETZE_BUDGET
+from bbgroups.presentations import TIETZE_BUDGET, TIETZE_MAX_LETTERS
 from corpus import complete_graph, connected_corpus, octahedron, random_flag_complex
 from oracles import tietze_reference
 
@@ -147,6 +148,26 @@ def test_tietze_budget_exhaustion():
 def test_tietze_budget_must_be_positive():
     with pytest.raises(ValueError, match="positive"):
         tietze_simplify(P(["x"], []), 0)
+
+
+def test_tietze_refuses_more_letters_than_its_cap_before_spelling():
+    # One letter past the cap, kept as one syllable: a check that regressed
+    # would spell 10^7 pairs, slow but within memory.
+    huge = TIETZE_MAX_LETTERS + 1
+    for pres in (
+        parse_presentation(f"gens: a\nrel: a^{huge}\n"),
+        presentation_from_json({"gens": ["a"], "rel": [f"a^{huge}"]}),
+    ):
+        with pytest.raises(ValueError, match=f"{huge} letters; .* at most {TIETZE_MAX_LETTERS}$"):
+            tietze_simplify(pres)
+
+
+def test_tietze_takes_a_presentation_at_its_letter_cap(monkeypatch):
+    monkeypatch.setattr(presentations, "TIETZE_MAX_LETTERS", 3)
+    simplified, status = tietze_simplify(parse_presentation("gens: a b\nrel: a b a\n"))
+    assert status is TietzeStatus.FIXPOINT and simplified.generators == ("a",)
+    with pytest.raises(ValueError, match="4 letters"):
+        tietze_simplify(parse_presentation("gens: a b\nrel: a b a b\n"))
 
 
 def test_tietze_handles_cyclic_reduction_and_powers():
