@@ -190,10 +190,9 @@ def enumerate_cycle_classes(ctx, max_len):
     is keyed by its steps as (initial, terminal) vertex positions; each
     class is represented by its rotation with the least key, and
     classes come out sorted by (length, key).  Walks grow on an explicit
-    stack, so ``max_len`` is not bounded by the recursion limit; a walk
-    of ``max_len - 1`` steps is not grown but closed, if one adjacency
-    test of its last vertex with its first allows.  Each cycle is made of
-    the edge alphabet's own ``DirectedEdge`` objects, looked up by step.
+    stack, so ``max_len`` is not bounded by the recursion limit.  Each
+    cycle is made of the edge alphabet's own ``DirectedEdge`` objects,
+    looked up by step.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
@@ -204,24 +203,20 @@ def enumerate_cycle_classes(ctx, max_len):
     adj = [[index(w) for w in reversed(complex.neighbors(v))] for v in complex.vertices]
     by_length = [[] for _ in range(max_len + 1)]
 
-    # A least rotation starts at its walk's least vertex v: grow walks from
-    # there, least neighbour first, so each length's walks close in key order
-    # (comparing keys is comparing vertex sequences).  A closed walk is kept
-    # iff no rotation of it starting at v is smaller (the necklace test).
+    # A least rotation (keys compare as vertex sequences) is a necklace: it
+    # starts at its least vertex v and each prefix c is a prenecklace, grown
+    # only by w >= c[-p], p the period of c's longest Lyndon prefix; c is a
+    # necklace iff p divides len(c) (Ruskey-Savage-Wang, 1992).
     for v in range(len(adj)):
-        stack = [(v,)]
+        stack = [((v,), 1)]
         while stack:
-            walk = stack.pop()
-            if len(walk) > 2 and walk[-1] == v:
-                c = walk[:-1]
-                if all(c <= c[r:] + c[:r] for r in range(1, len(c)) if c[r] == v):
-                    # The steps meet end to start and close up: a valid cycle.
-                    edges = tuple(map(step.__getitem__, zip(walk, walk[1:])))
-                    by_length[len(c)].append(DirectedCycle._trusted(edges))
-            if len(walk) < max_len:
-                stack.extend(walk + (w,) for w in adj[walk[-1]] if w >= v)
-            elif (walk[-1], v) in step:  # never true of a closed walk: no loops
-                stack.append(walk + (v,))
+            c, p = stack.pop()
+            if len(c) >= 2 and len(c) % p == 0 and (c[-1], v) in step:
+                edges = tuple(map(step.__getitem__, zip(c, c[1:] + (v,))))
+                by_length[len(c)].append(DirectedCycle._trusted(edges))
+            if len(c) < max_len:
+                u = c[-p]
+                stack.extend((c + (w,), p if w == u else len(c) + 1) for w in adj[c[-1]] if w >= u)
     return tuple(cycle for cycles in by_length for cycle in cycles)
 
 
@@ -522,8 +517,7 @@ def apply_homotopy_move(relator_word, move, n, ctx):
     return cycle_relator(apply_move_to_cycle(cycle, move, ctx), n, ctx)
 
 
-def _legal_moves(cycle, ctx):
-    edges = cycle.edges
+def _legal_moves(edges, ctx):
     l = len(edges)
     for k in range(1, l):
         yield RotateMove(k)
@@ -551,6 +545,7 @@ def find_move_sequence(cycle, target, ctx, budget=2000):
     Returns a tuple of moves replayable with apply_move_to_cycle, or
     None when the budget (number of expanded nodes) runs out.  None
     means "unknown", never "not homotopic": the search is bounded.
+    Each generated move is applied once, through its own site checks.
     """
     start = cycle.edges
     goal = target.edges
@@ -562,9 +557,8 @@ def find_move_sequence(cycle, target, ctx, budget=2000):
     while queue and expanded < budget:
         state = queue.popleft()
         expanded += 1
-        current = DirectedCycle(state)
-        for move in _legal_moves(current, ctx):
-            child = apply_move_to_cycle(current, move, ctx).edges
+        for move in _legal_moves(state, ctx):
+            child = move.apply(state, ctx)
             if child in seen:
                 continue
             seen[child] = (state, move)

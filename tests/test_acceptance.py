@@ -193,7 +193,7 @@ def test_criterion_6_homotopy_move_soundness():
             moves = []
             current = cycle
             for _ in range(rng.randint(1, 10)):
-                options = list(_legal_moves(current, ctx))
+                options = list(_legal_moves(current.edges, ctx))
                 move = options[rng.randrange(len(options))]
                 moves.append(move)
                 current = apply_move_to_cycle(current, move, ctx)

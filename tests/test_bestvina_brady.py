@@ -282,11 +282,10 @@ def test_cycle_classes_match_product_enumeration_oracle():
     unsorted = FlagComplex(
         ["z", "b", "y", "a"], [("z", "b"), ("b", "y"), ("y", "z"), ("y", "a")]
     )
-    # Up to length 6 the last step closes walks whose last vertex is, and is
-    # not, a neighbour of the first.  K_4, K_5 and G(6, 0.5) have many
-    # periodic and vertex-repeating walks.
+    # K_4, K_5, the octahedron and G(6, 0.5) have many periodic and
+    # vertex-repeating walks, whose prenecklace periods repeat and restart.
     cases = [(edge_complex(), 4), (path3(), 4), (k3(), 6), (c4(), 6), (unsorted, 6)]
-    cases += [(complete_graph(4), 5), (complete_graph(5), 5)]
+    cases += [(complete_graph(4), 6), (complete_graph(5), 5), (octahedron(), 6)]
     cases += [(random_flag_complex(s, n=6, p=0.5), 5) for s in range(1, 11)]
     for complex, longest in cases:
         ctx = BBContext(complex)
@@ -304,16 +303,16 @@ def test_cycle_classes_match_product_enumeration_oracle():
 
 
 def test_cycle_classes_do_not_recurse_per_step():
-    # One class per even length on a single edge; a walk of 200 steps must
-    # not need 200 stack frames.
+    # One class per even length on a single edge; a walk of 1050 steps must
+    # not need 1050 stack frames.
     ctx = BBContext(edge_complex())
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 50)
     try:
-        classes = enumerate_cycle_classes(ctx, 200)
+        classes = enumerate_cycle_classes(ctx, 1050)
     finally:
         sys.setrecursionlimit(limit)
-    assert [len(c) for c in classes] == list(range(2, 201, 2))
+    assert [len(c) for c in classes] == list(range(2, 1051, 2))
 
 
 def test_k3_cycle_classes_at_length_three():

@@ -1,0 +1,107 @@
+"""Input checks of the file formats and of the library's bounds.
+
+Each malformed file goes through ``cli.main`` and must exit 2 with one
+error line; each out-of-range library argument must raise its message.
+"""
+
+import pytest
+
+from bbgroups import (
+    BBContext,
+    ParseError,
+    boundary_matrix,
+    finite_presentation,
+    parse_word,
+    presentation_from_json,
+    relator_to_cycle,
+    simply_connected_status,
+)
+from bbgroups.cli import main
+from corpus import k3
+
+MALFORMED_FILES = {
+    "vertices-not-a-list": (
+        "info", "graph.json", '{"vertices": "a b", "edges": []}',
+        "'vertices' must be a list of strings",
+    ),
+    "vertex-not-a-string": (
+        "info", "graph.json", '{"vertices": ["a", 1], "edges": []}',
+        "'vertices' must be a list of strings",
+    ),
+    "edges-not-a-list": (
+        "info", "graph.json", '{"vertices": ["a", "b"], "edges": {}}',
+        "'edges' must be a list of two-element lists",
+    ),
+    "edge-of-three-ends": (
+        "info", "graph.json", '{"vertices": ["a", "b"], "edges": [["a", "b", "a"]]}',
+        "edges[0] must be a two-element list of strings",
+    ),
+    "edge-end-not-a-string": (
+        "info", "graph.json", '{"vertices": ["a", "b"], "edges": [["a", "b"], ["a", 2]]}',
+        "edges[1] must be a two-element list of strings",
+    ),
+    "duplicate-provenance": (
+        "reduce", "pres.txt", '# provenance: {"a": 1}\n# provenance: {"a": 1}\ngens: a\n',
+        "line 2: duplicate provenance comment",
+    ),
+    "provenance-not-an-object": (
+        "reduce", "pres.txt", "# provenance: [1, 2]\ngens: a\n",
+        "line 1: provenance must be a JSON object",
+    ),
+    "gens-not-a-list": (
+        "reduce", "pres.json", '{"gens": "a b", "rel": []}',
+        "'gens' must be a list of strings",
+    ),
+    "generator-not-a-string": (
+        "reduce", "pres.json", '{"gens": ["a", 2], "rel": []}',
+        "'gens' must be a list of strings",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_input_file_is_exit_2(tmp_path, capsys, case):
+    verb, name, text, message = MALFORMED_FILES[case]
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def _relator_at_exponent_zero():
+    ctx = BBContext(k3())
+    return relator_to_cycle(parse_word("[a>b] [b>a]", ctx.edge_alphabet), 0, ctx)
+
+
+OUT_OF_RANGE_CALLS = {
+    # The CLI sends only text starting with '{' to the JSON reader.
+    "presentation-json-not-an-object": (
+        lambda: presentation_from_json([]),
+        ParseError, "top-level JSON value must be an object",
+    ),
+    "finite-presentation-max-exp-0": (
+        lambda: finite_presentation(BBContext(k3()), max_exp=0),
+        ValueError, "max_exp must be at least 1",
+    ),
+    "relator-to-cycle-exponent-0": (
+        _relator_at_exponent_zero, ValueError, "relator exponent must be nonzero",
+    ),
+    "simply-connected-budget-0": (
+        lambda: simply_connected_status(k3(), budget=0),
+        ValueError, "budget must be positive",
+    ),
+    "boundary-matrix-degree-0": (
+        lambda: boundary_matrix(k3(), 0),
+        ValueError, "boundary_matrix is defined for k >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_CALLS))
+def test_out_of_range_library_argument_raises(case):
+    call, error, message = OUT_OF_RANGE_CALLS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
