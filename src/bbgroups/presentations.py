@@ -6,7 +6,8 @@ sequence of freely reduced, nonempty relator words over that alphabet.
 A free-form provenance mapping records which construction emitted the
 presentation and with what truncation parameters; provenance rides
 along through serialization but does not take part in equality.
-Tietze moves reuse the free reduction and the word maps of ``words``.
+Tietze moves spell each relator once as a string of one character per
+letter, so each scan, match and substitution is a ``str`` method.
 Abelianizing a complex's edge-path presentation gives its H_1
 (Hurewicz).
 """
@@ -19,9 +20,9 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from . import snf, words
+from . import snf
 from .errors import ParseError, json_object, reserved_chars, tokens
-from .words import Alphabet, Word, invert_letters, read_word, reduce_letters, write_word
+from .words import Alphabet, Word, read_word, write_word
 
 
 def _add_generator(names, g):
@@ -131,125 +132,131 @@ class TietzeStatus(enum.Enum):
     BUDGET_EXHAUSTED = "BudgetExhausted"
 
 
-def _apply_one_move(gens, rels, memo):
+def _reduce(word):
+    """Free reduction of a Tietze string: a stack that pops a letter its inverse meets."""
+    stack = []
+    for c in word:
+        if stack and ord(stack[-1]) == ord(c) ^ 1:
+            stack.pop()
+        else:
+            stack.append(c)
+    return "".join(stack)
+
+
+def _apply_one_move(gens, rels, names, flip, to_gen, tried):
     """Apply the first applicable elementary move; returns False at fixpoint.
 
-    Moves are tried cheapest first, scans in deterministic order:
-    cyclic reduction, trivial-relator deletion, elimination of a
-    generator occurring exactly once in some relator, and shortening a
-    relator by (a rotation of) another.  Every move is a Tietze
-    transformation, so the presented group never changes.  Elimination
-    maps the generator to its value by one ``words.homomorphism`` table.
+    ``rels`` holds the relators as strings, generator k (``names[k]``) as
+    ``chr(2k)`` and its inverse as ``chr(2k + 1)``; ``translate(flip)``
+    inverts each letter and ``translate(to_gen)`` maps it to its generator.
+    Moves are tried cheapest first, scans in deterministic order: cyclic
+    reduction, trivial-relator deletion, elimination of a generator
+    occurring exactly once in some relator, and shortening a relator by (a
+    rotation of) another.  Every move is a Tietze transformation, so the
+    presented group never changes.
 
-    Shortening depends only on the two relators' letters.  ``memo`` holds,
-    for one ``tietze_simplify`` call, a small integer id per relator text,
-    the source ids per target id whose scan found no match (skipped from
-    then on), and the target's subwords of length k per (target id, k).  A
-    match of a rotation u is longer than |u|/2, so it opens with u's first
-    k = |u|//2 + 1 letters: a rotation whose k-letter opening is not a
-    subword of the target is skipped, and the first match found is the one
-    the full scan would find.
+    Shortening depends only on the two strings.  ``tried`` maps each target
+    to the sources whose scan found no match, skipped from then on.  A match
+    of a rotation u is longer than |u|/2, so a rotation whose first
+    |u|//2 + 1 letters are not in the target is skipped.
     """
     # cyclic reduction
     for i, rel in enumerate(rels):
-        if len(rel) >= 2 and rel[0] == (rel[-1][0], -rel[-1][1]):
-            word = rel
-            while len(word) >= 2 and word[0] == (word[-1][0], -word[-1][1]):
-                word = word[1:-1]
-            rels[i] = word
+        if len(rel) >= 2 and ord(rel[0]) == ord(rel[-1]) ^ 1:
+            while len(rel) >= 2 and ord(rel[0]) == ord(rel[-1]) ^ 1:
+                rel = rel[1:-1]
+            rels[i] = rel
             return True
 
     # trivial relators
-    if () in rels:
-        rels.remove(())
+    if "" in rels:
+        rels.remove("")
         return True
 
     # generator elimination
     for i, rel in enumerate(rels):
-        counts = Counter(letter for letter, _ in rel)
-        for p, (letter, sign) in enumerate(rel):
-            if counts[letter] != 1:
-                continue
-            # rel = pre g^sign post = 1, so g^-sign = post pre
-            rest = rel[p + 1 :] + rel[:p]
-            del rels[i]
-            # Relators are freely reduced, so one without the generator stays as it is.
-            holding = [k for k, r in enumerate(rels) if (letter, 1) in r or (letter, -1) in r]
-            images = {g: ((g, 1),) for k in holding for g, _ in rels[k]}
-            images[letter] = invert_letters(rest) if sign > 0 else rest
-            table = words.homomorphism(images)
-            for k in holding:
-                rels[k] = reduce_letters(words.substitute(rels[k], table))
-            gens.remove(letter)
-            return True
+        view = rel.translate(to_gen)
+        # A Counter lists letters by first occurrence: the first once-letter is leftmost.
+        g = next((g for g, n in Counter(view).items() if n == 1), None)
+        if g is None:
+            continue
+        # rel = pre x post = 1 with x = g^+-1, so x^-1 = post pre
+        p = view.index(g)
+        x, x_inverse = rel[p], flip[ord(rel[p])]
+        rest = rel[p + 1 :] + rel[:p]
+        images = {ord(x): rest[::-1].translate(flip), ord(x_inverse): rest}
+        del rels[i]
+        # Relators are freely reduced, so one without the generator stays as it is.
+        for k, r in enumerate(rels):
+            if x in r or x_inverse in r:
+                rels[k] = _reduce(r.translate(images))
+        gens.remove(names[ord(g) >> 1])
+        return True
 
     # shorten one relator by more than half of a rotation of another
-    ids, unshortenable, subwords = memo
-    keys = [ids.setdefault(r, len(ids)) for r in rels]
     for i, target in enumerate(rels):
-        tried = unshortenable[keys[i]]
+        failed = tried[target]
         for j, source in enumerate(rels):
-            if i == j or keys[j] in tried:
+            if i == j or source in failed:
                 continue
             k = len(source) // 2 + 1
-            openings = subwords.get((keys[i], k))
-            if openings is None:
-                openings = subwords[keys[i], k] = {
-                    target[p : p + k] for p in range(len(target) - k + 1)
-                }
-            for base in (source, invert_letters(source)):
+            for base in (source, source[::-1].translate(flip)):
                 doubled = base + base
                 for rot in range(len(base)):
-                    if doubled[rot : rot + k] not in openings:
+                    if doubled[rot : rot + k] not in target:
                         continue
                     u = doubled[rot : rot + len(base)]
-                    longest = min(len(u), len(target))
-                    for length in range(longest, len(u) // 2, -1):
-                        pattern = u[:length]
-                        for p in range(len(target) - length + 1):
-                            if target[p : p + length] == pattern:
-                                rels[i] = reduce_letters(
-                                    target[:p]
-                                    + invert_letters(u[length:])
-                                    + target[p + length :]
-                                )
-                                return True
-            tried.add(keys[j])
+                    for length in range(min(len(u), len(target)), len(u) // 2, -1):
+                        p = target.find(u[:length])
+                        if p >= 0:
+                            rest = u[length:][::-1].translate(flip)
+                            rels[i] = _reduce(target[:p] + rest + target[p + length :])
+                            return True
+            failed.add(source)
     return False
 
 
 TIETZE_BUDGET = 10000  # default move budget of every Tietze caller
 TIETZE_MAX_LETTERS = 10**7  # Tietze spells relators out letter by letter
+TIETZE_MAX_GENERATORS = 0x110000 // 2  # generator k is chr(2k), its inverse chr(2k + 1)
 
 
 def tietze_simplify(presentation, budget=TIETZE_BUDGET):
     """Bounded Tietze simplification.
 
     Returns ``(presentation, status)`` where status reports whether a
-    fixpoint was reached or the move budget ran out first.  A presentation
-    whose relators hold more than ``TIETZE_MAX_LETTERS`` letters raises
-    ValueError before any is spelled out.
+    fixpoint was reached or the move budget ran out first.  Each relator is
+    spelled once into a string of one character per letter, and the moves
+    work on those strings.  A presentation whose relators hold more than
+    ``TIETZE_MAX_LETTERS`` letters, or more than ``TIETZE_MAX_GENERATORS``
+    distinct generators, raises ValueError before any is spelled out.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    letters = presentation.total_relator_length()
-    if letters > TIETZE_MAX_LETTERS:
-        raise ValueError(
-            f"relators hold {letters} letters; Tietze simplification takes at most"
-            f" {TIETZE_MAX_LETTERS}"
-        )
+    runs = [r.syllables() for r in presentation.relators]
+    names = list(dict.fromkeys([g for rel in runs for g, _ in rel]))  # generator k's name
+    for n, what, cap in (
+        (presentation.total_relator_length(), "letters", TIETZE_MAX_LETTERS),
+        (len(names), "generators", TIETZE_MAX_GENERATORS),
+    ):
+        if n > cap:
+            raise ValueError(f"relators hold {n} {what}; Tietze simplification takes at most {cap}")
+    code = {g: (chr(2 * k), chr(2 * k + 1)) for k, g in enumerate(names)}
+    rels = ["".join([code[g][e < 0] * abs(e) for g, e in rel]) for rel in runs]
+    flip = "".join([chr(c ^ 1) for c in range(2 * len(names))])
+    to_gen = "".join([chr(c & ~1) for c in range(2 * len(names))])
     gens = list(presentation.generators)
-    rels = [tuple(r.letters) for r in presentation.relators]
-    memo = {}, defaultdict(set), {}  # see _apply_one_move
-    while budget and _apply_one_move(gens, rels, memo):
+    tried = defaultdict(set)  # see _apply_one_move
+    while budget and _apply_one_move(gens, rels, names, flip, to_gen, tried):
         budget -= 1
     # Deleting a trivial relator is itself a Tietze move; a fixpoint has none left.
     rels = [r for r in rels if r]
     status = TietzeStatus.FIXPOINT
-    if not budget and _apply_one_move(list(gens), list(rels), memo):
+    if not budget and _apply_one_move(list(gens), list(rels), names, flip, to_gen, tried):
         status = TietzeStatus.BUDGET_EXHAUSTED
-    simplified = Presentation(gens, rels, provenance=presentation.provenance)
-    return simplified, status
+    letter = [(g, sign) for g in names for sign in (1, -1)]
+    rels = [[letter[ord(c)] for c in r] for r in rels]
+    return Presentation(gens, rels, provenance=presentation.provenance), status
 
 
 # -- text and JSON formats ----------------------------------------------

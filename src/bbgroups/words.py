@@ -64,20 +64,11 @@ def spell(syllables):
     return tuple(out)
 
 
-def reduce_letters(letters):
-    """Free reduction of (letter, sign) pairs, as syllables of exponent +-1."""
-    return spell(reduce_syllables(letters))
-
-
-def invert_letters(letters):
-    """The (letter, sign) pairs of the inverse word."""
-    return tuple([(l, -s) for l, s in reversed(letters)])
-
-
 def homomorphism(images):
     """The table ``{(g, 1): image, (g, -1): inverse image}`` of g -> images[g]."""
     table = {(g, 1): tuple(image) for g, image in images.items()}
-    table.update({(g, -1): invert_letters(image) for (g, _), image in table.items()})
+    for (g, _), image in list(table.items()):
+        table[g, -1] = tuple([(l, -s) for l, s in reversed(image)])
     return table
 
 

@@ -251,6 +251,8 @@ def test_cycle_relator_backtrack_kept_as_two_letters():
     assert render_word(relator) == "[a>b] [b>a]"
     assert len(relator) == 2  # not collapsed; the fold happens only in K-presentations
     assert verify_relator(relator, ctx)
+    again = DirectedCycle([DirectedEdge("a", "b"), DirectedEdge("b", "a")])
+    assert again == cycle and hash(again) == hash(cycle)
 
 
 def test_cycle_relator_negative_exponent():

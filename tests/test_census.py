@@ -3,7 +3,8 @@
 The census runs over every nonempty graph of ``networkx.graph_atlas_g()``
 (every graph on at most 7 vertices, up to isomorphism); networkx is a
 test-only dependency, so the census skips without it.  The metamorphic
-relations run over seeded random graphs on 3 to 8 vertices.
+relations run over seeded random graphs on 3 to 8 vertices, and those of
+joins and disjoint unions over seeded pairs of graphs on 2 to 7 vertices.
 """
 
 import random
@@ -14,7 +15,10 @@ from bbgroups import (
     BBContext,
     FlagComplex,
     Pi1Status,
+    RaagContext,
+    Word,
     abelianization,
+    euler_characteristic,
     finite_presentation,
     finiteness_report,
     homology,
@@ -24,7 +28,7 @@ from bbgroups import (
     simply_connected_status,
     verify_relator,
 )
-from corpus import random_flag_complex, suspension
+from corpus import order_complex, random_flag_complex, suspension
 
 
 def test_graph_atlas_census():
@@ -84,3 +88,84 @@ def test_suspension_shifts_reduced_homology_up_one_degree():
         h = homology(complex, reduced=True)
         s = homology(suspension(complex), reduced=True)
         assert (s.betti, s.torsion) == ((0,) + h.betti, ((),) + h.torsion), seed
+
+
+def reduced_betti(complex):
+    return homology(complex, reduced=True).betti
+
+
+def side_by_side(k, l, joined):
+    """The disjoint union of two flag complexes, their vertices renamed k...
+    and l...; with ``joined``, every vertex of K is adjacent to every vertex
+    of L, which gives the join K * L."""
+    kv, lv = [f"k{v}" for v in k.vertices], [f"l{v}" for v in l.vertices]
+    edges = [(f"k{u}", f"k{v}") for u, v in k.edges] + [(f"l{u}", f"l{v}") for u, v in l.edges]
+    if joined:
+        edges += [(u, v) for u in kv for v in lv]
+    return FlagComplex(kv + lv, edges)
+
+
+def seeded_pairs():
+    """40 seeded pairs of graphs on 2 to 7 vertices, connected or not."""
+    for seed in range(40):
+        rng = random.Random(1000 + seed)
+        yield seed, [
+            random_flag_complex(
+                rng.randrange(10**6),
+                n=rng.randint(2, 7),
+                p=rng.choice((0.2, 0.4, 0.6)),
+                require_connected=False,
+            )
+            for _ in range(2)
+        ]
+
+
+def test_a_join_multiplies_reduced_euler_characteristics_and_follows_kunneth():
+    # chi~(K * L) = -chi~(K) chi~(L), and over Q
+    # b~_{n+1}(K * L) = sum over i + j = n of b~_i(K) b~_j(L) (Milnor).
+    chi = lambda c: euler_characteristic(c) - 1  # noqa: E731
+    for seed, (k, l) in seeded_pairs():
+        kl = side_by_side(k, l, joined=True)
+        assert chi(kl) == -chi(k) * chi(l), seed
+        bk, bl, bkl = reduced_betti(k), reduced_betti(l), reduced_betti(kl)
+        expected = [0] * (len(bk) + len(bl))
+        for i, x in enumerate(bk):
+            for j, y in enumerate(bl):
+                expected[i + j + 1] += x * y
+        assert list(bkl) + [0] * (len(expected) - len(bkl)) == expected, seed
+
+
+def test_words_over_the_two_sides_of_a_join_commute():
+    for seed, (k, l) in seeded_pairs():
+        raag = RaagContext(side_by_side(k, l, joined=True))
+        rng = random.Random(seed)
+        u, v = (
+            Word(raag.alphabet, [(tag + rng.choice(c.vertices), rng.choice((1, -1)))
+                                 for _ in range(rng.randint(0, 12))])
+            for tag, c in (("k", k), ("l", l))
+        )
+        assert raag.normal_form(u * v) == raag.normal_form(v * u), seed
+
+
+def test_a_disjoint_union_is_not_finitely_generated():
+    for seed, (k, l) in seeded_pairs():
+        text = render_report_text(finiteness_report(side_by_side(k, l, joined=False)))
+        assert "\nfinitely generated: no " in text, seed
+
+
+def test_the_order_complex_keeps_reduced_homology_and_pi1_status():
+    # Vertex names v0 ... v7 keep the order complex's face names distinct.
+    trivial, nontrivial = Pi1Status.CERTIFIED_TRIVIAL, Pi1Status.CERTIFIED_NONTRIVIAL
+    checked = 0
+    for seed, complex in seeded_graphs():
+        if complex.dim > 2:
+            continue
+        checked += 1
+        simplices = [s for k in range(complex.dim + 1) for s in complex.simplices(k)]
+        subdivided = order_complex(simplices)
+        h, hs = homology(complex, reduced=True), homology(subdivided, reduced=True)
+        assert (hs.betti, hs.torsion) == (h.betti, h.torsion), seed
+        if complex.is_connected():
+            statuses = {simply_connected_status(complex), simply_connected_status(subdivided)}
+            assert statuses != {trivial, nontrivial}, seed
+    assert checked > 50

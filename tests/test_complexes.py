@@ -23,6 +23,7 @@ from bbgroups import (
     simply_connected_status,
     snf,
 )
+from bbgroups import complexes
 from bbgroups.cli import main
 from bbgroups.complexes import _collapse, edge_path_presentation
 from bbgroups.presentations import TIETZE_BUDGET
@@ -285,6 +286,20 @@ def test_homology_torsion_is_a_divisibility_chain():
         for chain in h.torsion:
             for a, b in zip(chain, chain[1:]):
                 assert b % a == 0, name
+
+
+def test_homology_checks_that_the_boundary_of_a_boundary_vanishes(monkeypatch):
+    def one_sign_flipped(complex, k):
+        matrix = boundary_matrix(complex, k)
+        if k == 2:
+            row = next(row for row in matrix if row)
+            column = min(row)
+            row[column] = -row[column]
+        return matrix
+
+    monkeypatch.setattr(complexes, "boundary_matrix", one_sign_flipped)
+    with pytest.raises(AssertionError, match=r"^boundary composition d_1 d_2 is nonzero$"):
+        homology(k3())
 
 
 # -- fundamental group ---------------------------------------------------

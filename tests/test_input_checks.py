@@ -7,9 +7,15 @@ error line; each out-of-range library argument must raise its message.
 import pytest
 
 from bbgroups import (
+    Alphabet,
     BBContext,
+    DirectedEdge,
+    InsertMove,
     ParseError,
+    apply_move_to_cycle,
+    basepoint_conjugate,
     boundary_matrix,
+    express_in_kernel,
     finite_presentation,
     parse_word,
     presentation_from_json,
@@ -17,7 +23,7 @@ from bbgroups import (
     simply_connected_status,
 )
 from bbgroups.cli import main
-from corpus import k3
+from corpus import c4, k3
 
 MALFORMED_FILES = {
     "vertices-not-a-list": (
@@ -75,6 +81,23 @@ def _relator_at_exponent_zero():
     return relator_to_cycle(parse_word("[a>b] [b>a]", ctx.edge_alphabet), 0, ctx)
 
 
+def _vertex_word_twisted():
+    ctx = BBContext(k3())
+    return basepoint_conjugate(parse_word("a b^-1", ctx.vertex_alphabet), ctx)
+
+
+def _edge_word_expressed():
+    ctx = BBContext(k3())
+    return express_in_kernel(parse_word("[a>b]", ctx.edge_alphabet), ctx)
+
+
+def _diagonal_inserted_into_the_square():
+    complex = c4()
+    ctx = BBContext(complex)
+    cycle = complex.directed_cycle(["a", "b", "c", "d"])
+    return apply_move_to_cycle(cycle, InsertMove(0, DirectedEdge("a", "c")), ctx)
+
+
 OUT_OF_RANGE_CALLS = {
     # The CLI sends only text starting with '{' to the JSON reader.
     "presentation-json-not-an-object": (
@@ -95,6 +118,25 @@ OUT_OF_RANGE_CALLS = {
     "boundary-matrix-degree-0": (
         lambda: boundary_matrix(k3(), 0),
         ValueError, "boundary_matrix is defined for k >= 1",
+    ),
+    "basepoint-conjugate-vertex-word": (
+        _vertex_word_twisted,
+        ValueError, "word is not over this complex's directed-edge alphabet",
+    ),
+    "express-in-kernel-edge-word": (
+        _edge_word_expressed, ValueError, "word is not over this complex's vertex alphabet",
+    ),
+    "insert-move-non-edge": (
+        _diagonal_inserted_into_the_square,
+        ValueError, "'a'-'c' is not an edge of the complex",
+    ),
+    "directed-cycle-one-vertex": (
+        lambda: k3().directed_cycle(["a"]),
+        ValueError, "a cycle needs at least two vertices",
+    ),
+    "alphabet-letters-one-text": (
+        lambda: Alphabet("named", [1, "1"]),
+        ValueError, "alphabet letters must have distinct text forms",
     ),
 }
 

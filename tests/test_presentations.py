@@ -92,6 +92,7 @@ def test_equality_ignores_provenance():
     q = P(["a"], [L("a a")])
     assert p == q
     assert p.provenance != q.provenance
+    assert hash(p) == hash(q)
 
 
 # -- abelianization ----------------------------------------------------------
@@ -168,6 +169,25 @@ def test_tietze_takes_a_presentation_at_its_letter_cap(monkeypatch):
     assert status is TietzeStatus.FIXPOINT and simplified.generators == ("a",)
     with pytest.raises(ValueError, match="4 letters"):
         tietze_simplify(parse_presentation("gens: a b\nrel: a b a b\n"))
+
+
+def test_tietze_counts_only_the_generators_its_relators_hold(monkeypatch):
+    monkeypatch.setattr(presentations, "TIETZE_MAX_GENERATORS", 2)
+    simplified, status = tietze_simplify(parse_presentation("gens: a b c\nrel: a b a\n"))
+    assert status is TietzeStatus.FIXPOINT and simplified.generators == ("a", "c")
+    with pytest.raises(ValueError, match="relators hold 3 generators; .* at most 2$"):
+        tietze_simplify(parse_presentation("gens: a b c\nrel: a b c\n"))
+
+
+def test_tietze_takes_generators_whose_letters_pass_the_surrogate_block():
+    # 28,000 generators spell letters up to chr(55,999), past the surrogate
+    # code points 0xD800-0xDFFF.  Eliminating x0 from W kills W W.
+    names = [f"x{k}" for k in range(28000)]
+    word = " ".join(names)
+    p = parse_presentation(f"gens: {word}\nrel: {word}\nrel: {word} {word}\n")
+    simplified, status = tietze_simplify(p)
+    assert status is TietzeStatus.FIXPOINT
+    assert simplified == P(names[1:], [])
 
 
 def test_tietze_handles_cyclic_reduction_and_powers():

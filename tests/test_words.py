@@ -190,6 +190,9 @@ def test_word_algebra():
     ]
     # runs merge only after reduction
     assert W(("a", 1), ("b", 1), ("b", -1), ("a", 1)).syllables() == [("a", 2)]
+    assert list(w**2) == list((w**2).letters)
+    with pytest.raises(TypeError):
+        w * 3
 
 
 def test_exponent_sum():
