@@ -5,7 +5,8 @@ characteristic exactly, decide the word problem of its right-angled
 Artin group, and construct machine-verified presentations (truncated
 infinite families and, for simply connected complexes, complete finite
 ones) of the Bestvina-Brady kernel of the total-exponent map, together
-with the exterior face ring and the finiteness-properties report.
+with the rank sequence of the exterior face ring and the
+finiteness-properties report.
 """
 
 from .complexes import (
@@ -50,43 +51,31 @@ from .presentations import (
 from .bestvina_brady import (
     BBContext,
     DeleteMove,
-    ExtensionElement,
     InsertMove,
     RotateMove,
     TriangleMove,
     apply_homotopy_move,
     apply_move_to_cycle,
-    basepoint_conjugate,
-    conjugate_power,
     cycle_relator,
     directed_cycle_presentation,
     enumerate_cycle_classes,
     express_in_kernel,
-    extension_identity,
-    extension_image,
-    extension_inverse,
-    extension_multiply,
     find_move_sequence,
     finite_presentation,
     fundamental_cycle_basis,
     letterwise_inverse,
-    lift_vertex,
     parse_moves,
     presentation_relator_edge_words,
     raag_image,
     render_moves,
     relator_to_cycle,
-    tree_path_word,
     verify_relator,
 )
 from .facering import (
-    FaceMonomial,
     FinitenessReport,
-    face_monomial,
     finiteness_report,
     group_euler_characteristic,
     hilbert_series,
-    monomial_product,
     render_report_text,
     report_to_json,
 )

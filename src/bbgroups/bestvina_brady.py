@@ -11,18 +11,15 @@ connected, which is how the finite presentation below arises.
 Everything claimed about these words is checked through their images in
 the RAAG: ``verify_relator`` maps each edge syllable to a syllable pair,
 reduces the image freely and asks the normal-form engine's piles whether
-what is left is trivial.  The
-module also implements the supporting word transformations (letterwise
-inversion, tree-path conjugation, the cyclic extension of the kernel by
-the basepoint letter) and a homotopy-move engine that rewrites cycle
-relators one backtrack or triangle at a time.
+what is left is trivial.  The module also implements letterwise
+inversion and a homotopy-move engine that rewrites cycle relators one
+backtrack or triangle at a time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 from .complexes import DirectedCycle, DirectedEdge, Pi1Status, basepoint_tree
 from .complexes import edge_path_presentation, simply_connected_status
@@ -35,9 +32,7 @@ from .words import (
     Word,
     edge_alphabet,
     exponent_sum,
-    homomorphism,
     reduce_syllables,
-    substitute,
 )
 
 
@@ -52,13 +47,6 @@ class BBContext:
         self.basepoint = self.tree.root
         self.edge_alphabet = edge_alphabet(complex)
         self.raag = RaagContext(complex)
-
-    @cached_property
-    def raag_table(self):
-        """The table of raag_image: [a>b] -> a b^-1."""
-        return homomorphism(
-            {e: ((e.initial, 1), (e.terminal, -1)) for e in self.edge_alphabet.letters}
-        )
 
     @property
     def vertex_alphabet(self):
@@ -75,20 +63,15 @@ def raag_image(edge_word, ctx):
     """Image of an edge word in the RAAG: [a>b] maps to ``a b^-1``.
 
     The result is freely reduced and always has exponent sum zero, so
-    it lies in the kernel of the total-exponent map.
+    it lies in the kernel of the total-exponent map.  Letter by letter
+    it respects products and inverses: ``[a>b]^-1`` maps to ``b a^-1``.
     """
     if edge_word.alphabet != ctx.edge_alphabet:
         raise ValueError("word is not over this complex's directed-edge alphabet")
-    return Word(ctx.vertex_alphabet, substitute(edge_word.letters, ctx.raag_table))
-
-
-def tree_path_word(ctx, a, b):
-    """Edge word of the unique spanning-tree path from a to b.
-
-    Its raag_image free-reduces to ``a b^-1``; the path from a vertex to
-    itself is the empty word.
-    """
-    return Word(ctx.edge_alphabet, [(e, 1) for e in ctx.tree.path_edges(a, b)])
+    letters = []
+    for (a, b), sign in edge_word.letters:
+        letters += ((a, 1), (b, -1)) if sign == 1 else ((b, 1), (a, -1))
+    return Word(ctx.vertex_alphabet, letters)
 
 
 def letterwise_inverse(word):
@@ -98,30 +81,6 @@ def letterwise_inverse(word):
     the automorphism sending each directed edge to its inverse.
     """
     return Word.from_syllables(word.alphabet, [(l, -e) for l, e in word.syllables()])
-
-
-def basepoint_conjugate(edge_word, ctx):
-    """Replace each edge e by (path to its start) e (path back), letterwise.
-
-    Negative letters get the inverse of the positive-letter image.  The
-    verified contract: raag_image of the result equals
-    ``a * raag_image(word) * a^-1`` in the RAAG, a the basepoint.
-    """
-    if edge_word.alphabet != ctx.edge_alphabet:
-        raise ValueError("word is not over this complex's directed-edge alphabet")
-    a, path = ctx.basepoint, ctx.tree.path_edges
-    edges = {e: path(a, e.initial) + (e,) + path(e.initial, a) for e, _ in edge_word.letters}
-    twist = homomorphism({e: [(f, 1) for f in image] for e, image in edges.items()})
-    return Word(ctx.edge_alphabet, substitute(edge_word.letters, twist))
-
-
-def conjugate_power(edge_word, k, ctx):
-    """k-fold basepoint twist; negative k applies the inverse twist,
-    realized as (letterwise inverse) twist (letterwise inverse)."""
-    word = edge_word if k >= 0 else letterwise_inverse(edge_word)
-    for _ in range(abs(k)):
-        word = basepoint_conjugate(word, ctx)
-    return word if k >= 0 else letterwise_inverse(word)
 
 
 def cycle_relator(cycle, n, ctx):
@@ -359,51 +318,6 @@ def fundamental_cycle_basis(ctx):
         )
         out.append(DirectedCycle(edges))
     return tuple(out)
-
-
-# -- the cyclic extension ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtensionElement:
-    """A pair (edge word, integer) in the extension of the kernel by Z.
-
-    Multiplication is the semidirect law
-    ``(h, j) * (h', k) = (h * twist^j(h'), j + k)`` where twist is the
-    basepoint conjugation; (empty, 0) is the identity.  The group laws
-    hold through the extension image, not letter-for-letter.
-    """
-
-    word: Word
-    power: int
-
-
-def extension_identity(ctx):
-    return ExtensionElement(Word(ctx.edge_alphabet), 0)
-
-
-def extension_multiply(x, y, ctx):
-    return ExtensionElement(
-        x.word * conjugate_power(y.word, x.power, ctx), x.power + y.power
-    )
-
-
-def extension_inverse(x, ctx):
-    return ExtensionElement(conjugate_power(~x.word, -x.power, ctx), -x.power)
-
-
-def extension_image(x, ctx):
-    """Image in the RAAG: the word's image times basepoint^power."""
-    tail = Word(ctx.vertex_alphabet, [(ctx.basepoint, 1)]) ** x.power
-    return raag_image(x.word, ctx) * tail
-
-
-def lift_vertex(b, ctx):
-    """Lift of a vertex generator: (tree path from b to the basepoint, 1).
-
-    Its extension image normal-form-equals the vertex itself.
-    """
-    return ExtensionElement(tree_path_word(ctx, b, ctx.basepoint), 1)
 
 
 # -- homotopy moves on cycle relators ------------------------------------

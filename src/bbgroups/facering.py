@@ -1,11 +1,10 @@
-"""The exterior face ring of a flag complex, and finiteness reports.
+"""The rank sequence of the exterior face ring, and finiteness reports.
 
-The exterior algebra on the vertex set modulo all monomials supported
-on non-faces.  Its degree-i component is free abelian of rank equal to
-the number of (i-1)-simplices, so the coefficient sequence below is
-simultaneously the rank sequence of the integral cohomology of the
-associated RAAG.  Coefficients are integers throughout; the
-anticommutativity is normalized into the sign of a sorted vertex tuple.
+The exterior face ring of a flag complex is the exterior algebra on the
+vertex set modulo all monomials supported on non-faces.  Its degree-i
+component is free abelian of rank equal to the number of (i-1)-simplices,
+so its rank sequence, read off the f-vector, is also the rank sequence
+of the integral cohomology of the associated RAAG.
 
 The finiteness report applies the Bestvina-Brady classification to the
 kernel of the RAAG's total-exponent map: finitely generated iff the
@@ -18,7 +17,6 @@ layered on top.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import combinations
 
 from .complexes import (
     Pi1Status,
@@ -27,61 +25,6 @@ from .complexes import (
     simply_connected_status,
 )
 from .presentations import TIETZE_BUDGET
-
-
-@dataclass(frozen=True)
-class FaceMonomial:
-    """An integer multiple of a strictly ordered vertex tuple.
-
-    The zero monomial is coefficient 0 with the empty tuple; the unit of
-    the ring is coefficient 1 with the empty tuple.
-    """
-
-    vertices: tuple
-    coefficient: int
-
-    def is_zero(self):
-        return self.coefficient == 0
-
-    @property
-    def degree(self):
-        return len(self.vertices)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "FaceMonomial(0)"
-        body = "^".join(self.vertices) if self.vertices else "1"
-        return f"FaceMonomial({self.coefficient}*{body})"
-
-
-_ZERO = FaceMonomial((), 0)
-
-
-def face_monomial(complex, vertices, coefficient=1):
-    """Normalized monomial: zero unless the vertices are pairwise adjacent (a
-    face of a flag complex is a clique; no vertex is adjacent to itself), signed
-    by the parity of their inversions in complex order."""
-    vertices = tuple(vertices)
-    if coefficient == 0:
-        return _ZERO
-    idx = [complex.vertex_index(v) for v in vertices]
-    if not all(complex.adjacent(u, v) for u, v in combinations(vertices, 2)):
-        return _ZERO
-    inversions = sum(i > j for i, j in combinations(idx, 2))
-    ordered = tuple(v for _, v in sorted(zip(idx, vertices)))
-    return FaceMonomial(ordered, (-1) ** inversions * coefficient)
-
-
-def monomial_product(m1, m2, complex):
-    """Exterior product in the face ring (possibly zero).
-
-    Zero when the supports meet or their union is not a simplex;
-    otherwise the merged sorted tuple with the parity of the merge
-    permutation folded into the coefficient.
-    """
-    return face_monomial(
-        complex, m1.vertices + m2.vertices, m1.coefficient * m2.coefficient
-    )
 
 
 def hilbert_series(complex):

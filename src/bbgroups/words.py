@@ -24,10 +24,6 @@ run; a pile offers its bottom run while no marker lies under it.  The
 result is the lexicographically least word among all
 commutation-equivalent ones, so two words represent the same group
 element iff their normal forms are equal syllable for syllable.
-
-A word map is a free-group homomorphism, fixed by the generators'
-images: ``homomorphism`` makes its table over both signs of each
-generator, and ``substitute`` applies it with one lookup per letter.
 """
 
 from __future__ import annotations
@@ -62,19 +58,6 @@ def spell(syllables):
         else:
             out += [(run[0], 1 if exp > 0 else -1)] * abs(exp)
     return tuple(out)
-
-
-def homomorphism(images):
-    """The table ``{(g, 1): image, (g, -1): inverse image}`` of g -> images[g]."""
-    table = {(g, 1): tuple(image) for g, image in images.items()}
-    for (g, _), image in list(table.items()):
-        table[g, -1] = tuple([(l, -s) for l, s in reversed(image)])
-    return table
-
-
-def substitute(letters, table):
-    """The image of (letter, sign) pairs under a ``homomorphism`` table, unreduced."""
-    return [pair for letter in letters for pair in table[letter]]
 
 
 class Alphabet:
@@ -244,7 +227,7 @@ class Word:
 
 
 def exponent_sum(word):
-    """Sum of letter signs; the total-exponent homomorphism to Z."""
+    """Sum of letter signs; the total-exponent map to Z."""
     return sum(e for _, e in word.syllables())
 
 

@@ -6,15 +6,25 @@ reduction for Smith normal form, full product enumeration for closed
 walks, breadth-first closure for the RAAG word problem, a stack loop
 for free reduction, a pair-by-pair merge for syllables, a Tietze loop
 that rescans every move from scratch, a set-by-set replay of a
-collapse certificate, and the directed-cycle construction of the finite
-kernel presentation.  None of them shares code with the library paths
-they audit, except ``verify_reference``: it checks ``bbgroups verify``
-against the route that parses a whole presentation file and only then
-re-letters its relators onto edges.
+collapse certificate, the directed-cycle construction of the finite
+kernel presentation, and a word-map table (``homomorphism``,
+``substitute``, ``raag_table``) that spells ``raag_image`` one lookup per
+letter.  None of them shares code with the library paths they audit,
+except ``verify_reference``: it checks ``bbgroups verify`` against the
+route that parses a whole presentation file and only then re-letters its
+relators onto edges.
+
+The cyclic extension of the kernel by the basepoint letter (the paper's
+G = H x| Z: ``ExtensionElement`` and its ``extension_*`` laws,
+``lift_vertex``), its twist (``basepoint_conjugate``, ``conjugate_power``)
+and ``tree_path_word`` are not oracles of a library path: their images
+are taken by ``raag_image``, and the identities those images must
+satisfy check it and the spanning tree's paths.
 """
 
 import json
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
@@ -29,9 +39,11 @@ from bbgroups import (
     TietzeStatus,
     Word,
     cycle_relator,
+    letterwise_inverse,
     parse_presentation,
     presentation_from_json,
     presentation_relator_edge_words,
+    raag_image,
     render_word,
     simply_connected_status,
     verify_relator,
@@ -222,18 +234,6 @@ class ShuffleClosureOracle:
         pairs: letters order by vertex position, with g before g^-1."""
         least = min(self._closure(self.encode(word)), key=lambda w: (len(w), w))
         return tuple((self.letters[x >> 1], -1 if x & 1 else 1) for x in least)
-
-
-def permutation_parity(sequence, key=None):
-    """Sign of the permutation sorting the sequence, by brute inversion count."""
-    keys = [key(x) if key else x for x in sequence]
-    inversions = sum(
-        1
-        for i in range(len(keys))
-        for j in range(i + 1, len(keys))
-        if keys[i] > keys[j]
-    )
-    return (-1) ** inversions
 
 
 def free_reduce(letters):
@@ -427,3 +427,95 @@ def verify_reference(complex, text, as_json=False):
         lines += [f"FAILED relator {i}: {render_word(presentation.relators[i])}" for i in failures]
         out = "\n".join(lines + ([] if failures else ["all relators verified"])) + "\n"
     return int(bool(failures)), out, ""
+
+
+# -- word maps and the cyclic extension ----------------------------------
+
+
+def homomorphism(images):
+    """The table ``{(g, 1): image, (g, -1): inverse image}`` of g -> images[g]."""
+    table = {(g, 1): tuple(image) for g, image in images.items()}
+    for (g, _), image in list(table.items()):
+        table[g, -1] = tuple([(l, -s) for l, s in reversed(image)])
+    return table
+
+
+def substitute(letters, table):
+    """The image of (letter, sign) pairs under a ``homomorphism`` table, unreduced."""
+    return [pair for letter in letters for pair in table[letter]]
+
+
+def raag_table(ctx):
+    """The table of ``raag_image``: [a>b] -> a b^-1."""
+    return homomorphism({e: ((e.initial, 1), (e.terminal, -1)) for e in ctx.edge_alphabet.letters})
+
+
+def tree_path_word(ctx, a, b):
+    """Edge word of the unique spanning-tree path from a to b.
+
+    Its raag_image free-reduces to ``a b^-1``; the path from a vertex to
+    itself is the empty word.
+    """
+    return Word(ctx.edge_alphabet, [(e, 1) for e in ctx.tree.path_edges(a, b)])
+
+
+def basepoint_conjugate(edge_word, ctx):
+    """Replace each edge e by (path to its start) e (path back), letterwise.
+
+    Negative letters get the inverse of the positive-letter image.  The
+    contract: raag_image of the result equals ``a * raag_image(word) * a^-1``
+    in the RAAG, a the basepoint.
+    """
+    a, path = ctx.basepoint, ctx.tree.path_edges
+    edges = {e: path(a, e.initial) + (e,) + path(e.initial, a) for e, _ in edge_word.letters}
+    twist = homomorphism({e: [(f, 1) for f in image] for e, image in edges.items()})
+    return Word(ctx.edge_alphabet, substitute(edge_word.letters, twist))
+
+
+def conjugate_power(edge_word, k, ctx):
+    """k-fold basepoint twist; negative k applies the inverse twist,
+    realized as (letterwise inverse) twist (letterwise inverse)."""
+    word = edge_word if k >= 0 else letterwise_inverse(edge_word)
+    for _ in range(abs(k)):
+        word = basepoint_conjugate(word, ctx)
+    return word if k >= 0 else letterwise_inverse(word)
+
+
+@dataclass(frozen=True)
+class ExtensionElement:
+    """A pair (edge word, integer) in the extension of the kernel by Z.
+
+    Multiplication is the semidirect law
+    ``(h, j) * (h', k) = (h * twist^j(h'), j + k)`` where twist is the
+    basepoint conjugation; (empty, 0) is the identity.  The group laws
+    hold through the extension image, not letter-for-letter.
+    """
+
+    word: Word
+    power: int
+
+
+def extension_identity(ctx):
+    return ExtensionElement(Word(ctx.edge_alphabet), 0)
+
+
+def extension_multiply(x, y, ctx):
+    return ExtensionElement(x.word * conjugate_power(y.word, x.power, ctx), x.power + y.power)
+
+
+def extension_inverse(x, ctx):
+    return ExtensionElement(conjugate_power(~x.word, -x.power, ctx), -x.power)
+
+
+def extension_image(x, ctx):
+    """Image in the RAAG: the word's image times basepoint^power."""
+    tail = Word(ctx.vertex_alphabet, [(ctx.basepoint, 1)]) ** x.power
+    return raag_image(x.word, ctx) * tail
+
+
+def lift_vertex(b, ctx):
+    """Lift of a vertex generator: (tree path from b to the basepoint, 1).
+
+    Its extension image normal-form-equals the vertex itself.
+    """
+    return ExtensionElement(tree_path_word(ctx, b, ctx.basepoint), 1)

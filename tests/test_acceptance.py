@@ -18,20 +18,17 @@ from bbgroups import (
     abelianization,
     apply_homotopy_move,
     apply_move_to_cycle,
-    basepoint_conjugate,
     cycle_relator,
     directed_cycle_presentation,
     enumerate_cycle_classes,
     exponent_matrix,
     express_in_kernel,
-    extension_image,
     finite_presentation,
     finiteness_report,
     fundamental_cycle_basis,
     hilbert_series,
     homology,
     letterwise_inverse,
-    lift_vertex,
     presentation_relator_edge_words,
     raag_image,
     render_report_text,
@@ -52,7 +49,13 @@ from corpus import (
     sparse,
     two_points,
 )
-from oracles import ShuffleClosureOracle, naive_invariant_factors
+from oracles import (
+    ShuffleClosureOracle,
+    basepoint_conjugate,
+    extension_image,
+    lift_vertex,
+    naive_invariant_factors,
+)
 
 
 @contextmanager
@@ -209,7 +212,8 @@ def test_criterion_7_homomorphism_contracts():
     """The proof maps satisfy their defining identities over the corpus:
     the twist conjugates, twist-flip squared is the identity, vertex
     lifts map back to the vertices, letterwise inversion is an
-    involution."""
+    involution.  The twist and the lifts are the cyclic extension in
+    ``tests/oracles.py``; their images are taken by ``raag_image``."""
     with criterion(7, "homomorphism contracts"):
         rng = random.Random(707)
         for name, complex in connected_corpus():

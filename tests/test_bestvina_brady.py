@@ -11,7 +11,6 @@ from bbgroups import (
     DeleteMove,
     DirectedCycle,
     DirectedEdge,
-    ExtensionElement,
     FlagComplex,
     InsertMove,
     ParseError,
@@ -23,22 +22,15 @@ from bbgroups import (
     abelianization,
     apply_homotopy_move,
     apply_move_to_cycle,
-    basepoint_conjugate,
-    conjugate_power,
     cycle_relator,
     directed_cycle_presentation,
     enumerate_cycle_classes,
     exponent_sum,
     express_in_kernel,
-    extension_identity,
-    extension_image,
-    extension_inverse,
-    extension_multiply,
     find_move_sequence,
     finite_presentation,
     fundamental_cycle_basis,
     letterwise_inverse,
-    lift_vertex,
     parse_moves,
     presentation_relator_edge_words,
     raag_image,
@@ -46,11 +38,9 @@ from bbgroups import (
     render_moves,
     render_word,
     serialize_presentation,
-    tree_path_word,
     verify_relator,
 )
 from bbgroups import bestvina_brady as bb_module
-from bbgroups.words import homomorphism, substitute
 from corpus import (
     c4,
     complete_graph,
@@ -66,7 +56,22 @@ from corpus import (
     random_zero_sum_word,
     two_points,
 )
-from oracles import brute_force_closed_walk_classes, finite_presentation_reference
+from oracles import (
+    ExtensionElement,
+    basepoint_conjugate,
+    brute_force_closed_walk_classes,
+    conjugate_power,
+    extension_identity,
+    extension_image,
+    extension_inverse,
+    extension_multiply,
+    finite_presentation_reference,
+    homomorphism,
+    lift_vertex,
+    raag_table,
+    substitute,
+    tree_path_word,
+)
 
 
 def k3_ctx():
@@ -110,6 +115,20 @@ def test_raag_image_has_exponent_sum_zero():
     for _ in range(100):
         word = random_word(rng, ctx.edge_alphabet, rng.randint(0, 12))
         assert exponent_sum(raag_image(word, ctx)) == 0
+
+
+def test_raag_image_spells_the_table_route_letter_for_letter():
+    # [a>b] -> a b^-1 and [a>b]^-1 -> b a^-1, pinned against the word-map table
+    rng = random.Random(37)
+    for name, complex in connected_corpus():
+        if not complex.edges:
+            continue
+        ctx = BBContext(complex)
+        table = raag_table(ctx)
+        for _ in range(20):
+            word = random_word(rng, ctx.edge_alphabet, rng.randint(0, 12))
+            expected = Word(ctx.vertex_alphabet, substitute(word.letters, table))
+            assert raag_image(word, ctx).letters == expected.letters, (name, render_word(word))
 
 
 def test_raag_image_rejects_vertex_words():

@@ -13,7 +13,6 @@ from bbgroups import (
     InsertMove,
     ParseError,
     apply_move_to_cycle,
-    basepoint_conjugate,
     boundary_matrix,
     express_in_kernel,
     finite_presentation,
@@ -81,11 +80,6 @@ def _relator_at_exponent_zero():
     return relator_to_cycle(parse_word("[a>b] [b>a]", ctx.edge_alphabet), 0, ctx)
 
 
-def _vertex_word_twisted():
-    ctx = BBContext(k3())
-    return basepoint_conjugate(parse_word("a b^-1", ctx.vertex_alphabet), ctx)
-
-
 def _edge_word_expressed():
     ctx = BBContext(k3())
     return express_in_kernel(parse_word("[a>b]", ctx.edge_alphabet), ctx)
@@ -118,10 +112,6 @@ OUT_OF_RANGE_CALLS = {
     "boundary-matrix-degree-0": (
         lambda: boundary_matrix(k3(), 0),
         ValueError, "boundary_matrix is defined for k >= 1",
-    ),
-    "basepoint-conjugate-vertex-word": (
-        _vertex_word_twisted,
-        ValueError, "word is not over this complex's directed-edge alphabet",
     ),
     "express-in-kernel-edge-word": (
         _edge_word_expressed, ValueError, "word is not over this complex's vertex alphabet",

@@ -20,9 +20,8 @@ from bbgroups import (
     render_word,
     vertex_alphabet,
 )
-from bbgroups.words import homomorphism, substitute
 from corpus import c4, k3, octahedron, random_word, three_points
-from oracles import ShuffleClosureOracle, free_reduce, syllable_runs
+from oracles import ShuffleClosureOracle, free_reduce, homomorphism, substitute, syllable_runs
 
 AB = Alphabet("named", ("a", "b", "c", "d"))
 
