@@ -17,7 +17,6 @@ from bbgroups import (
     cycle_relator,
     find_move_sequence,
     parse_graph_text,
-    render_moves,
     render_word,
     verify_relator,
 )
@@ -55,7 +54,8 @@ target = apply_move_to_cycle(triangle, InsertMove(0, k3.directed_edge("a", "c"))
 target = apply_move_to_cycle(target, RotateMove(1), ctx)
 sequence = find_move_sequence(triangle, target, ctx, budget=2000)
 print("search result (None would mean: unknown within budget):")
-print(render_moves(sequence))
+for move in sequence:
+    print(f"  {move}")
 replayed = triangle
 for move in sequence:
     replayed = apply_move_to_cycle(replayed, move, ctx)

@@ -62,12 +62,9 @@ from .bestvina_brady import (
     express_in_kernel,
     find_move_sequence,
     finite_presentation,
-    fundamental_cycle_basis,
     letterwise_inverse,
-    parse_moves,
     presentation_relator_edge_words,
     raag_image,
-    render_moves,
     relator_to_cycle,
     verify_relator,
 )

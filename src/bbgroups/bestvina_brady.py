@@ -6,24 +6,24 @@ edge [a>b] mapping to the vertex word ``a b^-1``.  Every closed
 directed edge-walk c = (e_1, ..., e_l) contributes the relators
 ``c^[n] = e_1^n ... e_l^n`` for all nonzero n; backtrack (length-2) and
 triangle (length-3) cycles already suffice when the complex is simply
-connected, which is how the finite presentation below arises.
+connected (Dicks-Leary), which is how the finite presentation arises.
 
 Everything claimed about these words is checked through their images in
 the RAAG: ``verify_relator`` maps each edge syllable to a syllable pair,
 reduces the image freely and asks the normal-form engine's piles whether
 what is left is trivial.  The module also implements letterwise
 inversion and a homotopy-move engine that rewrites cycle relators one
-backtrack or triangle at a time.
+backtrack or triangle at a time; each move is a frozen dataclass.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .complexes import DirectedCycle, DirectedEdge, Pi1Status, basepoint_tree
 from .complexes import edge_path_presentation, simply_connected_status
-from .errors import ParseError, lex, parse_text_or_json
+from .errors import parse_text_or_json
 from .presentations import TIETZE_BUDGET, Presentation, parse_presentation, presentation_from_json
 from .presentations import _json_parts, _read_relator_words, _text_parts
 from .words import (
@@ -44,7 +44,6 @@ class BBContext:
     def __init__(self, complex):
         self.complex = complex
         self.tree = basepoint_tree(complex)
-        self.basepoint = self.tree.root
         self.edge_alphabet = edge_alphabet(complex)
         self.raag = RaagContext(complex)
 
@@ -216,43 +215,22 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
     )
 
 
-def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BUDGET):
+def finite_presentation(ctx, tietze_budget=TIETZE_BUDGET):
     """One generator per undirected edge; backtracks folded away.
 
-    Generators and triangle relators come from the edge-path builder
-    ``complexes.edge_path_presentation`` with no edge deleted: each
-    triangle a < b < c gives ``c^[1] = [a>b] [b>c] [a>c]^-1`` followed
-    by its letterwise inverse ``c^[-1]``.  Then come ``c^[n]`` for each
-    supplied extra cycle and 0 < |n| <= max_exp, folded onto the same
-    generators.  When the complex is certified simply connected and no
-    extra cycles were supplied, this is a complete presentation of the
-    kernel; otherwise it presents the edge group with only backtrack and
-    triangle relations (plus the truncated extra families), and the
-    provenance says so explicitly.
+    Each triangle a < b < c of ``complexes.edge_path_presentation`` gives
+    ``c^[1] = [a>b] [b>c] [a>c]^-1`` and its letterwise inverse ``c^[-1]``.
+    When the complex is certified simply connected within ``tietze_budget``,
+    this presents the kernel (Dicks-Leary, arXiv 1210.6585); otherwise it
+    presents the edge group with backtrack and triangle relators only, which
+    maps onto the kernel, and the provenance says so.
     """
-    if max_exp < 1:
-        raise ValueError("max_exp must be at least 1")
-    extra_cycles = tuple(extra_cycles)
-    complex = ctx.complex
-    edge_path = edge_path_presentation(complex, ())
+    edge_path = edge_path_presentation(ctx.complex, ())
     relators = [w for r in edge_path.relators for w in (r, letterwise_inverse(r))]
-    if extra_cycles:
-        # One generator per edge: [b>a] is [a>b]^-1, so backtracks fold away.
-        fold = {e: complex.edge_letter(*e) for e in ctx.edge_alphabet.letters}
-        words = (
-            Word.from_syllables(edge_path.alphabet, [(fold[e][0], fold[e][1] * n) for e in cycle])
-            for cycle in extra_cycles
-            for k in range(1, max_exp + 1)
-            for n in (k, -k)
-        )
-        relators += [w for w in words if len(w)]  # a cycle of backtracks can fold away
-
-    status = simply_connected_status(complex, budget=tietze_budget)
-    complete = status is Pi1Status.CERTIFIED_TRIVIAL and not extra_cycles
+    status = simply_connected_status(ctx.complex, budget=tietze_budget)
+    complete = status is Pi1Status.CERTIFIED_TRIVIAL
     if complete:
         presents = "kernel (complete finite presentation)"
-    elif extra_cycles:
-        presents = "edge group with backtrack/triangle relators plus truncated extra-cycle families"
     else:
         presents = "edge group with backtrack/triangle relators only (maps onto the kernel)"
     provenance = {
@@ -260,10 +238,8 @@ def finite_presentation(ctx, extra_cycles=(), max_exp=1, tietze_budget=TIETZE_BU
         "complete": complete,
         "presents": presents,
         "simply_connected": status.value,
-        "extra_cycles": len(extra_cycles),
+        "extra_cycles": 0,
     }
-    if extra_cycles:
-        provenance["max_exp"] = max_exp
     return Presentation(edge_path.generators, relators, provenance=provenance)
 
 
@@ -300,26 +276,6 @@ def _read_edge_relators(text, ctx):
     return presentation_relator_edge_words(presentation, ctx)
 
 
-def fundamental_cycle_basis(ctx):
-    """One based loop per non-tree edge: tree path out, the edge, tree path back.
-
-    The loops normally generate the fundamental group, so they are a
-    reasonable default for the extra cycles of finite_presentation when
-    the complex is not simply connected.  No minimality is attempted.
-    """
-    out = []
-    for u, v in ctx.complex.edges:
-        if (u, v) in ctx.tree.edges:
-            continue
-        edges = (
-            ctx.tree.path_edges(ctx.basepoint, u)
-            + (DirectedEdge(u, v),)
-            + ctx.tree.path_edges(v, ctx.basepoint)
-        )
-        out.append(DirectedCycle(edges))
-    return tuple(out)
-
-
 # -- homotopy moves on cycle relators ------------------------------------
 
 
@@ -327,7 +283,6 @@ def fundamental_cycle_basis(ctx):
 class InsertMove:
     """Splice a backtrack pair (edge, reverse) in before position ``position``."""
 
-    head = "ins"
     position: int
     edge: DirectedEdge
 
@@ -346,7 +301,6 @@ class InsertMove:
 class DeleteMove:
     """Remove the backtrack pair at positions (position, position + 1)."""
 
-    head = "del"
     position: int
 
     def apply(self, edges, ctx):
@@ -364,7 +318,6 @@ class DeleteMove:
 class TriangleMove:
     """Replace edge e at ``position`` by (reverse g, reverse f) for a triangle (e, f, g)."""
 
-    head = "tri"
     position: int
     e: DirectedEdge
     f: DirectedEdge
@@ -387,7 +340,6 @@ class TriangleMove:
 class RotateMove:
     """Re-root the cycle k steps forward."""
 
-    head = "rot"
     amount: int
 
     def apply(self, edges, ctx):
@@ -395,20 +347,11 @@ class RotateMove:
         return edges[k:] + edges[:k]
 
 
-# A move file line is the kind's head, then its fields in declaration order:
-# an integer, then [a>b] edges.
-_MOVE_KINDS = {kind.head: kind for kind in (InsertMove, DeleteMove, TriangleMove, RotateMove)}
-
-
-def _known_move(move):
-    if _MOVE_KINDS.get(getattr(move, "head", None)) is not type(move):
-        raise ValueError(f"unknown move {move!r}")
-    return move
-
-
 def apply_move_to_cycle(cycle, move, ctx):
     """Apply one homotopy move to a directed cycle; validates the site."""
-    return DirectedCycle(_known_move(move).apply(cycle.edges, ctx))
+    if type(move) not in (InsertMove, DeleteMove, TriangleMove, RotateMove):
+        raise ValueError(f"unknown move {move!r}")
+    return DirectedCycle(move.apply(cycle.edges, ctx))
 
 
 def relator_to_cycle(relator_word, n, ctx):
@@ -485,33 +428,3 @@ def find_move_sequence(cycle, target, ctx, budget=2000):
                 return tuple(reversed(moves))
             queue.append(child)
     return None
-
-
-# -- move files ----------------------------------------------------------
-
-def render_moves(moves):
-    """Move-sequence file: one move per line."""
-    lines = []
-    for move in map(_known_move, moves):
-        values = [str(getattr(move, field.name)) for field in fields(move)]
-        lines.append(" ".join([move.head] + values))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_moves(text):
-    """Parse a move-sequence file; inverse of render_moves."""
-    moves = []
-    for lineno, tokens in lex(text):
-        head, headcol = tokens[0]
-        kind = _MOVE_KINDS.get(head)
-        if kind is None or len(tokens) != 1 + len(fields(kind)):
-            raise ParseError(f"malformed move line starting {head!r}", lineno, headcol)
-        args = []
-        for tok, col in tokens[1:]:
-            try:
-                args.append(DirectedEdge.parse(tok) if args else int(tok))
-            except ValueError as exc:
-                message = str(exc) if args else f"expected an integer, got {tok!r}"
-                raise ParseError(message, lineno, col) from None
-        moves.append(kind(*args))
-    return tuple(moves)

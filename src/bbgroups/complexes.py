@@ -24,24 +24,20 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import snf
-from .errors import ParseError, json_object, lex, parse_text_or_json, reserved_chars
+from .errors import ParseError, json_object, parse_text_or_json, reserved_chars, tokens
 from .presentations import TIETZE_BUDGET, Presentation, abelianization, tietze_simplify
-
-
-def _check_identifier(name):
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"vertex identifier must be a nonempty string, got {name!r}")
-    bad = reserved_chars(name, "-[]>")
-    if bad:
-        raise ValueError(
-            f"vertex identifier {name!r} contains forbidden character {bad[0]!r} "
-            "(whitespace and - # [ ] > ^ are reserved by the text formats)"
-        )
 
 
 def _add_vertex(vidx, v):
     """Declare v as the next vertex of ``vidx`` (name -> position)."""
-    _check_identifier(v)
+    if not isinstance(v, str) or not v:
+        raise ValueError(f"vertex identifier must be a nonempty string, got {v!r}")
+    bad = reserved_chars(v, "-[]>")
+    if bad:
+        raise ValueError(
+            f"vertex identifier {v!r} contains forbidden character {bad[0]!r} "
+            "(whitespace and - # [ ] > ^ are reserved by the text formats)"
+        )
     if v in vidx:
         raise ValueError(f"duplicate vertex identifier {v!r}")
     vidx[v] = len(vidx)
@@ -73,19 +69,6 @@ class DirectedEdge(NamedTuple):
 
     def __str__(self):
         return f"[{self.initial}>{self.terminal}]"
-
-    @classmethod
-    def parse(cls, token):
-        """Inverse of ``str``: the edge written ``[a>b]``."""
-        try:
-            if token[:1] + token[-1:] != "[]":
-                raise ValueError
-            a, b = token[1:-1].split(">")
-            _check_identifier(a)
-            _check_identifier(b)
-        except ValueError:
-            raise ValueError(f"malformed edge token {token!r} (expected [a>b])") from None
-        return cls(a, b)
 
     def __repr__(self):
         return f"DirectedEdge({self.initial!r}, {self.terminal!r})"
@@ -211,13 +194,6 @@ class FlagComplex:
         if not self.adjacent(u, v):
             raise ValueError(f"{u!r}-{v!r} is not an edge of the complex")
         return DirectedEdge(u, v)
-
-    def edge_letter(self, u, v):
-        """``(name, sign)``: the edge u-v is named by its orientation from
-        the earlier-declared vertex; sign is -1 when u->v runs against it."""
-        if self.vertex_index(u) < self.vertex_index(v):
-            return str(DirectedEdge(u, v)), 1
-        return str(DirectedEdge(v, u)), -1
 
     def directed_edges(self):
         return tuple(DirectedEdge(u, v) for u in self.vertices for v in self._neighbors[u])
@@ -508,15 +484,18 @@ def parse_graph_text(text):
     vidx = {}
     edges = []
     edge_keys = set()
-    for lineno, tokens in lex(text):
-        head, headcol = tokens[0]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        found = tokens(line.split("#", 1)[0])
+        if not found:
+            continue
+        (head, headcol), *body = found
         if head not in ("vertices:", "edges:"):
             raise ParseError(
                 f"unrecognized line head {head!r} (expected 'vertices:' or 'edges:')",
                 lineno,
                 headcol,
             )
-        for tok, col in tokens[1:]:
+        for tok, col in body:
             try:
                 if head == "vertices:":
                     _add_vertex(vidx, tok)

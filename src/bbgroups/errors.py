@@ -1,6 +1,7 @@
 """The syntax-error type and the rules the input formats share."""
 
 import json
+import math
 import re
 
 
@@ -36,14 +37,6 @@ def tokens(text):
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text)]
 
 
-def lex(text):
-    """``(line, tokens)`` per line with tokens; ``#`` starts a comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        found = tokens(raw.split("#", 1)[0])
-        if found:
-            yield lineno, found
-
-
 def parse_text_or_json(text, parse_json, parse_text):
     """JSON if the text starts with '{' (after whitespace), else the line format."""
     if text.lstrip().startswith("{"):
@@ -51,15 +44,43 @@ def parse_text_or_json(text, parse_json, parse_text):
     return parse_text(text)
 
 
+def _unique_keys(pairs):
+    if len(data := dict(pairs)) < len(pairs):
+        raise ValueError("repeated key in a JSON object")
+    return data
+
+
+def _finite(text):
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
+def _int(text):
+    if len(text.lstrip("-")) > 4300:  # int()'s default limit, as one message everywhere
+        raise ValueError("integer of more than 4300 digits")
+    return int(text)
+
+
+def strict_json(text):
+    """``json.loads`` that also rejects non-finite numbers, repeated keys
+    and integers of more than 4300 digits, each as a ParseError."""
+    try:
+        return json.loads(
+            text, object_pairs_hook=_unique_keys, parse_constant=_finite, parse_float=_finite, parse_int=_int
+        )
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError("JSON value nested too deeply") from None
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def json_object(data, keys, what):
-    """Decode JSON text (or take a decoded value): an object with only ``keys``."""
+    """Decode strict JSON text (or take a decoded value): an object with only ``keys``."""
     if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, exc.lineno, exc.colno) from None
-        except RecursionError:
-            raise ParseError("JSON value nested too deeply") from None
+        data = strict_json(data)
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
     unknown = set(data) - set(keys)

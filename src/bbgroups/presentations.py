@@ -21,7 +21,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import snf
-from .errors import ParseError, json_object, reserved_chars, tokens
+from .errors import ParseError, json_object, reserved_chars, strict_json, tokens
 from .words import Alphabet, Word, read_word, write_word
 
 
@@ -306,8 +306,8 @@ def _text_parts(text):
                 if provenance is not None:
                     raise ParseError("duplicate provenance comment", lineno)
                 try:
-                    provenance = _json.loads(prov.group(1))
-                except (_json.JSONDecodeError, RecursionError):
+                    provenance = strict_json(prov.group(1))
+                except ParseError:
                     raise ParseError("malformed provenance JSON", lineno) from None
                 if not isinstance(provenance, dict):
                     raise ParseError("provenance must be a JSON object", lineno)

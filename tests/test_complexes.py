@@ -182,15 +182,6 @@ def test_graph_rules_give_one_message_for_every_input_form(vertices, edges):
     assert str(from_json.value) == message
 
 
-def test_directed_edge_parse_inverts_str():
-    for _, complex in corpus():
-        for e in complex.directed_edges():
-            assert DirectedEdge.parse(str(e)) == e
-    for token in ("a>b", "[a>b", "a>b]", "[a>b>c]", "[>b]", "[a>]", "[]", "", "[a b>c]", "[a>b^2]"):
-        with pytest.raises(ValueError, match="malformed edge"):
-            DirectedEdge.parse(token)
-
-
 # -- Euler characteristic and homology ---------------------------------
 
 
@@ -379,7 +370,7 @@ def test_collapse_certificate_replays_and_its_residual_abelianizes_to_h1():
         tree, pairs, critical = _collapse(complex)
         assert collapse_replays(complex, tree, pairs, critical), name
         residual = edge_path_presentation(complex, tree.union(e for _, e in pairs))
-        assert residual.generators == tuple(complex.edge_letter(*e)[0] for e in critical)
+        assert residual.generators == tuple(str(DirectedEdge(*e)) for e in critical)
         ab = abelianization(residual)
         h = homology(complex, reduced=True)
         h1 = (h.betti[1], h.torsion[1]) if len(h.betti) > 1 else (0, ())

@@ -15,7 +15,6 @@ from bbgroups import (
     apply_move_to_cycle,
     boundary_matrix,
     express_in_kernel,
-    finite_presentation,
     parse_word,
     presentation_from_json,
     relator_to_cycle,
@@ -61,6 +60,44 @@ MALFORMED_FILES = {
         "reduce", "pres.json", '{"gens": ["a", 2], "rel": []}',
         "'gens' must be a list of strings",
     ),
+    # Strict JSON: no non-finite number, repeated key or integer past
+    # Python's 4300-digit conversion limit, in any of the three JSON readers.
+    "graph-repeated-key": (
+        "info", "graph.json", '{"vertices": ["a"], "edges": [], "vertices": ["b"]}',
+        "repeated key in a JSON object",
+    ),
+    "graph-nan": (
+        "info", "graph.json", '{"vertices": ["a", "b"], "edges": [["a", NaN]]}',
+        "number NaN is not finite",
+    ),
+    "presentation-infinity": (
+        "reduce", "pres.json", '{"gens": ["a"], "rel": [], "provenance": {"x": -Infinity}}',
+        "number -Infinity is not finite",
+    ),
+    "presentation-overflowing-float": (
+        "reduce", "pres.json", '{"gens": ["a"], "rel": [], "provenance": {"x": 1e999}}',
+        "number 1e999 is not finite",
+    ),
+    "presentation-repeated-key": (
+        "reduce", "pres.json", '{"gens": ["a"], "rel": [], "gens": ["b"]}',
+        "repeated key in a JSON object",
+    ),
+    "presentation-long-integer": (
+        "reduce", "pres.json", '{"gens": ["a"], "rel": [], "provenance": {"x": %s}}' % ("7" * 5000),
+        "integer of more than 4300 digits",
+    ),
+    "provenance-nan": (
+        "reduce", "pres.txt", '# provenance: {"x": NaN}\ngens: a\n',
+        "line 1: malformed provenance JSON",
+    ),
+    "provenance-repeated-key": (
+        "reduce", "pres.txt", 'gens: a\n# provenance: {"x": 1, "x": 2}\n',
+        "line 2: malformed provenance JSON",
+    ),
+    "provenance-long-integer": (
+        "reduce", "pres.txt", '# provenance: {"x": -%s}\ngens: a\n' % ("7" * 5000),
+        "line 1: malformed provenance JSON",
+    ),
 }
 
 
@@ -97,10 +134,6 @@ OUT_OF_RANGE_CALLS = {
     "presentation-json-not-an-object": (
         lambda: presentation_from_json([]),
         ParseError, "top-level JSON value must be an object",
-    ),
-    "finite-presentation-max-exp-0": (
-        lambda: finite_presentation(BBContext(k3()), max_exp=0),
-        ValueError, "max_exp must be at least 1",
     ),
     "relator-to-cycle-exponent-0": (
         _relator_at_exponent_zero, ValueError, "relator exponent must be nonzero",
