@@ -8,10 +8,14 @@ directed edge-walk c = (e_1, ..., e_l) contributes the relators
 triangle (length-3) cycles already suffice when the complex is simply
 connected (Dicks-Leary), which is how the finite presentation arises.
 
-Everything claimed about these words is checked through their images in
-the RAAG: ``verify_relator`` maps each edge syllable to a syllable pair,
-reduces the image freely and asks the normal-form engine's piles whether
-what is left is trivial.  The module also implements letterwise
+The truncated family is made once, as relator texts (``_truncated_family``):
+``present`` writes them and ``directed_cycle_presentation`` reads them
+back.  Everything claimed about these words is checked through their
+images in the RAAG: in one pass, ``verify_relator`` maps each edge
+syllable [a>b]^k to a syllable pair, ordered by the previous syllable's
+edge (a^k b^-k if a is one of its ends, else b^-k a^k), pushes the pair
+onto one free-reduction stack, and asks the normal-form engine's piles
+whether what is left is trivial.  The module also implements letterwise
 inversion and a homotopy-move engine that rewrites cycle relators one
 backtrack or triangle at a time; each move is a frozen dataclass.
 """
@@ -25,15 +29,8 @@ from .complexes import DirectedCycle, DirectedEdge, Pi1Status, basepoint_tree
 from .complexes import edge_path_presentation, simply_connected_status
 from .errors import parse_text_or_json
 from .presentations import TIETZE_BUDGET, Presentation, parse_presentation, presentation_from_json
-from .presentations import _json_parts, _read_relator_words, _text_parts
-from .words import (
-    Alphabet,
-    RaagContext,
-    Word,
-    edge_alphabet,
-    exponent_sum,
-    reduce_syllables,
-)
+from .presentations import _json_parts, _read_relator_words, _read_relators, _text_parts
+from .words import RaagContext, Word, edge_alphabet, exponent_sum
 
 
 class BBContext:
@@ -99,21 +96,40 @@ def verify_relator(edge_word, ctx):
     True iff the raag_image is the identity.  This is a necessary
     condition for being a relator of the kernel presentation, and a
     sufficient acceptance check because the edge-word group embeds via
-    raag_image.  A syllable [a>b]^k maps to a^k b^-k if b is an end of
-    the next syllable's edge (the first one's, after the last), else to
-    b^-k a^k: both are exact, because a and b commute.  So the image of
-    each c^[n], and of each folded triangle relator, reduces freely to the
-    empty word, and the piles see only what does not cancel.
+    raag_image.  One pass maps each syllable and pushes its two image runs
+    onto one free-reduction stack: [a>b]^k maps to a^k b^-k if a is an end
+    of the previous syllable's edge (the last one's, before the first),
+    else to b^-k a^k; both are exact, because a and b commute.  So the
+    image of each c^[n], and of each folded triangle relator, cancels to
+    the empty word, and the piles see only what does not cancel.
     """
     alphabet = edge_word.alphabet
     if alphabet is not ctx.edge_alphabet and alphabet != ctx.edge_alphabet:
         raise ValueError("word is not over this complex's directed-edge alphabet")
     runs = edge_word._runs
-    image = []
-    for ((a, b), k), (following, _) in zip(runs, runs[1:] + runs[:1]):
-        image += ((a, k), (b, -k)) if b in following else ((b, -k), (a, k))
-    image = reduce_syllables(image)
-    return not image or not any(ctx.raag._pile(image)[0])
+    stack = [(None, 0)]  # the image's runs, freely reduced, over a run of no letter
+    previous = runs[-1][0] if runs else None
+    for edge, k in runs:
+        a, b = edge
+        if a not in previous:
+            a, b, k = b, a, -k
+        previous = edge
+        # Push a^k, then b^-k.
+        top, n = stack[-1]
+        if top != a:
+            stack.append((a, k))
+        elif n + k:
+            stack[-1] = (a, n + k)
+        else:
+            stack.pop()
+        top, n = stack[-1]
+        if top != b:
+            stack.append((b, -k))
+        elif n - k:
+            stack[-1] = (b, n - k)
+        else:
+            stack.pop()
+    return len(stack) == 1 or not any(ctx.raag._pile(stack[1:])[0])
 
 
 def express_in_kernel(vertex_word, ctx):
@@ -185,34 +201,47 @@ def directed_cycle_presentation(ctx, max_len, max_exp):
     rotation class of closed directed walks with 2 <= length <= max_len
     and every 0 < |n| <= max_exp.  The full family is infinite, so the
     provenance always records the truncation; this output is never
-    flagged complete.
+    flagged complete.  The relators are ``_truncated_family``'s texts,
+    read back.
+    """
+    generators, texts, provenance = _truncated_family(ctx, max_len, max_exp)
+    gens = {g: i for i, g in enumerate(generators)}
+    return _read_relators(gens, [(None, text) for text in texts], 0, provenance)
+
+
+def _truncated_family(ctx, max_len, max_exp):
+    """The generators, relator texts and provenance of
+    ``directed_cycle_presentation``; ``present --kind bb-truncated`` writes
+    them as they are.
+
+    The texts come from a generator, in the family's order: cycle classes
+    as ``enumerate_cycle_classes`` gives them, and for each class c^[1],
+    c^[-1], ..., c^[max_exp], c^[-max_exp].  Each is written as
+    ``words.write_word`` writes the relator, by one join of its edge names:
+    adjacent edges of a class are distinct, so no relator freely reduces.
     """
     if max_exp < 1:
         raise ValueError("max_exp must be at least 1")
+    cycles = enumerate_cycle_classes(ctx, max_len)
     names = {e: str(e) for e in ctx.edge_alphabet.letters}
-    alphabet = Alphabet("named", names.values())
-    # Adjacent syllables are distinct edges, so no relator freely reduces,
-    # every syllable is a checked (generator, nonzero int) pair and c^[+-k]
-    # is k letters per edge; edge names are checked generators.
-    relators = []
-    for cycle in enumerate_cycle_classes(ctx, max_len):
-        gens = [names[e] for e in cycle.edges]
-        for k in range(1, max_exp + 1):
-            for n in (k, -k):
-                runs = tuple([(g, n) for g in gens])
-                relators.append(Word._trusted(alphabet, runs, k * len(gens)))
-    return Presentation._trusted(
-        alphabet,
-        relators,
-        {
-            "construction": "directed-cycle-relators",
-            "max_len": max_len,
-            "max_exp": max_exp,
-            "truncated": True,
-            "complete": False,
-            "presents": "kernel (truncated infinite relator family)",
-        },
-    )
+    # c^[n] is "e_1^n e_2^n ... e_l^n", and "e_1 e_2 ... e_l" for n = 1.
+    joins = [(f"^{n} ", f"^{n}") if n != 1 else (" ", "") for k in range(1, max_exp + 1) for n in (k, -k)]
+
+    def texts():
+        for cycle in cycles:
+            gens = [names[e] for e in cycle.edges]
+            for sep, tail in joins:
+                yield sep.join(gens) + tail
+
+    provenance = {
+        "construction": "directed-cycle-relators",
+        "max_len": max_len,
+        "max_exp": max_exp,
+        "truncated": True,
+        "complete": False,
+        "presents": "kernel (truncated infinite relator family)",
+    }
+    return list(names.values()), texts(), provenance
 
 
 def finite_presentation(ctx, tietze_budget=TIETZE_BUDGET):

@@ -19,6 +19,8 @@ from .complexes import euler_characteristic, homology, parse_complex, pi1_presen
 from .errors import ParseError, parse_text_or_json
 from .presentations import (
     TIETZE_BUDGET,
+    _json_form,
+    _text_form,
     parse_presentation,
     presentation_from_json,
     presentation_to_json,
@@ -113,7 +115,7 @@ def _load_presentation(path):
 
 
 def _dump_json(data):
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _tuple_text(values):
@@ -164,14 +166,16 @@ def _run_homology(ns):
 
 def _run_present(ns):
     complex = _load_complex(ns.complex)
+    if ns.kind == "bb-truncated":
+        # The family is written from its relator texts, with no Presentation.
+        family = bb._truncated_family(bb.BBContext(complex), ns.max_len, ns.max_exp)
+        if ns.json:
+            return _dump_json(_json_form(*family)), 0
+        return _text_form(*family), 0
     if ns.kind == "pi1":
         presentation = pi1_presentation(complex)
     else:
-        ctx = bb.BBContext(complex)
-        if ns.kind == "bb-truncated":
-            presentation = bb.directed_cycle_presentation(ctx, ns.max_len, ns.max_exp)
-        else:
-            presentation = bb.finite_presentation(ctx, tietze_budget=ns.budget)
+        presentation = bb.finite_presentation(bb.BBContext(complex), tietze_budget=ns.budget)
     if ns.json:
         return _dump_json(presentation_to_json(presentation)), 0
     return serialize_presentation(presentation), 0

@@ -270,17 +270,21 @@ def serialize_presentation(presentation):
     Provenance is carried in a ``# provenance:`` comment so the round
     trip through parse_presentation is the identity.
     """
-    lines = []
-    if presentation.provenance:
-        blob = _json.dumps(presentation.provenance, sort_keys=True)
-        lines.append(f"# provenance: {blob}")
-    gens_line = "gens:"
-    if presentation.generators:
-        gens_line += " " + " ".join(presentation.generators)
-    lines.append(gens_line)
     factors = {}
-    lines += ["rel: " + write_word(rel, factors) for rel in presentation.relators]
-    return "\n".join(lines) + "\n"
+    texts = [write_word(rel, factors) for rel in presentation.relators]
+    return _text_form(presentation.generators, texts, presentation.provenance)
+
+
+def _text_form(generators, relator_texts, provenance):
+    """The text form of a presentation given as its generators, its relators'
+    texts (an iterable, read once) and its provenance.  A non-finite
+    provenance number raises ValueError, since no reader accepts it."""
+    head = " ".join(["gens:", *generators])
+    if provenance:
+        blob = _json.dumps(provenance, sort_keys=True, allow_nan=False)
+        head = f"# provenance: {blob}\n{head}"
+    rels = "\nrel: ".join(relator_texts)  # relators are nonempty
+    return f"{head}\nrel: {rels}\n" if rels else head + "\n"
 
 
 def parse_presentation(text):
@@ -359,12 +363,15 @@ def _read_relators(gens, rel_lines, start, provenance):
 def presentation_to_json(presentation):
     """JSON mirror with the text format's field names."""
     factors = {}
-    data = {
-        "gens": list(presentation.generators),
-        "rel": [write_word(r, factors) for r in presentation.relators],
-    }
-    if presentation.provenance:
-        data["provenance"] = dict(presentation.provenance)
+    texts = [write_word(r, factors) for r in presentation.relators]
+    return _json_form(presentation.generators, texts, presentation.provenance)
+
+
+def _json_form(generators, relator_texts, provenance):
+    """The JSON mirror of ``_text_form``'s arguments."""
+    data = {"gens": list(generators), "rel": list(relator_texts)}
+    if provenance:
+        data["provenance"] = dict(provenance)
     return data
 
 

@@ -13,7 +13,11 @@ that output, 880 relators, takes about 3 s on a shared 2-CPU host;
 ``join_of_pairs(4)``'s use ``--max-len 3``, because at the default its
 ``reduce`` takes about 21 s there): every verb with and
 without ``--json``, ``verify`` and ``reduce`` on each ``present`` output
-at the default and small budgets, ``express`` on fixed words,
+at the default and small budgets, ``verify`` (with and without
+``--json``) on a copy of each text ``bb-truncated`` output at the
+default ``--max-len`` (``trunc``) whose middle ``rel:`` line has one
+exponent moved by one (``NAME.trunc_tampered.txt``), so a verifier that
+accepts too much changes the sweep, ``express`` on fixed words,
 ``verify`` and ``reduce`` on malformed presentation files in text and
 JSON form, ``info`` on graph JSON and ``verify`` and ``reduce`` on
 presentation JSON and provenance comments (each with and without
@@ -159,6 +163,23 @@ NBSP_GRAPH = {
     "vertices": ["a\u00a0b", "c", "d"],
     "edges": [["a\u00a0b", "c"], ["c", "d"], ["a\u00a0b", "d"]],
 }
+
+
+def tamper(text):
+    """``text`` with the exponent of the middle factor of its middle ``rel:``
+    line moved by one, away from 0; None if it has no ``rel:`` line."""
+    lines = text.splitlines(keepends=True)
+    rels = [i for i, line in enumerate(lines) if line.startswith("rel:")]
+    if not rels:
+        return None
+    i = rels[len(rels) // 2]
+    head, *factors = lines[i].split()
+    mid = len(factors) // 2
+    base, caret, exp = factors[mid].partition("^")
+    k = int(exp) if caret else 1
+    factors[mid] = f"{base}^{k + 1 or k - 1}"
+    lines[i] = " ".join([head, *factors]) + "\n"
+    return "".join(lines)
 
 
 def main(src, out_path):
@@ -375,6 +396,11 @@ def main(src, out_path):
                         run("verify", *vfmt, graph, pres)
                         for budget in ((), ("--budget", "1"), ("--budget", "3")):
                             run("reduce", *budget, *vfmt, pres)
+                    tampered = tamper(out) if (kind, ext) == ("trunc", "txt") else None
+                    if tampered is not None:
+                        tampered = write(f"{name}.trunc_tampered.txt", tampered)
+                        for vfmt in ((), ("--json",)):
+                            run("verify", *vfmt, graph, tampered)
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(results, handle, indent=1, sort_keys=True)
     raised = [run for run, record in results.items() if record[0] is None]

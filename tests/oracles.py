@@ -15,7 +15,8 @@ a word-map table (``homomorphism``,
 letter.  None of them shares code with the library paths they audit,
 except ``verify_reference``: it checks ``bbgroups verify`` against the
 route that parses a whole presentation file and only then re-letters its
-relators onto edges.
+relators onto edges, and it decides each relator by piling its letterwise
+``raag_image``, not by ``verify_relator``.
 
 The cyclic extension of the kernel by the basepoint letter (the paper's
 G = H x| Z: ``ExtensionElement`` and its ``extension_*`` laws,
@@ -49,7 +50,6 @@ from bbgroups import (
     raag_image,
     render_word,
     simply_connected_status,
-    verify_relator,
 )
 
 
@@ -424,7 +424,9 @@ def verify_reference(complex, text, as_json=False):
     presentation file's text, as ``(exit code, stdout, first stderr line)``:
     the file parsed whole by ``parse_presentation`` or
     ``presentation_from_json``, then ``presentation_relator_edge_words``,
-    then ``verify_relator`` per relator."""
+    then, per relator, whether the RAAG's piles hold nothing for its
+    ``raag_image`` spelled letter by letter (not ``verify_relator``'s
+    one-pass image)."""
     ctx = BBContext(complex)
     try:
         if text.lstrip().startswith("{"):
@@ -436,7 +438,7 @@ def verify_reference(complex, text, as_json=False):
         return 2, "", f"error: {exc}"
     except ValueError as exc:
         return 1, "", f"error: {exc}"
-    failures = [i for i, w in enumerate(words) if not verify_relator(w, ctx)]
+    failures = [i for i, w in enumerate(words) if not ctx.raag.is_identity(raag_image(w, ctx))]
     verified = len(words) - len(failures)
     if as_json:
         data = {"relators": len(words), "verified": verified, "failures": failures}

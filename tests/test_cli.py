@@ -7,11 +7,18 @@ import tracemalloc
 
 import pytest
 
-from bbgroups import BBContext, Word, parse_presentation, presentation_to_json
+from bbgroups import (
+    BBContext,
+    Word,
+    directed_cycle_presentation,
+    parse_presentation,
+    presentation_to_json,
+    serialize_presentation,
+)
 from bbgroups import bestvina_brady as bb_module
 from bbgroups.cli import build_parser, main
 from bbgroups.presentations import TIETZE_MAX_LETTERS
-from corpus import connected_corpus, dunce_hat, k3
+from corpus import c4, connected_corpus, dunce_hat, grid_disk, k3, octahedron
 from oracles import verify_reference
 
 C4_TEXT = "vertices: a b c d\nedges: a-b b-c c-d a-d\n"
@@ -282,6 +289,66 @@ def test_present_truncated(files, capsys):
     assert "gens: [a>b] [a>c] [b>a] [b>c] [c>a] [c>b]" in out
     assert out.count("rel:") == 6  # three backtrack classes, n in {1, -1}
     assert '"truncated": true' in out
+
+
+def test_truncated_output_is_the_presentation_it_builds_written(tmp_path, capsys):
+    # present writes the family from its relator texts, with no Presentation;
+    # writing directed_cycle_presentation's result must give the same bytes.
+    for name, complex in connected_corpus():
+        graph = tmp_path / f"{name}.txt"
+        graph.write_text(_graph_text(complex))
+        ctx = BBContext(complex)
+        for max_len in range(2, 7):
+            for max_exp in range(1, 4):
+                pres = directed_cycle_presentation(ctx, max_len, max_exp)
+                argv = ["present", "--kind", "bb-truncated", "--max-len", str(max_len), "--max-exp", str(max_exp)]
+                assert main([*argv, str(graph)]) == 0
+                assert capsys.readouterr().out == serialize_presentation(pres), (name, max_len, max_exp)
+                assert main([*argv, "--json", str(graph)]) == 0
+                data = presentation_to_json(pres)
+                assert capsys.readouterr().out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    # The point has no edges: no generator, no relator, no trailing space.
+    assert main(["present", "--kind", "bb-truncated", str(tmp_path / "point.txt")]) == 0
+    assert capsys.readouterr().out.endswith('"truncated": true}\ngens:\n')
+
+
+def _tampered_lines(line):
+    """Three copies of a ``rel:`` line, each changed in one way: the middle
+    factor's exponent moved, the first two factors swapped, or the middle
+    factor's edge reversed."""
+    head, *factors = line.split()
+    mid = len(factors) // 2
+    base, caret, exp = factors[mid].partition("^")
+    k = int(exp) if caret else 1
+    bumped = factors[:mid] + [f"{base}^{k + 1 or k - 1}"] + factors[mid + 1 :]  # never ^0
+    swapped = [factors[1], factors[0]] + factors[2:]
+    a, b = base[1:-1].split(">")
+    flipped = factors[:mid] + [f"[{b}>{a}]{caret}{exp}"] + factors[mid + 1 :]
+    return [" ".join([head, *f]) for f in (bumped, swapped, flipped)]
+
+
+def test_verify_agrees_with_the_oracle_on_tampered_truncated_files(tmp_path, capsys):
+    # verify_reference decides by raag_image, not verify_relator, so a verifier
+    # that accepts too much fails here; each file changes one rel: line.
+    codes = set()
+    for name, complex in (("k3", k3()), ("c4", c4()), ("octahedron", octahedron()), ("grid3", grid_disk(3))):
+        graph = tmp_path / f"{name}.txt"
+        graph.write_text(_graph_text(complex))
+        assert main(["present", "--kind", "bb-truncated", str(graph)]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        rels = [i for i, line in enumerate(lines) if line.startswith("rel:")]
+        for i in rels[:: max(1, len(rels) // 10)]:
+            for changed in _tampered_lines(lines[i]):
+                text = "".join(lines[:i] + [changed + "\n"] + lines[i + 1 :])
+                path = tmp_path / "tampered.txt"
+                path.write_text(text)
+                for flags in ([], ["--json"]):
+                    code = main(["verify", *flags, str(graph), str(path)])
+                    out, err = capsys.readouterr()
+                    got = (code, out, err.splitlines()[0] if err else "")
+                    assert got == verify_reference(complex, text, as_json=bool(flags)), (name, changed)
+                    codes.add(code)
+    assert codes == {0, 1}
 
 
 def test_present_pi1(files, capsys):

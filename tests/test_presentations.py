@@ -1,6 +1,7 @@
 """Tests for presentation storage, abelianization, Tietze moves, and I/O."""
 
 import hashlib
+import json
 import random
 import sys
 
@@ -310,6 +311,24 @@ def test_serialize_parse_roundtrip():
 def test_serialize_empty_presentation():
     p = P([], [])
     assert parse_presentation(serialize_presentation(p)) == p
+
+
+def test_serialize_refuses_a_non_finite_provenance_number():
+    # No reader accepts NaN or Infinity, so writing one would break the round trip.
+    for value in (float("nan"), float("inf"), -float("inf")):
+        p = Presentation(["a"], [], provenance={"x": value})
+        with pytest.raises(ValueError):
+            serialize_presentation(p)
+
+
+def test_finite_provenance_numbers_round_trip():
+    provenance = {"x": 0.1, "y": -2.5e-300, "big": 10**30, "nested": {"z": [1.5, -0.0]}}
+    p = Presentation(["a"], [], provenance=provenance)
+    for parsed in (
+        parse_presentation(serialize_presentation(p)),
+        presentation_from_json(json.dumps(presentation_to_json(p), allow_nan=False)),
+    ):
+        assert parsed == p and parsed.provenance == provenance
 
 
 def test_serialize_parse_roundtrip_on_random_presentations():
