@@ -451,11 +451,11 @@ def simply_connected_status(complex, budget=TIETZE_BUDGET):
     trivial in pi_1, so pi_1 is presented by the edge-path presentation
     with tree and matched edges deleted (generators are the critical
     edges).  No critical edge certifies triviality outright.  Otherwise
-    nontriviality is certified by a nonzero abelianization of that
-    residual presentation, i.e. H_1 != 0 (Hurewicz), and triviality by
-    bounded Tietze simplification (``budget`` moves) of the residual
-    reaching the empty presentation.  Anything else is honestly Unknown
-    (triviality of a fundamental group is undecidable in general).
+    Tietze simplification (``budget`` moves) of that residual reaching
+    the empty presentation certifies triviality, and failing that, a
+    nonzero abelianization of it, H_1 != 0 (Hurewicz), nontriviality:
+    Tietze moves keep the group, so they never empty it then.  Anything
+    else is honestly Unknown (pi_1 triviality is undecidable in general).
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -463,12 +463,12 @@ def simply_connected_status(complex, budget=TIETZE_BUDGET):
     if not critical:
         return Pi1Status.CERTIFIED_TRIVIAL
     pres = edge_path_presentation(complex, tree.union(e for _, e in pairs))
-    h1 = abelianization(pres)
-    if h1.rank or h1.torsion:
-        return Pi1Status.CERTIFIED_NONTRIVIAL
     simplified, _ = tietze_simplify(pres, budget)
     if simplified.is_empty():
         return Pi1Status.CERTIFIED_TRIVIAL
+    h1 = abelianization(pres)
+    if h1.rank or h1.torsion:
+        return Pi1Status.CERTIFIED_NONTRIVIAL
     return Pi1Status.UNKNOWN
 
 

@@ -57,18 +57,6 @@ class Presentation:
         self.relators = tuple(rels)
         self.provenance = dict(provenance) if provenance else {}
 
-    @classmethod
-    def _trusted(cls, alphabet, relators, provenance):
-        """The presentation on a named alphabet whose letters passed
-        ``_add_generator``, of nonempty words over that alphabet its builder
-        has made; nothing is checked again."""
-        presentation = cls.__new__(cls)
-        presentation.generators = alphabet.letters
-        presentation.alphabet = alphabet
-        presentation.relators = tuple(relators)
-        presentation.provenance = dict(provenance) if provenance else {}
-        return presentation
-
     def is_empty(self):
         return not self.generators and not self.relators
 
@@ -291,15 +279,17 @@ def parse_presentation(text):
     """Parse the presentation text format; errors carry line/column.
 
     ``gens:`` and provenance lines are read in a first pass, which keeps each
-    ``rel:`` line as it is; relators are read once the generators are known,
+    ``rel:`` line; relators are read once the generators are known,
     so a ``rel:`` line may come before the ``gens:`` line.
     """
     return _read_relators(*_text_parts(text))
 
 
 def _text_parts(text):
-    """The first pass of ``parse_presentation``: ``(generators, rel_lines, 1,
-    provenance)`` for ``_read_relator_words``, generators as name -> position."""
+    """The first pass of ``parse_presentation``: ``(generators, rel_lines,
+    provenance)`` for ``_read_relator_words``, generators as name -> position
+    and each ``rel:`` line's head (its first "rel:") blanked by four spaces,
+    so its fields are the factors and its columns the line's."""
     gens = {}
     rel_lines = []
     provenance = None
@@ -321,7 +311,7 @@ def _text_parts(text):
         if not fields:
             continue
         if fields[0] == "rel:":
-            rel_lines.append((lineno, line))
+            rel_lines.append((lineno, line.replace("rel:", "    ", 1)))
             continue
         (head, headcol), *body = tokens(line)
         if head != "gens:":
@@ -335,29 +325,28 @@ def _text_parts(text):
                 _add_generator(gens, g)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno, col) from None
-    return gens, rel_lines, 1, provenance
+    return gens, rel_lines, provenance
 
 
-def _read_relator_words(rel_lines, start, alphabet, factors):
+def _read_relator_words(rel_lines, alphabet, factors):
     """One nonempty word over ``alphabet`` per ``(line, text)`` pair, read by
-    ``words.read_word`` from whitespace field ``start`` of the text on, each
-    token standing for the letter ``factors`` gives it; errors are
-    ParseErrors."""
+    ``words.read_word`` from every whitespace field of the text, each token
+    standing for the letter ``factors`` gives it; errors are ParseErrors."""
     relators = []
     for lineno, text in rel_lines:
-        word = read_word(text, alphabet, factors, lineno, start)
+        word = read_word(text, alphabet, factors, lineno)
         if not len(word):
             raise ParseError("relator is empty after free reduction", lineno)
         relators.append(word)
     return relators
 
 
-def _read_relators(gens, rel_lines, start, provenance):
-    """The presentation on ``gens``, which passed ``_add_generator``, with its
-    relators read by ``_read_relator_words``, each token its own letter."""
+def _read_relators(gens, rel_lines, provenance):
+    """The presentation on ``gens`` with its relators read by
+    ``_read_relator_words``, each token its own letter."""
     alphabet = Alphabet("named", gens)
-    relators = _read_relator_words(rel_lines, start, alphabet, alphabet.factors())
-    return Presentation._trusted(alphabet, relators, provenance)
+    relators = _read_relator_words(rel_lines, alphabet, alphabet.factors())
+    return Presentation(alphabet.letters, relators, provenance)
 
 
 def presentation_to_json(presentation):
@@ -382,7 +371,7 @@ def presentation_from_json(data):
 
 def _json_parts(data):
     """The checks of ``presentation_from_json``, then its ``(generators,
-    rel_lines, 0, provenance)`` for ``_read_relator_words``."""
+    rel_lines, provenance)`` for ``_read_relator_words``."""
     data = json_object(data, ("gens", "rel", "provenance"), "presentation JSON")
     gens = data.get("gens", [])
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
@@ -398,4 +387,4 @@ def _json_parts(data):
             _add_generator(names, g)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    return names, [(None, r) for r in rel], 0, data.get("provenance")
+    return names, [(None, r) for r in rel], data.get("provenance")

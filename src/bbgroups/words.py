@@ -155,16 +155,6 @@ class Word:
         word._store(alphabet, runs)
         return word
 
-    @classmethod
-    def _trusted(cls, alphabet, runs, length):
-        """The word of a tuple of runs its builder has checked and reduced,
-        ``length`` letters long; nothing is scanned."""
-        word = cls.__new__(cls)
-        word.alphabet = alphabet
-        word._runs = runs
-        word._length = length
-        return word
-
     def _store(self, alphabet, runs):
         """Keep checked runs, reduced if two adjacent runs share a letter."""
         length, last = 0, None
@@ -371,24 +361,24 @@ def parse_word(text, alphabet):
     return read_word(text, alphabet, alphabet.factors())
 
 
-def read_word(text, alphabet, factors, line=None, start=0):
-    """The word over ``alphabet`` of ``text``'s whitespace-separated fields
-    from field ``start`` on, each a factor as read by ``parse_word``.
+def read_word(text, alphabet, factors, line=None):
+    """The word over ``alphabet`` of ``text``'s whitespace-separated fields,
+    each a factor as read by ``parse_word``.
 
     ``factors`` maps factor texts to syllables (letter, exponent).  It starts
     with one entry ``g -> (letter, 1)`` per generator token g, which fixes
     the letter each token stands for (``Alphabet.factors()``, or another
     lettering); any other factor ``g^k`` is checked and decoded the first
     time it is seen, recorded, and looked up after that.  A ParseError
-    carries ``line`` and the column of the factor at fault.
+    carries ``line`` and the column of the factor at fault, counted from
+    the start of ``text``.
     """
-    fields = text.split()
     runs = []
-    for i in range(start, len(fields)):
-        syllable = factors.get(fields[i])
+    for i, field in enumerate(text.split()):
+        syllable = factors.get(field)
         if syllable is None:
             try:
-                syllable = factors[fields[i]] = _factor_syllable(fields[i], factors)
+                syllable = factors[field] = _factor_syllable(field, factors)
             except ValueError as exc:
                 # str.split and errors.tokens split at the same characters.
                 raise ParseError(str(exc), line, tokens(text)[i][1]) from None

@@ -32,7 +32,10 @@ without ``--json``) of K3 relators whose syllables are 10^5 letters
 long, in text and JSON form, ``express`` (with and without ``--json``)
 on K3 of ``a^1000000 b^-1000000``, ``express``, ``verify`` and ``reduce``
 on exponent factors such as ``a^+2``, ``a^2^3``, ``^2`` and a
-superscript or Arabic-Indic exponent,
+superscript or Arabic-Indic exponent, ``verify`` and ``reduce`` (with
+and without ``--json``) on a text presentation whose ``rel:`` lines are
+indented by tabs and spaces and end in a comment, one of them holding a
+malformed factor, so the column reported counts from the line's start,
 every verb on a JSON graph whose vertex name holds a
 no-break space (it has no text form), every verb (with and without
 ``--json``) on the graph with no vertices in text (``vertices:``) and
@@ -159,6 +162,12 @@ HUGE_REDUCE = [f"[a>b]^{HUGE} [b>c]^{HUGE} [c>a]^-{HUGE}"]
 # Factors over the letter a, each malformed but the last (a^3 in Arabic-Indic).
 FACTORS = ["a^\u00b2", "a^+2", "a^1_0", "a^--1", "a^2^3", "a^", "^2", "a^\u0663"]
 
+# rel: lines indented by tabs and spaces, each with a comment; the second's
+# malformed factor [b>a]^+2 sits at column 18 of line 3.
+INDENTED_PRESENTATION = (
+    "gens: [a>b] [b>a]\n\t rel: [a>b] [b>a]  # [a>b]^0\n  \t rel: [a>b]^2 [b>a]^+2 # x\n"
+)
+
 NBSP_GRAPH = {
     "vertices": ["a\u00a0b", "c", "d"],
     "edges": [["a\u00a0b", "c"], ["c", "d"], ["a\u00a0b", "d"]],
@@ -278,6 +287,11 @@ def main(src, out_path):
             for pres in (write(f"factor{i}.txt", text), write(f"factor{i}.json", json.dumps(data))):
                 run("verify", k3, pres)
                 run("reduce", pres)
+
+        indented = write("indented_rel.txt", INDENTED_PRESENTATION)
+        for fmt in ((), ("--json",)):
+            run("verify", *fmt, k3, indented)
+            run("reduce", *fmt, indented)
 
         # Walks 1050 steps long, and JSON nested deeper than the recursion limit.
         edge = write("long_walk_edge.txt", "vertices: a b\nedges: a-b\n")

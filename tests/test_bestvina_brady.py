@@ -401,16 +401,20 @@ def test_directed_cycle_presentation_matches_relators_built_as_words():
                 }
 
 
-def test_trusted_relators_match_words_built_from_syllables():
-    # directed_cycle_presentation and verify's read build their words without
-    # a scan; each must equal the checked, reduced word of the same runs.
+def test_read_relators_match_words_built_from_syllables():
+    # directed_cycle_presentation, verify's read straight onto the edges and
+    # presentation_relator_edge_words's re-lettering each build words from
+    # runs; each must equal the checked, reduced word of the same runs, and
+    # both edge routes must give the same words.
     for name, complex in connected_corpus():
         ctx = BBContext(complex)
         for max_len in range(2, 6):
             for max_exp in (1, 2, 3):
                 pres = directed_cycle_presentation(ctx, max_len, max_exp)
                 read = bb_module._read_edge_relators(serialize_presentation(pres), ctx)
-                for words in (pres.relators, read):
+                relettered = presentation_relator_edge_words(pres, ctx)
+                assert relettered == read, (name, max_len, max_exp)
+                for words in (pres.relators, read, relettered):
                     for word in words:
                         built = Word.from_syllables(word.alphabet, word.syllables())
                         assert word == built, (name, max_len, max_exp)

@@ -25,7 +25,8 @@ from corpus import (
     suspension,
     two_points,
 )
-from bbgroups.presentations import TIETZE_BUDGET
+import bbgroups.complexes as complexes_module
+from bbgroups.presentations import TIETZE_BUDGET, abelianization
 from oracles import brute_force_simplices
 
 
@@ -76,12 +77,20 @@ def test_octahedron_report():
     assert finiteness_report(octahedron(), tietze_budget=1).finitely_presented == "yes"
 
 
-def test_dunce_hat_report():
-    # Contractible, so H_Delta is of type F; pi_1 = 1 needs Tietze past the collapse.
+def test_dunce_hat_report(monkeypatch):
+    # Contractible, so H_Delta is of type F; pi_1 = 1 needs Tietze past the
+    # collapse, and Tietze empties the 24-edge residual before any of it is
+    # abelianized.  At budget 5 Tietze stops short, and the residual is
+    # abelianized once to tell Unknown from CertifiedNontrivial.
+    calls = []
+    monkeypatch.setattr(
+        complexes_module, "abelianization", lambda p: calls.append(p) or abelianization(p)
+    )
     report = finiteness_report(dunce_hat())
-    assert report.finitely_presented == "yes"
+    assert report.finitely_presented == "yes" and calls == []
     assert report.fp_level is None and report.chi_delta == 1
     assert finiteness_report(dunce_hat(), tietze_budget=5).finitely_presented == "unknown"
+    assert [len(p.generators) for p in calls] == [24]
 
 
 def test_two_points_report():

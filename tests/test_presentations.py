@@ -425,11 +425,16 @@ def _parse_word_over_a(text):
 
 
 def test_parse_diagnostics_point_at_the_factor_at_fault():
-    # A bad factor repeated on one line: its first column.
-    err = _parse_error(parse_presentation, "gens: a\nrel: a b a b\nrel: b\n")
-    assert (str(err), err.line, err.column) == ("line 2, column 8: unknown generator 'b'", 2, 8)
-    err = _parse_error(parse_presentation, "gens: a\nrel: a a^+2 a a^+2\n")
-    assert str(err) == "line 2, column 8: malformed factor 'a^+2'"
+    # A bad factor repeated on one line: its first column, counted from the
+    # line's start whatever whitespace comes before the head and whatever
+    # follows a '#'.
+    for indent in ("", "\t  ", "  \t "):
+        column = len(indent) + 8
+        err = _parse_error(parse_presentation, f"gens: a\n{indent}rel: a b a b  # z^0\nrel: b\n")
+        message = f"line 2, column {column}: unknown generator 'b'"
+        assert (str(err), err.line, err.column) == (message, 2, column)
+        err = _parse_error(parse_presentation, f"gens: a\n{indent}rel: a a^+2 a a^+2 #a^0\n")
+        assert str(err) == f"line 2, column {column}: malformed factor 'a^+2'"
     # A bad factor after many valid lines that share its letters: its own line.
     text = "gens: a b\n" + "rel: a b^2 a^-1 b\n" * 500 + "rel: a b^0 a\n"
     assert str(_parse_error(parse_presentation, text)) == (
