@@ -15,7 +15,10 @@ images in the RAAG: in one pass, ``verify_relator`` maps each edge
 syllable [a>b]^k to a syllable pair, ordered by the previous syllable's
 edge (a^k b^-k if a is one of its ends, else b^-k a^k), pushes the pair
 onto one free-reduction stack, and asks the normal-form engine's piles
-whether what is left is trivial.  The module also implements letterwise
+whether what is left is trivial.  It takes an edge Word or the bare
+syllables: ``verify`` reads each relator of a file to its syllables
+(``_read_edge_relators``) and hands them over, with no Word per
+relator.  The module also implements letterwise
 inversion and a homotopy-move engine that rewrites cycle relators one
 backtrack or triangle at a time; each move is a frozen dataclass.
 """
@@ -29,7 +32,7 @@ from .complexes import DirectedCycle, DirectedEdge, Pi1Status, basepoint_tree
 from .complexes import edge_path_presentation, simply_connected_status
 from .errors import parse_text_or_json
 from .presentations import TIETZE_BUDGET, Presentation, parse_presentation, presentation_from_json
-from .presentations import _json_parts, _read_relator_words, _read_relators, _text_parts
+from .presentations import _json_parts, _read_relators, _relator_syllables, _text_parts
 from .words import RaagContext, Word, edge_alphabet, exponent_sum
 
 
@@ -93,6 +96,9 @@ def cycle_relator(cycle, n, ctx):
 def verify_relator(edge_word, ctx):
     """Ground-truth check: does the word die in the RAAG?
 
+    ``edge_word`` is a Word over the complex's directed-edge alphabet (any
+    other Word raises ValueError), or a sequence of (edge, exponent)
+    syllables over those edges, reduced or not, as ``verify`` reads them.
     True iff the raag_image is the identity.  This is a necessary
     condition for being a relator of the kernel presentation, and a
     sufficient acceptance check because the edge-word group embeds via
@@ -103,10 +109,13 @@ def verify_relator(edge_word, ctx):
     image of each c^[n], and of each folded triangle relator, cancels to
     the empty word, and the piles see only what does not cancel.
     """
-    alphabet = edge_word.alphabet
-    if alphabet is not ctx.edge_alphabet and alphabet != ctx.edge_alphabet:
-        raise ValueError("word is not over this complex's directed-edge alphabet")
-    runs = edge_word._runs
+    if isinstance(edge_word, Word):
+        alphabet = edge_word.alphabet
+        if alphabet is not ctx.edge_alphabet and alphabet != ctx.edge_alphabet:
+            raise ValueError("word is not over this complex's directed-edge alphabet")
+        runs = edge_word._runs
+    else:
+        runs = edge_word
     stack = [(None, 0)]  # the image's runs, freely reduced, over a run of no letter
     previous = runs[-1][0] if runs else None
     for edge, k in runs:
@@ -289,21 +298,24 @@ def presentation_relator_edge_words(presentation, ctx):
 
 
 def _read_edge_relators(text, ctx):
-    """The relators of a presentation file (text or JSON form) as edge words,
-    as ``presentation_relator_edge_words`` gives them for the parsed file.
+    """The relators of a presentation file (text or JSON form), an iterable
+    of one sequence per relator: the freely reduced, nonempty (edge,
+    exponent) syllables of the edge word ``presentation_relator_edge_words``
+    gives for the parsed file, the form ``verify_relator`` takes.
 
     If every declared generator names an edge, as in every ``present``
-    output, each relator is read straight onto the edges.  Otherwise the
-    file is parsed whole, so every syntax error (ParseError) comes before a
-    generator in use that names no edge (ValueError).
+    output, the result is ``presentations._relator_syllables`` over the
+    edges' factor table: each relator is read straight to its syllables as
+    the result is iterated, with no Word.  Otherwise the file is parsed
+    whole and re-lettered, so every syntax error (ParseError) comes before
+    a generator in use that names no edge (ValueError).
     """
     gens, rel_lines, _ = parse_text_or_json(text, _json_parts, _text_parts)
     edges = ctx.edge_alphabet.factors()
     if edges.keys() >= gens.keys():
-        factors = {g: edges[g] for g in gens}
-        return _read_relator_words(rel_lines, ctx.edge_alphabet, factors)
+        return _relator_syllables(rel_lines, {g: edges[g] for g in gens})
     presentation = parse_text_or_json(text, presentation_from_json, parse_presentation)
-    return presentation_relator_edge_words(presentation, ctx)
+    return [w._runs for w in presentation_relator_edge_words(presentation, ctx)]
 
 
 # -- homotopy moves on cycle relators ------------------------------------

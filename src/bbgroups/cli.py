@@ -27,7 +27,7 @@ from .presentations import (
     serialize_presentation,
     tietze_simplify,
 )
-from .words import parse_word, render_word
+from .words import Word, parse_word, render_word
 
 
 def _int_at_least(low):
@@ -184,20 +184,26 @@ def _run_present(ns):
 def _run_verify(ns):
     complex = _load_complex(ns.complex)
     ctx = bb.BBContext(complex)
-    words = bb._read_edge_relators(_read(ns.presentation), ctx)
-    failures = [i for i, w in enumerate(words) if not bb.verify_relator(w, ctx)]
+    # Each relator's syllables go straight to their verdict; a Word is built
+    # only to print a relator that fails.
+    count, failed = 0, []
+    for runs in bb._read_edge_relators(_read(ns.presentation), ctx):
+        if not bb.verify_relator(runs, ctx):
+            failed.append((count, runs))
+        count += 1
+    failures = [i for i, _ in failed]
     if ns.json:
         return _dump_json(
             {
-                "relators": len(words),
-                "verified": len(words) - len(failures),
+                "relators": count,
+                "verified": count - len(failures),
                 "failures": failures,
             }
         ), (0 if not failures else 1)
-    lines = [f"relators: {len(words)}", f"verified: {len(words) - len(failures)}"]
+    lines = [f"relators: {count}", f"verified: {count - len(failures)}"]
     if failures:
-        for i in failures:
-            lines.append(f"FAILED relator {i}: {render_word(words[i])}")
+        for i, runs in failed:
+            lines.append(f"FAILED relator {i}: {render_word(Word._of(ctx.edge_alphabet, runs))}")
     else:
         lines.append("all relators verified")
     return "\n".join(lines) + "\n", (0 if not failures else 1)

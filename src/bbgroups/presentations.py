@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import snf
 from .errors import ParseError, json_object, reserved_chars, strict_json, tokens
-from .words import Alphabet, Word, read_word, write_word
+from .words import Alphabet, Word, read_syllables, write_word
 
 
 def _add_generator(names, g):
@@ -47,9 +47,9 @@ class Presentation:
         alphabet = Alphabet("named", self.generators)
         rels = []
         for r in relators:
-            if not (isinstance(r, Word) and r.alphabet == alphabet):
+            if not (isinstance(r, Word) and (r.alphabet is alphabet or r.alphabet == alphabet)):
                 r = Word(alphabet, r)
-            if not len(r):
+            if not r._length:
                 raise ValueError("relator is empty after free reduction")
             rels.append(r)
             alphabet = r.alphabet  # equal to it, so later relators match by identity
@@ -287,7 +287,7 @@ def parse_presentation(text):
 
 def _text_parts(text):
     """The first pass of ``parse_presentation``: ``(generators, rel_lines,
-    provenance)`` for ``_read_relator_words``, generators as name -> position
+    provenance)`` for ``_relator_syllables``, generators as name -> position
     and each ``rel:`` line's head (its first "rel:") blanked by four spaces,
     so its fields are the factors and its columns the line's."""
     gens = {}
@@ -328,24 +328,23 @@ def _text_parts(text):
     return gens, rel_lines, provenance
 
 
-def _read_relator_words(rel_lines, alphabet, factors):
-    """One nonempty word over ``alphabet`` per ``(line, text)`` pair, read by
-    ``words.read_word`` from every whitespace field of the text, each token
-    standing for the letter ``factors`` gives it; errors are ParseErrors."""
-    relators = []
+def _relator_syllables(rel_lines, factors):
+    """Per ``(line, text)`` pair, as the result is iterated, the nonempty
+    syllables ``words.read_syllables`` reads from every whitespace field
+    of the text, each token standing for the letter ``factors`` gives it;
+    errors are ParseErrors."""
     for lineno, text in rel_lines:
-        word = read_word(text, alphabet, factors, lineno)
-        if not len(word):
+        runs = read_syllables(text, factors, lineno)
+        if not runs:
             raise ParseError("relator is empty after free reduction", lineno)
-        relators.append(word)
-    return relators
+        yield runs
 
 
 def _read_relators(gens, rel_lines, provenance):
-    """The presentation on ``gens`` with its relators read by
-    ``_read_relator_words``, each token its own letter."""
+    """The presentation on ``gens`` with one word per ``_relator_syllables``
+    entry, each token its own letter."""
     alphabet = Alphabet("named", gens)
-    relators = _read_relator_words(rel_lines, alphabet, alphabet.factors())
+    relators = [Word._of(alphabet, runs) for runs in _relator_syllables(rel_lines, alphabet.factors())]
     return Presentation(alphabet.letters, relators, provenance)
 
 
@@ -371,7 +370,7 @@ def presentation_from_json(data):
 
 def _json_parts(data):
     """The checks of ``presentation_from_json``, then its ``(generators,
-    rel_lines, provenance)`` for ``_read_relator_words``."""
+    rel_lines, provenance)`` for ``_relator_syllables``."""
     data = json_object(data, ("gens", "rel", "provenance"), "presentation JSON")
     gens = data.get("gens", [])
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):

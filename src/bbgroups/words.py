@@ -82,7 +82,7 @@ class Alphabet:
             raise ValueError(f"unknown generator {token!r}") from None
 
     def factors(self):
-        """A new factor table for ``read_word``: each letter's text -> (letter, 1)."""
+        """A new factor table for ``read_syllables``: each letter's text -> (letter, 1)."""
         return {token: (l, 1) for token, l in self._by_token.items()}
 
     def __eq__(self, other):
@@ -358,32 +358,41 @@ def parse_word(text, alphabet):
     decimal k with ``|k| <= sys.maxsize``; directed-edge letters written
     ``[a>b]``.  Raises ParseError with position diagnostics.
     """
-    return read_word(text, alphabet, alphabet.factors())
+    return Word._of(alphabet, read_syllables(text, alphabet.factors()))
 
 
-def read_word(text, alphabet, factors, line=None):
-    """The word over ``alphabet`` of ``text``'s whitespace-separated fields,
-    each a factor as read by ``parse_word``.
+def read_syllables(text, factors, line=None):
+    """The syllables (letter, exponent) of ``text``'s whitespace-separated
+    fields, each a factor as read by ``parse_word``, freely reduced.
 
-    ``factors`` maps factor texts to syllables (letter, exponent).  It starts
-    with one entry ``g -> (letter, 1)`` per generator token g, which fixes
-    the letter each token stands for (``Alphabet.factors()``, or another
-    lettering); any other factor ``g^k`` is checked and decoded the first
-    time it is seen, recorded, and looked up after that.  A ParseError
-    carries ``line`` and the column of the factor at fault, counted from
-    the start of ``text``.
+    ``factors`` maps factor texts to syllables.  It starts with one entry
+    ``g -> (letter, 1)`` per generator token g, which fixes the letter each
+    token stands for (``Alphabet.factors()``, or another lettering); any
+    other factor ``g^k`` is checked and decoded the first time it is seen,
+    recorded, and looked up after that.  The runs go through
+    ``reduce_syllables`` only if two adjacent ones share a letter.  A
+    ParseError carries ``line`` and the column of the factor at fault,
+    counted from the start of ``text``.
     """
     runs = []
-    for i, field in enumerate(text.split()):
-        syllable = factors.get(field)
+    last, merges = None, False
+    fields = text.split()
+    get = factors.get
+    for field in fields:
+        syllable = get(field)
         if syllable is None:
             try:
                 syllable = factors[field] = _factor_syllable(field, factors)
             except ValueError as exc:
+                # A failed factor is not recorded, so this is its first field;
                 # str.split and errors.tokens split at the same characters.
-                raise ParseError(str(exc), line, tokens(text)[i][1]) from None
+                raise ParseError(str(exc), line, tokens(text)[fields.index(field)][1]) from None
+        letter = syllable[0]
+        if letter == last:
+            merges = True
+        last = letter
         runs.append(syllable)
-    return Word._of(alphabet, runs)
+    return reduce_syllables(runs) if merges else runs
 
 
 def _factor_syllable(factor, factors):

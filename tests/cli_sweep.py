@@ -27,7 +27,10 @@ relators with long runs on K3, C4 and C6 (where each generator commutes
 with only two of the other five), in text and JSON form, ``verify``
 and ``reduce`` (with and without ``--json``) of K3 relators that must
 freely reduce (cancelling inside a run, in a cascade, and to the empty
-word), in text and JSON form, ``verify`` and ``reduce`` (with and
+word), in text and JSON form, ``verify`` (with and without ``--json``)
+of K3 files decided line by line (a failing relator whose text is not
+freely reduced, several failures, ``rel:`` lines before ``gens:``), in
+text and JSON form, ``verify`` and ``reduce`` (with and
 without ``--json``) of K3 relators whose syllables are 10^5 letters
 long, in text and JSON form, ``express`` (with and without ``--json``)
 on K3 of ``a^1000000 b^-1000000``, ``express``, ``verify`` and ``reduce``
@@ -145,6 +148,22 @@ REDUCING_RELATORS = [
     ("k3_run_cancel", "[a>b]^3 [a>b]^-2 [b>c] [c>a]"),
     ("k3_cascade", "[a>b] [b>c] [b>c]^-1 [a>b]^-1 [b>c] [c>a] [a>b]"),
     ("k3_empty", "[a>b] [a>b]^-1"),
+]
+
+# K3 files that verify decides line by line, each as (name, generators,
+# relators, relators first): a failing relator whose text is not freely
+# reduced, several failures among relators that pass, and rel lines (in JSON
+# the "rel" key) before the generators.
+K3_GENS = "[a>b] [b>a] [b>c] [c>a]"
+LINE_BY_LINE = [
+    ("k3_failed_unreduced", K3_GENS, ["[a>b]^3 [a>b]^-1 [b>c] [c>a]"], False),
+    (
+        "k3_several_failed",
+        K3_GENS,
+        ["[a>b] [b>c] [c>a]", "[a>b]^2 [b>c]", "[a>b] [b>a]", "[b>c]^-1 [b>c]^3 [c>a]^2 [c>a]^-1", "[c>a]^5"],
+        False,
+    ),
+    ("k3_rel_first", K3_GENS, ["[a>b] [b>c] [c>a]", "[a>b]^2 [b>a] [b>a]", "[b>a] [c>a]"], True),
 ]
 
 # K3 relators whose syllables are 10^5 letters long: several for verify, and
@@ -265,6 +284,14 @@ def main(src, out_path):
                 for fmt in ((), ("--json",)):
                     run("verify", *fmt, k3, pres)
                     run("reduce", *fmt, pres)
+
+        for name, gens, rels, rels_first in LINE_BY_LINE:
+            head, body = f"gens: {gens}\n", "".join(f"rel: {r}\n" for r in rels)
+            text = body + head if rels_first else head + body
+            data = {"rel": rels, "gens": gens.split()} if rels_first else {"gens": gens.split(), "rel": rels}
+            for pres in (write(f"{name}.txt", text), write(f"{name}.json", json.dumps(data))):
+                for fmt in ((), ("--json",)):
+                    run("verify", *fmt, k3, pres)
 
         gens = "[a>b] [b>c] [c>a]"
         for name, rels in (("huge_verify", HUGE_VERIFY), ("huge_reduce", HUGE_REDUCE)):

@@ -1,6 +1,7 @@
 """Tests for the kernel presentations, proof maps, and homotopy moves."""
 
 import inspect
+import json
 import random
 import sys
 
@@ -29,7 +30,10 @@ from bbgroups import (
     find_move_sequence,
     finite_presentation,
     letterwise_inverse,
+    parse_presentation,
+    presentation_from_json,
     presentation_relator_edge_words,
+    presentation_to_json,
     raag_image,
     relator_to_cycle,
     render_word,
@@ -37,6 +41,7 @@ from bbgroups import (
     verify_relator,
 )
 from bbgroups import bestvina_brady as bb_module
+from bbgroups.words import reduce_syllables
 from corpus import (
     c4,
     complete_graph,
@@ -68,6 +73,7 @@ from oracles import (
     raag_table,
     substitute,
     tree_path_word,
+    verify_reference,
 )
 
 
@@ -401,24 +407,36 @@ def test_directed_cycle_presentation_matches_relators_built_as_words():
                 }
 
 
-def test_read_relators_match_words_built_from_syllables():
-    # directed_cycle_presentation, verify's read straight onto the edges and
-    # presentation_relator_edge_words's re-lettering each build words from
-    # runs; each must equal the checked, reduced word of the same runs, and
-    # both edge routes must give the same words.
+def test_read_edge_relators_match_the_parse_route_run_for_run():
+    # verify reads each relator straight to its syllables when every declared
+    # generator names an edge; once reduced, they must equal the words of the
+    # file parsed whole and re-lettered, run for run, in text and JSON form;
+    # words built from runs must equal the checked, reduced word of them.
+    def agree(text, ctx, where):
+        direct = list(bb_module._read_edge_relators(text, ctx))
+        parse = presentation_from_json if text.startswith("{") else parse_presentation
+        relettered = presentation_relator_edge_words(parse(text), ctx)
+        assert [reduce_syllables(runs) for runs in direct] == [w.syllables() for w in relettered], where
+        assert all(runs and e in ctx.edge_alphabet.index for runs in direct for e, _ in runs), where
+        for word in relettered:
+            built = Word.from_syllables(word.alphabet, word.syllables())
+            assert word == built and len(word) == len(built) and word.letters == built.letters, where
+
     for name, complex in connected_corpus():
         ctx = BBContext(complex)
         for max_len in range(2, 6):
             for max_exp in (1, 2, 3):
                 pres = directed_cycle_presentation(ctx, max_len, max_exp)
-                read = bb_module._read_edge_relators(serialize_presentation(pres), ctx)
-                relettered = presentation_relator_edge_words(pres, ctx)
-                assert relettered == read, (name, max_len, max_exp)
-                for words in (pres.relators, read, relettered):
-                    for word in words:
-                        built = Word.from_syllables(word.alphabet, word.syllables())
-                        assert word == built, (name, max_len, max_exp)
-                        assert len(word) == len(built) and word.letters == built.letters
+                for word in pres.relators:
+                    built = Word.from_syllables(word.alphabet, word.syllables())
+                    assert word == built and len(word) == len(built) and word.letters == built.letters
+                for text in (serialize_presentation(pres), json.dumps(presentation_to_json(pres))):
+                    agree(text, ctx, (name, max_len, max_exp))
+    ctx = k3_ctx()
+    for gens in ("[a>b] [b>c] [c>a]", "[a>b] [b>c] [c>a] junk"):
+        for rel in ("[a>b]^3 [a>b]^-2 [b>c] [c>a]", "[a>b] [b>c] [b>c]^-1 [a>b]^-1 [b>c] [c>a] [a>b]"):
+            agree(f"gens: {gens}\nrel: {rel}\n", ctx, (gens, rel))
+            agree(json.dumps({"gens": gens.split(), "rel": [rel]}), ctx, (gens, rel))
 
 
 def test_directed_cycle_presentation_validation():
@@ -593,18 +611,72 @@ def test_verify_relator_agrees_with_the_reduced_image_on_random_words():
     check()
 
 
+def test_verify_relator_on_syllables_agrees_with_the_word_and_the_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cases = [(complex, BBContext(complex)) for _, complex in connected_corpus()]
+    cases = [(complex, ctx) for complex, ctx in cases if ctx.edge_alphabet.letters]
+
+    @st.composite
+    def syllable_lists(draw):
+        """Unreduced (edge, exponent) lists over at most three edges: single
+        syllables e^k, runs that merge e^j e^k, cancelling e^k e^-k blocks and
+        backtracks e^k ebar^k, so edges repeat, adjacent and apart."""
+        complex, ctx = draw(st.sampled_from(cases))
+        edges = draw(st.lists(st.sampled_from(ctx.edge_alphabet.letters), min_size=1, max_size=3))
+        exps = st.sampled_from((1, -1, 2, -2, 3, -3))
+        runs = []
+        for e, j, k, kind in draw(
+            st.lists(st.tuples(st.sampled_from(edges), exps, exps, st.integers(0, 3)), min_size=1, max_size=10)
+        ):
+            runs += [[(e, j)], [(e, j), (e, k)], [(e, k), (e, -k)], [(e, k), (e.reverse(), k)]][kind]
+        return complex, ctx, runs
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(syllable_lists())
+    def check(drawn):
+        complex, ctx, runs = drawn
+        word = Word.from_syllables(ctx.edge_alphabet, runs)
+        verdict = verify_relator(runs, ctx)
+        assert verdict == verify_relator(word, ctx)
+        if len(word):
+            text = f"gens: {' '.join(map(str, ctx.edge_alphabet.letters))}\n"
+            text += "rel: " + " ".join(f"{e}^{k}" for e, k in runs) + "\n"
+            assert verify_reference(complex, text)[0] == (0 if verdict else 1), text
+        else:
+            assert verdict
+
+    check()
+
+
 def test_verify_relator_pinned_syllable_cases(monkeypatch):
     """c^[n] for n < 0 and a folded bb-finite triangle relator telescope: the
-    image reduces freely to the empty word, so the piles see nothing."""
+    image reduces freely to the empty word, so the piles see nothing.  A
+    syllable list is piled as the Word of the same runs, and an unreduced
+    one as its runs map, one image pair per syllable."""
     piled = []
     pile = RaagContext._pile
     monkeypatch.setattr(RaagContext, "_pile", lambda self, runs: piled.append(runs) or pile(self, runs))
     ctx = k3_ctx()
     for text in ("[a>b]^-2 [b>c]^-2 [c>a]^-2", "[a>b]^3 [b>c]^3 [c>a]^3", "[a>b] [b>a]"):
         assert verify_relator(ew(ctx, text), ctx), text
+        assert verify_relator(ew(ctx, text).syllables(), ctx), text
     assert piled == []
     assert not verify_relator(ew(ctx, "[a>b]^2 [b>a]"), ctx)
-    assert piled == [[("a", 2), ("b", -1), ("a", -1)]]
+    assert not verify_relator(ew(ctx, "[a>b]^2 [b>a]").syllables(), ctx)
+    assert piled == [[("a", 2), ("b", -1), ("a", -1)]] * 2
+
+    piled.clear()
+    ab, bc, ca = (ctx.complex.directed_edge(u, v) for u, v in ("ab", "bc", "ca"))
+    assert not verify_relator([(ab, 3), (ab, -1), (bc, 1), (ca, 1)], ctx)
+    assert not verify_relator([(ab, 2), (bc, 1), (ca, 1)], ctx)
+    assert verify_relator([(ab, 2), (ab, -2)], ctx)
+    assert verify_relator([], ctx)
+    assert piled == [
+        [("a", 3), ("b", -3), ("a", -1), ("b", 2), ("a", -1)],
+        [("a", 2), ("b", -1), ("a", -1)],
+        [("a", 2), ("b", -2), ("a", -2), ("b", 2)],
+    ]
 
     piled.clear()
     assert render_word(finite_presentation(ctx).relators[0]) == "[a>b] [b>c] [a>c]^-1"
@@ -613,10 +685,14 @@ def test_verify_relator_pinned_syllable_cases(monkeypatch):
         pres = finite_presentation_reference(bb, fundamental_cycle_basis(bb), max_exp=2)
         words = presentation_relator_edge_words(pres, bb)
         assert words and all(verify_relator(w, bb) for w in words)
+        assert all(verify_relator(w.syllables(), bb) for w in words)
     assert piled == []
     truncated = directed_cycle_presentation(ctx, 4, 3)
     assert all(verify_relator(w, ctx) for w in presentation_relator_edge_words(truncated, ctx))
+    assert all(verify_relator(runs, ctx) for runs in bb_module._read_edge_relators(serialize_presentation(truncated), ctx))
     assert piled == []
+    with pytest.raises(ValueError, match="directed-edge alphabet"):
+        verify_relator(vw(ctx, "a b^-1"), ctx)
 
 
 # -- express_in_kernel ----------------------------------------------------------

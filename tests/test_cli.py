@@ -17,7 +17,9 @@ from bbgroups import (
 )
 from bbgroups import bestvina_brady as bb_module
 from bbgroups.cli import build_parser, main
+from bbgroups.complexes import parse_complex
 from bbgroups.presentations import TIETZE_MAX_LETTERS
+from bbgroups.words import reduce_syllables
 from corpus import c4, connected_corpus, dunce_hat, grid_disk, k3, octahedron
 from oracles import verify_reference
 
@@ -202,14 +204,15 @@ K3_CASES = [
 ]
 
 
-def test_verify_matches_the_parse_then_reletter_route(capsys, tmp_path, monkeypatch):
-    # verify reads relators straight onto the edges ("direct") when every
+def test_verify_matches_the_oracle_on_either_route(capsys, tmp_path, monkeypatch):
+    # verify reads relators straight to their syllables ("direct") when every
     # declared generator names an edge, and parses the file whole ("parse")
-    # otherwise; either way each word it returns holds only its alphabet's letters.
+    # otherwise; either way each relator it decides is freely reduced,
+    # nonempty and over the edges.
     routes, returned = [], []
-    read_direct, read = bb_module._read_relator_words, bb_module._read_edge_relators
+    read_direct, read = bb_module._relator_syllables, bb_module._read_edge_relators
     monkeypatch.setattr(
-        bb_module, "_read_relator_words", lambda *args: routes.append("direct") or read_direct(*args)
+        bb_module, "_relator_syllables", lambda *args: routes.append("direct") or read_direct(*args)
     )
     for name in ("parse_presentation", "presentation_from_json"):
         parse = getattr(bb_module, name)
@@ -231,8 +234,8 @@ def test_verify_matches_the_parse_then_reletter_route(capsys, tmp_path, monkeypa
     def agree(complex, graph, text, expected=None):
         path = tmp_path / "pres"
         path.write_text(text)
-        edges = {str(e) for e in BBContext(complex).edge_alphabet.letters}
-        route = "direct" if edges.issuperset(declared(text)) else "parse"
+        edges = BBContext(complex).edge_alphabet.index
+        route = "direct" if set(map(str, edges)).issuperset(declared(text)) else "parse"
         for flags in ([], ["--json"]):
             routes.clear()
             returned.clear()
@@ -240,7 +243,9 @@ def test_verify_matches_the_parse_then_reletter_route(capsys, tmp_path, monkeypa
             assert got == verify_reference(complex, text, as_json=bool(flags)), (graph, text)
             assert expected is None or got[0] == expected, (text, got)
             assert routes == [route], (text, routes)
-            assert all(l in w.alphabet.index for w in returned for l, _ in w.syllables()), text
+            for runs in returned:
+                assert runs and reduce_syllables(runs) == list(runs), text
+                assert all(e in edges for e, _ in runs), text
             seen.add(route)
 
     seen = set()
@@ -261,8 +266,9 @@ def test_verify_matches_the_parse_then_reletter_route(capsys, tmp_path, monkeypa
     assert seen == {"direct", "parse"}
 
 
-def test_present_and_verify_scan_each_truncated_relator_once(files, capsys, tmp_path, monkeypatch):
-    # Word._store is the scan of a relator's runs (letter count, adjacent letters).
+def test_verify_builds_a_word_only_for_each_failed_relator(files, capsys, tmp_path, monkeypatch):
+    # Word._store runs once per Word built: present builds none, and verify
+    # one per FAILED line it prints, so none for a file that passes or --json.
     scans = []
     store = Word._store
     monkeypatch.setattr(Word, "_store", lambda w, a, runs: scans.append(runs) or store(w, a, runs))
@@ -274,7 +280,23 @@ def test_present_and_verify_scan_each_truncated_relator_once(files, capsys, tmp_
     path.write_text(text)
     assert main(["verify", files["octa.txt"], str(path)]) == 0
     assert capsys.readouterr().out.startswith(f"relators: {relators}\nverified: {relators}\n")
-    assert len(scans) == relators
+    assert scans == []
+
+    octahedron = parse_complex(OCTA_TEXT)
+    lines = text.splitlines()
+    rels = [i for i, line in enumerate(lines) if line.startswith("rel:")]
+    for k in (1, 2, 7):
+        tampered = list(lines)
+        for i in rels[:: len(rels) // k][:k]:
+            tampered[i] = _tampered_lines(lines[i])[0]
+        path.write_text("\n".join(tampered) + "\n")
+        for flags, built in (([], k), (["--json"], 0)):
+            scans.clear()
+            assert main(["verify", *flags, files["octa.txt"], str(path)]) == 1
+            assert len(scans) == built, (k, flags)
+            out = capsys.readouterr().out
+            assert (1, out, "") == verify_reference(octahedron, path.read_text(), as_json=bool(flags))
+        assert len(json.loads(out)["failures"]) == k
 
 
 def test_present_truncated(files, capsys):
