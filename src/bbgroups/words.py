@@ -17,11 +17,14 @@ heap-of-pieces normal form: a generator's pile holds its runs g^k, each
 with one marker on the pile of every generator it does not commute with.
 Markers are only counted, all piles' counts in one integer, so pushing or
 popping a run costs a few big-integer operations, not one step per
-non-commuting generator.  A syllable adds its exponent to the run on top
-of its pile if no marker lies over it, and a run that reaches zero is
-popped.  The heap is linearized by always emitting the least available
-run; a pile offers its bottom run while no marker lies under it.  The
-result is the lexicographically least word among all
+non-commuting generator.  A pile is two plain int stacks, its runs'
+exponents and the marker count under each run, and a pile's count is
+read by one AND with its field's mask.  A syllable adds its exponent to
+the run on top of its pile if no marker lies over it, and a run that
+reaches zero is popped, which restores the count under it.  The heap is
+linearized by always emitting the least available run; a pile offers its
+bottom run while no marker lies under it, and one AND finds the piles
+that do.  The result is the lexicographically least word among all
 commutation-equivalent ones, so two words represent the same group
 element iff their normal forms are equal syllable for syllable.
 """
@@ -227,12 +230,13 @@ class RaagContext:
     Commutation is symmetric and irreflexive, derived from the edge set
     of the owning complex.  ``_pile`` gives the heap of (letter, exponent)
     syllables, reduced or not (a syllable adds its exponent to an open run
-    of its letter): per generator its runs ``[exponent, markers under
-    it]``, and one integer holding each generator's marker count in a
-    field of ``width`` bits, which a count (at most the number of
-    syllables) never fills.  A run is pushed or popped by adding or
-    subtracting its generator's blocker mask: one marker in the field of
-    every generator it does not commute with.
+    of its letter): per generator two int stacks, ``exps`` holding its
+    runs' exponents bottom first and ``unders`` the markers under each
+    run, and one integer holding each generator's marker count in a field
+    of ``width`` bits, which a count (at most the number of syllables)
+    never fills.  A run is pushed or popped by adding or subtracting its
+    generator's blocker mask: one marker in the field of every generator
+    it does not commute with.
     """
 
     __slots__ = ("complex", "alphabet", "_masks")
@@ -240,7 +244,7 @@ class RaagContext:
     def __init__(self, complex):
         self.complex = complex
         self.alphabet = vertex_alphabet(complex)
-        self._masks = {}  # field width -> (blocker masks, every field's low bit)
+        self._masks = {}  # field width -> (blocker masks, every field's low bit, field masks)
 
     def commutes(self, u, v):
         return u != v and self.complex.adjacent(u, v)
@@ -248,12 +252,14 @@ class RaagContext:
     def _blocker_masks(self, width):
         if width not in self._masks:
             complex = self.complex
-            ones = sum(1 << i * width for i in range(len(complex.vertices)))
+            n = len(complex.vertices)
+            ones = sum(1 << i * width for i in range(n))
             masks = [
                 ones - sum(1 << complex.vertex_index(w) * width for w in (v, *complex.neighbors(v)))
                 for v in complex.vertices
             ]
-            self._masks[width] = masks, ones
+            fields = [((1 << width) - 1) << i * width for i in range(n)]
+            self._masks[width] = masks, ones, fields
         return self._masks[width]
 
     def _vertex_runs(self, word):
@@ -263,27 +269,29 @@ class RaagContext:
 
     def _pile(self, syllables):
         width = len(syllables).bit_length() + 1
-        field = (1 << width) - 1
-        masks = self._blocker_masks(width)[0]
+        masks, _, fields = self._blocker_masks(width)
         index = self.alphabet.index
-        piles = [[] for _ in self.alphabet.letters]
+        n = len(masks)
+        exps = [[] for _ in range(n)]
+        unders = [[] for _ in range(n)]
         counts = 0  # per field: the markers over the pile's top run
         for letter, exp in syllables:
             i = index[letter]
-            pile = piles[i]
-            shift = i * width
-            over = counts >> shift & field
-            if pile and not over:
+            runs = exps[i]
+            over = counts & fields[i]
+            if runs and not over:
                 # No marker above the run: nothing non-commuting came after it.
-                run = pile[-1]
-                run[0] += exp
-                if not run[0]:
-                    pile.pop()
-                    counts += (run[1] << shift) - masks[i]
+                exp += runs[-1]
+                if exp:
+                    runs[-1] = exp
+                else:
+                    runs.pop()
+                    counts += (unders[i].pop() << i * width) - masks[i]
             else:
-                pile.append([exp, over])
-                counts += masks[i] - (over << shift)
-        return piles, counts, width
+                runs.append(exp)
+                unders[i].append(over >> i * width)
+                counts += masks[i] - over
+        return exps, unders, counts, width
 
     def normal_form(self, word):
         """Lexicographically least representative of the reduced heap.
@@ -291,36 +299,39 @@ class RaagContext:
         Letter order: by generator position in the vertex alphabet, with
         g preceding g^-1.
         """
-        piles, counts, width = self._pile(self._vertex_runs(word))
-        masks, ones = self._blocker_masks(width)
-        highs = ones << width - 1
-        field = (1 << width) - 1
+        exps, unders, counts, width = self._pile(self._vertex_runs(word))
+        masks, ones, fields = self._blocker_masks(width)
         letters = self.alphabet.letters
         under = counts  # per field: the markers under the pile's bottom run
         offered = 0  # the top bit of each field whose pile still holds a run
-        for i, pile in enumerate(piles):
-            if pile:
-                # Runs pop bottom first; an empty run behind the top one holds
-                # the markers over it: the field's count once no run is left.
+        for i, runs in enumerate(exps):
+            if runs:
+                # Runs pop bottom first, each with the markers under the run
+                # after it; the last one's are those over it, the field's count.
                 shift = i * width
-                pile.append([0, counts >> shift & field])
-                pile.reverse()
-                under += (pile[-1][1] - pile[0][1]) << shift
+                marks = unders[i]
+                top = counts & fields[i]
+                marks.append(top >> shift)
+                marks.reverse()
+                under += (marks.pop() << shift) - top
+                runs.reverse()
                 offered |= 1 << shift + width - 1
+        # Adding each field's top bit and subtracting 1 leaves the top bit set
+        # iff the field's count is nonzero, with no borrow across fields; so
+        # in the complement it is set iff the pile's bottom run is free, and a
+        # change d to the counts changes the complement by -d.
+        free_bits = ~(under + (ones << width - 1) - ones)
         out = []
         while True:
-            # With its top bit set, each field drops by one without a borrow,
-            # and the top bit clears iff the field was zero.
-            free = ~((under | highs) - ones) & offered
+            free = free_bits & offered
             if not free:
                 return Word._of(self.alphabet, out)
             shift = (free & -free).bit_length() - width
             i = shift // width
-            pile = piles[i]
-            out.append((letters[i], pile.pop()[0]))
-            exp, markers = pile[-1]
-            under += (markers << shift) - masks[i]
-            if not exp:
+            runs = exps[i]
+            out.append((letters[i], runs.pop()))
+            free_bits += masks[i] - (unders[i].pop() << shift)
+            if not runs:
                 offered ^= 1 << shift + width - 1
 
     def is_identity(self, word):
@@ -358,7 +369,11 @@ def parse_word(text, alphabet):
     decimal k with ``|k| <= sys.maxsize``; directed-edge letters written
     ``[a>b]``.  Raises ParseError with position diagnostics.
     """
-    return Word._of(alphabet, read_syllables(text, alphabet.factors()))
+    runs = read_syllables(text, alphabet.factors())
+    # read_syllables has reduced the runs: only their letter count is left.
+    word = Word.__new__(Word)
+    word.alphabet, word._runs, word._length = alphabet, tuple(runs), sum([abs(e) for _, e in runs])
+    return word
 
 
 def read_syllables(text, factors, line=None):

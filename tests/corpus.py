@@ -149,6 +149,18 @@ def suspension(complex):
     return FlagComplex(list(complex.vertices) + list(cones), edges)
 
 
+def wedge(a, b):
+    """``a`` and ``b`` glued at their first vertices: b's first vertex is
+    a's, and b's other vertices are primed.  Flag, since no edge joins the
+    two parts; chi(wedge) = chi(a) + chi(b) - 1, and pi_1 is the free product.
+    Kept out of ``corpus()``."""
+    root = a.vertices[0]
+    name = {v: v + "'" for v in b.vertices}
+    name[b.vertices[0]] = root
+    verts = list(a.vertices) + [name[v] for v in b.vertices[1:]]
+    return FlagComplex(verts, list(a.edges) + [(name[u], name[v]) for u, v in b.edges])
+
+
 def random_flag_complex(seed, n=8, p=0.45, require_connected=True):
     rng = random.Random(seed)
     verts = [f"v{i}" for i in range(n)]

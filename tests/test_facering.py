@@ -24,6 +24,7 @@ from corpus import (
     random_flag_complex,
     suspension,
     two_points,
+    wedge,
 )
 import bbgroups.complexes as complexes_module
 from bbgroups.presentations import TIETZE_BUDGET, abelianization
@@ -151,7 +152,11 @@ def test_report_answers_as_simply_connected_status(monkeypatch):
         Pi1Status.CERTIFIED_NONTRIVIAL: "no",
         Pi1Status.UNKNOWN: "unknown",
     }
+    # The dunce hat wedged with the octahedron: Unknown at budgets 1 and 2
+    # with chi = 2, where Corollary 7 must not apply.
+    hat_octahedron = wedge(dunce_hat(), octahedron())
     complexes_ = connected_corpus() + [("dunce_hat", dunce_hat()), ("rp2", projective_plane())]
+    complexes_.append(("dunce_hat_wedge_octahedron", hat_octahedron))
     complexes_ += [(f"random{s}", random_flag_complex(s)) for s in range(32)]
     for name, complex in complexes_:
         h1_trivial = homology(complex, reduced=True).is_trivial(1)
@@ -164,6 +169,9 @@ def test_report_answers_as_simply_connected_status(monkeypatch):
                 expected is Pi1Status.CERTIFIED_TRIVIAL and report.chi_delta != 1
             ), (name, budget)
             assert asked == ([complex] if h1_trivial else []), (name, budget)
+    for budget, presented, applies in ((1, "unknown", False), (2, "unknown", False), (TIETZE_BUDGET, "yes", True)):
+        report = facering.finiteness_report(hat_octahedron, tietze_budget=budget)
+        assert (report.finitely_presented, report.chi_delta, report.corollary7_applies) == (presented, 2, applies)
 
 
 def test_simplex_report_is_type_fp():

@@ -20,6 +20,9 @@ def test_known_forms():
     # diagonals that are not yet a chain fold to gcd/lcm pairs
     assert snf.invariant_factors(sparse([[4, 0, 0], [0, 6, 0], [0, 0, 10]])) == (2, 2, 60)
     assert snf.invariant_factors(sparse([[6, 0], [0, 4]])) == (2, 12)
+    # pairwise non-dividing factors: every pair folds, not only neighbours
+    assert snf.invariant_factors(sparse([[6, 0, 0], [0, 10, 0], [0, 0, 15]])) == (1, 30, 30)
+    assert snf.invariant_factors(sparse([[15, 0, 0], [0, 10, 0], [0, 0, 6]])) == (1, 30, 30)
     # units interleaved with coprime non-units lead the chain
     assert snf.invariant_factors(sparse([[3, 0, 0], [0, 1, 0], [0, 0, 2]])) == (1, 1, 6)
     diag = [[1, 0, 0, 0], [0, 5, 0, 0], [0, 0, 1, 0], [0, 0, 0, 7]]

@@ -419,12 +419,20 @@ def test_normal_form_is_the_minimum_of_its_swap_closure():
             assert encode(start) == min(encode(w) for w in seen)
 
 
+def p4():
+    return FlagComplex("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+
+
+def c5():
+    return FlagComplex("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")])
+
+
 def test_normal_form_matches_the_closure_oracle_letter_for_letter():
     """Sparse and dense graphs beyond C4 and K3: P4, C5, K4 minus an edge
     and the octahedron (the RAAG of Stallings' group)."""
     graphs = [
-        FlagComplex("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
-        FlagComplex("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")]),
+        p4(),
+        c5(),
         FlagComplex("abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]),
         octahedron(),
     ]
@@ -435,6 +443,94 @@ def test_normal_form_matches_the_closure_oracle_letter_for_letter():
         for _ in range(300):
             word = random_word(rng, ctx.alphabet, rng.randint(0, 8))
             assert ctx.normal_form(word).letters == oracle.normal_form(word), word
+
+
+def piled(ctx, syllables):
+    """The state ``_pile`` leaves: per generator with runs, its exponents and
+    the markers under each run, and every field's marker count."""
+    exps, unders, counts, width = ctx._pile(syllables)
+    letters = ctx.alphabet.letters
+    runs = {letters[i]: (e, u) for i, (e, u) in enumerate(zip(exps, unders)) if e}
+    fields = {g: counts >> i * width & (1 << width) - 1 for i, g in enumerate(letters)}
+    return runs, {g: n for g, n in fields.items() if n}
+
+
+def test_a_popped_run_restores_the_markers_under_it():
+    """On P4 (a-b, b-c, c-d commute; a-c, a-d, b-d do not): a run that
+    cancels to zero is popped, the pop restores its pile's count to the
+    markers under the run, and once the blocking run is popped too the
+    next syllable merges into the run below."""
+    ctx = RaagContext(p4())
+    # a b b^-1 a^-1: nested cancellation, every pile empty again.
+    assert piled(ctx, [("a", 1), ("b", 1), ("b", -1), ("a", -1)]) == ({}, {})
+    a, c = ("a", 1), ("c", 1)
+    # a c a: the second a run lies over c's marker, c's run over a's.
+    assert piled(ctx, [a, c, a]) == (
+        {"a": ([1, 1], [0, 1]), "c": ([1], [1])},
+        {"c": 1, "d": 2},
+    )
+    # a^-1 pops the top a run: a's count is the one marker under it again.
+    assert piled(ctx, [a, c, a, ("a", -1)]) == (
+        {"a": ([1], [0]), "c": ([1], [1])},
+        {"a": 1, "d": 1},
+    )
+    # c^-1 pops c's run, which takes its marker off a's pile and restores c's
+    # own count to the marker under it; a^2 then merges into the bottom run.
+    steps = [a, c, a, ("a", -1), ("c", -1)]
+    assert piled(ctx, steps) == ({"a": ([1], [0])}, {"c": 1, "d": 1})
+    assert piled(ctx, steps + [("a", 2)]) == ({"a": ([3], [0])}, {"c": 1, "d": 1})
+    assert piled(ctx, steps + [("a", -1)]) == ({}, {})
+    # The same through reduced words, where only commuting letters part the
+    # cancelling runs: a c a b a^-1 c^-1 a^2 is a^3 b.
+    for text, form in (
+        ("a c a b a^-1 c^-1 a^2", "a^3 b"),
+        ("a c a b a^-1 c^-1 a^-1", "b"),
+        ("a c a b a^-1 c^-1 a^-1 b^-1", ""),
+        ("d a c a b^2 a^-1 c^-1 a^2 d^-1", "d a^3 b^2 d^-1"),
+        ("a c a c^-1 a^-1 c^-1 a^-1", "a c a c^-1 a^-1 c^-1 a^-1"),  # no commuting letter
+    ):
+        word = parse_word(text, ctx.alphabet)
+        assert render_word(ctx.normal_form(word)) == form, text
+        assert ctx.is_identity(word) == (form == ""), text
+
+
+def run_heavy_word(rng, ctx, max_letters=9):
+    """A random word of syllables g^k, |k| <= 3, with at most
+    ``max_letters`` letters; or, about half the time, the conjugate
+    u g^+-1 u'^-1 of its first one or two syllables u, where u' is u with
+    its two syllables swapped if they commute, so runs cancel through the
+    pile and not by free reduction."""
+    letters = ctx.alphabet.letters
+    syllables = []
+    while True:
+        g, k = rng.choice(letters), rng.choice((-3, -2, -1, 1, 2, 3))
+        if sum(abs(e) for _, e in syllables) + abs(k) > max_letters:
+            break
+        syllables.append((g, k))
+    if rng.random() < 0.5 and len(syllables) >= 2:
+        u = syllables[: rng.randint(1, 2)]
+        g = rng.choice(letters)
+        middle = [(g, rng.choice((-1, 1)))]
+        ends = list(u)
+        if len(ends) == 2 and ctx.commutes(ends[0][0], ends[1][0]):
+            ends.reverse()
+        syllables = u + middle + [(h, -k) for h, k in reversed(ends)]
+    return Word.from_syllables(ctx.alphabet, syllables)
+
+
+def test_run_heavy_normal_forms_match_the_closure_oracle():
+    """Seeded run-heavy words on P4, C5 and the octahedron: the normal form
+    equals the oracle's letter for letter, and a word times the inverse of
+    its normal form piles to nothing."""
+    rng = random.Random(31)
+    for complex in (p4(), c5(), octahedron()):
+        ctx = RaagContext(complex)
+        oracle = ShuffleClosureOracle(complex)
+        for _ in range(150):
+            word = run_heavy_word(rng, ctx)
+            nf = ctx.normal_form(word)
+            assert nf.letters == oracle.normal_form(word), word
+            assert ctx.is_identity(word * ~nf) and ctx.normal_form(nf) == nf, word
 
 
 @pytest.mark.parametrize("k", range(1, 11))
