@@ -16,9 +16,9 @@ syllable [a>b]^k to a syllable pair, ordered by the previous syllable's
 edge (a^k b^-k if a is one of its ends, else b^-k a^k), pushes the pair
 onto one free-reduction stack, and asks the normal-form engine's piles
 whether what is left is trivial.  It takes an edge Word or the bare
-syllables: ``verify`` reads each relator of a file to its syllables
-(``_read_edge_relators``) and hands them over, with no Word per
-relator.  The module also implements letterwise
+syllables: ``verify`` reads each relator of a file once, to its freely
+reduced syllables over the edges (``_read_edge_relators``), and hands
+them over, with no Word per relator.  The module also implements letterwise
 inversion and a homotopy-move engine that rewrites cycle relators one
 backtrack or triangle at a time; each move is a frozen dataclass.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .complexes import DirectedCycle, DirectedEdge, Pi1Status, basepoint_tree
 from .complexes import edge_path_presentation, simply_connected_status
 from .errors import parse_text_or_json
-from .presentations import TIETZE_BUDGET, Presentation, parse_presentation, presentation_from_json
+from .presentations import TIETZE_BUDGET, Presentation
 from .presentations import _json_parts, _read_relators, _relator_syllables, _text_parts
 from .words import RaagContext, Word, edge_alphabet, exponent_sum
 
@@ -98,7 +98,7 @@ def verify_relator(edge_word, ctx):
 
     ``edge_word`` is a Word over the complex's directed-edge alphabet (any
     other Word raises ValueError), or a sequence of (edge, exponent)
-    syllables over those edges, reduced or not, as ``verify`` reads them.
+    syllables over those edges, reduced or not (``verify``'s are reduced).
     True iff the raag_image is the identity.  This is a necessary
     condition for being a relator of the kernel presentation, and a
     sufficient acceptance check because the edge-word group embeds via
@@ -298,24 +298,31 @@ def presentation_relator_edge_words(presentation, ctx):
 
 
 def _read_edge_relators(text, ctx):
-    """The relators of a presentation file (text or JSON form), an iterable
-    of one sequence per relator: the freely reduced, nonempty (edge,
-    exponent) syllables of the edge word ``presentation_relator_edge_words``
-    gives for the parsed file, the form ``verify_relator`` takes.
+    """The relators of a presentation file (text or JSON form), each read
+    once to its freely reduced, nonempty (edge, exponent) syllables, the
+    form ``verify_relator`` takes, as the result is iterated, with no Word.
 
-    If every declared generator names an edge, as in every ``present``
-    output, the result is ``presentations._relator_syllables`` over the
-    edges' factor table: each relator is read straight to its syllables as
-    the result is iterated, with no Word.  Otherwise the file is parsed
-    whole and re-lettered, so every syntax error (ParseError) comes before
-    a generator in use that names no edge (ValueError).
+    A declared generator that names no edge stands for itself; the relators
+    stop at the first that uses one, and once the last line has been read
+    ValueError names that generator, so every syntax error (ParseError)
+    comes first.
     """
     gens, rel_lines, _ = parse_text_or_json(text, _json_parts, _text_parts)
     edges = ctx.edge_alphabet.factors()
-    if edges.keys() >= gens.keys():
-        return _relator_syllables(rel_lines, {g: edges[g] for g in gens})
-    presentation = parse_text_or_json(text, presentation_from_json, parse_presentation)
-    return [w._runs for w in presentation_relator_edge_words(presentation, ctx)]
+    relators = _relator_syllables(rel_lines, {g: edges.get(g) or (g, 1) for g in gens})
+    others = gens.keys() - edges.keys()
+    return _up_to_unknown(relators, others) if others else relators
+
+
+def _up_to_unknown(relators, others):
+    """The relators up to the first that uses a generator in ``others``."""
+    unknown = []
+    for runs in relators:
+        unknown = unknown or [g for g, _ in runs if g in others]
+        if not unknown:
+            yield runs
+    if unknown:
+        raise ValueError(f"unknown generator {unknown[0]!r}")
 
 
 # -- homotopy moves on cycle relators ------------------------------------

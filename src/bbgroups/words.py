@@ -3,14 +3,14 @@
 A Word stores its freely reduced syllables: (letter, exponent) runs with
 adjacent letters distinct and no exponent 0, and its letter count.  Its
 ``letters`` spell it as (letter, sign) pairs, |k| pairs for a run g^k.
-A word is built from such pairs (``Word(alphabet, letters)``, where a
-letter is a syllable of exponent +-1) or from syllables
-(``Word.from_syllables``); either way one stack over syllables
-(``reduce_syllables``) reduces it, and only if two adjacent syllables
-share a letter.  Alphabets are tagged ("vertex", "edge", "named") so
-that words over a complex's vertex letters and words over its
-directed-edge letters can never be mixed by accident; concatenating
-across alphabets is a hard error.
+Runs are reduced where they are made, by one stack over syllables
+(``reduce_syllables``): in ``Word(alphabet, letters)`` (a letter is a
+syllable of exponent +-1), ``Word.from_syllables``, ``*``, ``**`` and
+``read_syllables``.  Later steps trust them: ``Word._of`` keeps runs as
+given and only counts their letters.  Alphabets are tagged ("vertex",
+"edge", "named") so that words over a complex's vertex letters and
+words over its directed-edge letters can never be mixed by accident;
+concatenating across alphabets is a hard error.
 
 The word problem for a right-angled Artin group is decided by a
 heap-of-pieces normal form: a generator's pile holds its runs g^k, each
@@ -67,26 +67,26 @@ class Alphabet:
     """An ordered, tagged set of letters; ``index`` gives each letter's
     position and ``pairs`` holds the (letter, +-1) pairs a word may use."""
 
-    __slots__ = ("kind", "letters", "index", "pairs", "_by_token")
+    __slots__ = ("kind", "letters", "index", "pairs", "_factors")
 
     def __init__(self, kind, letters):
         self.kind = kind
         self.letters = tuple(letters)
         self.index = {l: i for i, l in enumerate(self.letters)}
         self.pairs = frozenset((l, s) for l in self.letters for s in (1, -1))
-        self._by_token = {str(l): l for l in self.letters}
-        if len(self._by_token) != len(self.letters):
+        self._factors = {str(l): (l, 1) for l in self.letters}
+        if len(self._factors) != len(self.letters):
             raise ValueError("alphabet letters must have distinct text forms")
 
     def letter_for_token(self, token):
         try:
-            return self._by_token[token]
+            return self._factors[token][0]
         except KeyError:
             raise ValueError(f"unknown generator {token!r}") from None
 
     def factors(self):
         """A new factor table for ``read_syllables``: each letter's text -> (letter, 1)."""
-        return {token: (l, 1) for token, l in self._by_token.items()}
+        return self._factors.copy()
 
     def __eq__(self, other):
         if self is other:
@@ -120,15 +120,15 @@ class Word:
     Stored as its syllables, (letter, exponent) runs with adjacent letters
     distinct and no exponent 0, and its letter count, which ``len`` gives.
     ``Word(alphabet, letters)`` takes (letter, +-1) pairs and
-    ``Word.from_syllables`` takes runs of any nonzero exponent; both
-    reduce freely.  ``letters`` spells the word as (letter, +-1) pairs.
+    ``Word.from_syllables`` takes runs of any nonzero exponent; both check
+    and reduce them.  ``letters`` spells the word as (letter, +-1) pairs.
     Words multiply with ``*``, invert with ``~`` and power with ``**``;
     operands must share an alphabet.
     """
 
     __slots__ = ("alphabet", "_runs", "_length")
 
-    def __init__(self, alphabet, letters=()):
+    def __new__(cls, alphabet, letters=()):
         letters = tuple(letters)
         if not alphabet.pairs.issuperset(letters):
             for letter, sign in letters:
@@ -138,7 +138,7 @@ class Word:
                     raise ValueError(
                         f"letter {str(letter)!r} is not in the {alphabet.kind} alphabet"
                     )
-        self._store(alphabet, letters)
+        return cls._of(alphabet, reduce_syllables(letters))
 
     @classmethod
     def from_syllables(cls, alphabet, syllables):
@@ -150,27 +150,20 @@ class Word:
                 raise ValueError(f"syllable exponent must be a nonzero integer, got {exp!r}")
             if letter not in index:
                 raise ValueError(f"letter {str(letter)!r} is not in the {alphabet.kind} alphabet")
-        return cls._of(alphabet, runs)
+        return cls._of(alphabet, reduce_syllables(runs))
 
     @classmethod
     def _of(cls, alphabet, runs):
-        word = cls.__new__(cls)
-        word._store(alphabet, runs)
-        return word
-
-    def _store(self, alphabet, runs):
-        """Keep checked runs, reduced if two adjacent runs share a letter."""
-        length, last = 0, None
-        for letter, exp in runs:
-            if letter == last:
-                runs = reduce_syllables(runs)
-                length = sum([abs(e) for _, e in runs])
-                break
+        """The word of runs over ``alphabet`` that the caller has checked and
+        freely reduced, kept as they are; only their letters are counted."""
+        word = object.__new__(cls)
+        word.alphabet = alphabet
+        word._runs = runs = tuple(runs)
+        length = 0
+        for _, exp in runs:
             length += abs(exp)
-            last = letter
-        self.alphabet = alphabet
-        self._runs = tuple(runs)
-        self._length = length
+        word._length = length
+        return word
 
     @property
     def letters(self):
@@ -205,15 +198,15 @@ class Word:
                 f"cannot concatenate words over different alphabets "
                 f"({self.alphabet.kind} vs {other.alphabet.kind})"
             )
-        return Word._of(self.alphabet, self._runs + other._runs)
+        return Word._of(self.alphabet, reduce_syllables(self._runs + other._runs))
 
     def __invert__(self):
-        return Word._of(self.alphabet, tuple([(l, -e) for l, e in reversed(self._runs)]))
+        return Word._of(self.alphabet, [(l, -e) for l, e in reversed(self._runs)])
 
     def __pow__(self, n):
         if n < 0:
             return (~self) ** (-n)
-        return Word._of(self.alphabet, self._runs * n)
+        return Word._of(self.alphabet, reduce_syllables(self._runs * n))
 
     def __repr__(self):
         return f"Word({render_word(self) or '1'})"
@@ -369,11 +362,7 @@ def parse_word(text, alphabet):
     decimal k with ``|k| <= sys.maxsize``; directed-edge letters written
     ``[a>b]``.  Raises ParseError with position diagnostics.
     """
-    runs = read_syllables(text, alphabet.factors())
-    # read_syllables has reduced the runs: only their letter count is left.
-    word = Word.__new__(Word)
-    word.alphabet, word._runs, word._length = alphabet, tuple(runs), sum([abs(e) for _, e in runs])
-    return word
+    return Word._of(alphabet, read_syllables(text, alphabet.factors()))
 
 
 def read_syllables(text, factors, line=None):

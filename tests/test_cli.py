@@ -201,22 +201,20 @@ K3_CASES = [
     ("gens: junk [a>b] [a>z]\nrel: [a>b] [a>z]\nrel: junk\n", 1),  # non-edge generators, used
     ("gens: [a>b] junk [b>a]\nrel: [a>b] [b>a]\n", 0),  # a non-edge generator, unused
     ("gens: [a>b] junk\nrel: [a>b] junk\nrel: [a>b]^0\n", 2),  # exit 2 wins over exit 1
+    # A two-character non-edge name must not unpack as the edge a>b.
+    ("gens: [a>b] [b>c] [c>a] ab\nrel: ab\n", 1),
+    ("gens: [a>b] junk bunk\nrel: [a>b] junk bunk^-1\n", 1),  # two non-edge letters stay distinct
+    ("gens: [a>b] [b>c] [c>a] junk\nrel: [a>b] [b>c] junk junk^-1 [c>a]\n", 0),  # cancels away
+    ("gens: [a>b] [b>c] junk\nrel: junk [b>c]\nrel: [a>b] [b>c]\nrel: [a>b]^-\n", 2),  # the last line
 ]
 
 
-def test_verify_matches_the_oracle_on_either_route(capsys, tmp_path, monkeypatch):
-    # verify reads relators straight to their syllables ("direct") when every
-    # declared generator names an edge, and parses the file whole ("parse")
-    # otherwise; either way each relator it decides is freely reduced,
-    # nonempty and over the edges.
-    routes, returned = [], []
-    read_direct, read = bb_module._relator_syllables, bb_module._read_edge_relators
-    monkeypatch.setattr(
-        bb_module, "_relator_syllables", lambda *args: routes.append("direct") or read_direct(*args)
-    )
-    for name in ("parse_presentation", "presentation_from_json"):
-        parse = getattr(bb_module, name)
-        monkeypatch.setattr(bb_module, name, lambda t, parse=parse: routes.append("parse") or parse(t))
+def test_verify_matches_the_oracle(capsys, tmp_path, monkeypatch):
+    # verify reads every file one way, each relator straight to its
+    # syllables; each relator it decides is freely reduced, nonempty and
+    # over the edges, and a non-edge generator in use is an error.
+    returned = []
+    read = bb_module._read_edge_relators
     monkeypatch.setattr(
         bb_module, "_read_edge_relators", lambda t, ctx: returned.extend(read(t, ctx)) or returned
     )
@@ -226,29 +224,18 @@ def test_verify_matches_the_oracle_on_either_route(capsys, tmp_path, monkeypatch
         out, err = capsys.readouterr()
         return code, out, err.splitlines()[0] if err else ""
 
-    def declared(text):
-        if text.lstrip().startswith("{"):
-            return json.loads(text)["gens"]
-        return next(line.split()[1:] for line in text.splitlines() if line.startswith("gens:"))
-
     def agree(complex, graph, text, expected=None):
         path = tmp_path / "pres"
         path.write_text(text)
         edges = BBContext(complex).edge_alphabet.index
-        route = "direct" if set(map(str, edges)).issuperset(declared(text)) else "parse"
         for flags in ([], ["--json"]):
-            routes.clear()
             returned.clear()
             got = run(["verify", *flags, str(graph), str(path)])
             assert got == verify_reference(complex, text, as_json=bool(flags)), (graph, text)
             assert expected is None or got[0] == expected, (text, got)
-            assert routes == [route], (text, routes)
             for runs in returned:
                 assert runs and reduce_syllables(runs) == list(runs), text
                 assert all(e in edges for e, _ in runs), text
-            seen.add(route)
-
-    seen = set()
 
     for name, complex in connected_corpus():
         graph = tmp_path / f"{name}.txt"
@@ -263,15 +250,70 @@ def test_verify_matches_the_oracle_on_either_route(capsys, tmp_path, monkeypatch
     for text, expected in K3_CASES:
         agree(k3(), graph, text, expected)
         agree(k3(), graph, _json_form(text), expected)
-    assert seen == {"direct", "parse"}
+
+
+def test_verify_on_fuzzed_files_exits_cleanly_and_matches_the_oracle(capsys, tmp_path):
+    # Presentation files on K3 and C4 drawn from edge names, non-edge names
+    # (one a two-character name, one an edge of K3 but not of C4), cycle
+    # relators and, in some files, one malformed factor or exponent.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    others = ["junk", "bunk", "ab", "[a>z]", "[a>c]"]
+    exps = ["", "", "", "^-1", "^2", "^-2", "^3"]
+    bad = ["[a>b]^0", "[a>b]^x", "^2", "[a>b]^", "[a>b]^+1", "[a>b]^--1", "[a>b]^99999999999999999999", "[a>z]"]
+    graphs = []
+    for complex in (k3(), c4()):
+        graph = tmp_path / f"graph{len(graphs)}.txt"
+        graph.write_text(_graph_text(complex))
+        ctx = BBContext(complex)
+        cycles = [[str(e) for e in c.edges] for c in bb_module.enumerate_cycle_classes(ctx, 4)]
+        graphs.append((complex, str(graph), [str(e) for e in ctx.edge_alphabet.letters], cycles))
+
+    @st.composite
+    def files(draw):
+        complex, graph, edges, cycles = draw(st.sampled_from(graphs))
+        gens = draw(st.lists(st.sampled_from(edges + others), unique=True, max_size=8))
+        if draw(st.booleans()):
+            gens = list(dict.fromkeys(gens + edges))
+        factor = st.tuples(st.sampled_from(gens or ["junk"]), st.sampled_from(exps)).map("".join)
+        cycle = st.tuples(st.sampled_from(cycles), st.sampled_from((1, -1, 2, -3)))
+        line = st.one_of(
+            st.lists(factor, min_size=1, max_size=5).map(" ".join),
+            cycle.map(lambda c: " ".join(f"{e}^{c[1]}" for e in c[0])),
+        )
+        rels = draw(st.lists(line, max_size=5))
+        if rels and draw(st.integers(0, 3)) == 0:
+            rels[draw(st.integers(0, len(rels) - 1))] += " " + draw(st.sampled_from(bad))
+        if draw(st.booleans()):
+            return complex, graph, json.dumps({"gens": gens, "rel": rels})
+        return complex, graph, "".join([f"gens: {' '.join(gens)}\n", *(f"rel: {r}\n" for r in rels)])
+
+    codes = set()
+    path = tmp_path / "pres"
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(files())
+    def check(drawn):
+        complex, graph, text = drawn
+        path.write_text(text)
+        for flags in ([], ["--json"]):
+            code = main(["verify", *flags, graph, str(path)])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2) and "Traceback" not in err, (text, err)
+            got = code, out, err.splitlines()[0] if err else ""
+            assert got == verify_reference(complex, text, as_json=bool(flags)), text
+            codes.add(code)
+
+    check()
+    assert codes == {0, 1, 2}
 
 
 def test_verify_builds_a_word_only_for_each_failed_relator(files, capsys, tmp_path, monkeypatch):
-    # Word._store runs once per Word built: present builds none, and verify
+    # Word._of runs once per Word built: present builds none, and verify
     # one per FAILED line it prints, so none for a file that passes or --json.
     scans = []
-    store = Word._store
-    monkeypatch.setattr(Word, "_store", lambda w, a, runs: scans.append(runs) or store(w, a, runs))
+    of = Word._of
+    monkeypatch.setattr(Word, "_of", lambda a, runs: scans.append(runs) or of(a, runs))
     assert main(["present", "--kind", "bb-truncated", files["octa.txt"]]) == 0
     text = capsys.readouterr().out
     relators = text.count("\nrel: ")

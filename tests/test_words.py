@@ -20,6 +20,7 @@ from bbgroups import (
     render_word,
     vertex_alphabet,
 )
+from bbgroups.words import reduce_syllables
 from corpus import c4, k3, octahedron, random_word, three_points
 from oracles import ShuffleClosureOracle, free_reduce, homomorphism, substitute, syllable_runs
 
@@ -442,7 +443,12 @@ def test_normal_form_matches_the_closure_oracle_letter_for_letter():
         oracle = ShuffleClosureOracle(complex)
         for _ in range(300):
             word = random_word(rng, ctx.alphabet, rng.randint(0, 8))
-            assert ctx.normal_form(word).letters == oracle.normal_form(word), word
+            form = ctx.normal_form(word)
+            assert form.letters == oracle.normal_form(word), word
+            # Word._of keeps the emitted runs as they are: they must be reduced.
+            runs = form.syllables()
+            assert reduce_syllables(runs) == runs, word
+            assert len(form) == sum(abs(e) for _, e in runs), word
 
 
 def piled(ctx, syllables):
@@ -571,6 +577,19 @@ def test_parse_word_powers():
     assert parse_word("", AB).letters == ()
     # an exponent is any decimal digits (str.isdecimal), Arabic-Indic three too
     assert parse_word("a^\u0663 b^-\u0663", AB) == parse_word("a^3 b^-3", AB)
+
+
+def test_parse_word_leaves_the_alphabet_token_table_as_it_was():
+    # read_syllables records each g^k it decodes in the table it is given,
+    # so parse_word must hand it a copy of the alphabet's table.
+    for alphabet in (Alphabet("named", "abcd"), edge_alphabet(k3())):
+        first = str(alphabet.letters[0])
+        assert parse_word(f"{first}^5 {alphabet.letters[1]}", alphabet).syllables()[0][1] == 5
+        table = alphabet.factors()
+        assert f"{first}^5" not in table
+        assert table == {str(l): (l, 1) for l in alphabet.letters}
+        for token, (letter, _) in table.items():
+            assert alphabet.letter_for_token(token) == letter
 
 
 def test_parse_word_errors():
