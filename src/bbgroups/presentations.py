@@ -131,7 +131,7 @@ def _reduce(word):
     return "".join(stack)
 
 
-def _apply_one_move(gens, rels, names, flip, to_gen, tried):
+def _apply_one_move(gens, rels, names, flip, to_gen, tried, once):
     """Apply the first applicable elementary move; returns False at fixpoint.
 
     ``rels`` holds the relators as strings, generator k (``names[k]``) as
@@ -146,7 +146,10 @@ def _apply_one_move(gens, rels, names, flip, to_gen, tried):
     Shortening depends only on the two strings.  ``tried`` maps each target
     to the sources whose scan found no match, skipped from then on.  A match
     of a rotation u is longer than |u|/2, so a rotation whose first
-    |u|//2 + 1 letters are not in the target is skipped.
+    |u|//2 + 1 letters are not in the target is skipped.  Elimination, too,
+    depends only on the relator: ``once`` maps each relator scanned to its
+    leftmost once-occurring generator and that letter's position, or to
+    () if it has none, so a relator is counted once, not on every move.
     """
     # cyclic reduction
     for i, rel in enumerate(rels):
@@ -163,13 +166,16 @@ def _apply_one_move(gens, rels, names, flip, to_gen, tried):
 
     # generator elimination
     for i, rel in enumerate(rels):
-        view = rel.translate(to_gen)
-        # A Counter lists letters by first occurrence: the first once-letter is leftmost.
-        g = next((g for g, n in Counter(view).items() if n == 1), None)
-        if g is None:
+        site = once.get(rel)
+        if site is None:
+            view = rel.translate(to_gen)
+            # A Counter lists letters by first occurrence: the first once-letter is leftmost.
+            g = next((g for g, n in Counter(view).items() if n == 1), None)
+            site = once[rel] = () if g is None else (g, view.index(g))
+        if not site:
             continue
         # rel = pre x post = 1 with x = g^+-1, so x^-1 = post pre
-        p = view.index(g)
+        g, p = site
         x, x_inverse = rel[p], flip[ord(rel[p])]
         rest = rel[p + 1 :] + rel[:p]
         images = {ord(x): rest[::-1].translate(flip), ord(x_inverse): rest}
@@ -234,13 +240,13 @@ def tietze_simplify(presentation, budget=TIETZE_BUDGET):
     flip = "".join([chr(c ^ 1) for c in range(2 * len(names))])
     to_gen = "".join([chr(c & ~1) for c in range(2 * len(names))])
     gens = list(presentation.generators)
-    tried = defaultdict(set)  # see _apply_one_move
-    while budget and _apply_one_move(gens, rels, names, flip, to_gen, tried):
+    tried, once = defaultdict(set), {}  # see _apply_one_move
+    while budget and _apply_one_move(gens, rels, names, flip, to_gen, tried, once):
         budget -= 1
     # Deleting a trivial relator is itself a Tietze move; a fixpoint has none left.
     rels = [r for r in rels if r]
     status = TietzeStatus.FIXPOINT
-    if not budget and _apply_one_move(list(gens), list(rels), names, flip, to_gen, tried):
+    if not budget and _apply_one_move(list(gens), list(rels), names, flip, to_gen, tried, once):
         status = TietzeStatus.BUDGET_EXHAUSTED
     letter = [(g, sign) for g in names for sign in (1, -1)]
     rels = [[letter[ord(c)] for c in r] for r in rels]

@@ -5,12 +5,14 @@ adjacent letters distinct and no exponent 0, and its letter count.  Its
 ``letters`` spell it as (letter, sign) pairs, |k| pairs for a run g^k.
 Runs are reduced where they are made, by one stack over syllables
 (``reduce_syllables``): in ``Word(alphabet, letters)`` (a letter is a
-syllable of exponent +-1), ``Word.from_syllables``, ``*``, ``**`` and
-``read_syllables``.  Later steps trust them: ``Word._of`` keeps runs as
-given and only counts their letters.  Alphabets are tagged ("vertex",
-"edge", "named") so that words over a complex's vertex letters and
-words over its directed-edge letters can never be mixed by accident;
-concatenating across alphabets is a hard error.
+syllable of exponent +-1), ``Word.from_syllables`` and
+``read_syllables``.  ``*`` reduces only at the junction of its reduced
+operands, and ``**`` squares through ``*``.  Later steps trust the runs:
+``Word._of`` keeps them as given and only counts their letters.
+Alphabets are tagged ("vertex", "edge", "named") so that words over a
+complex's vertex letters and words over its directed-edge letters can
+never be mixed by accident; concatenating across alphabets is a hard
+error.
 
 The word problem for a right-angled Artin group is decided by a
 heap-of-pieces normal form: a generator's pile holds its runs g^k, each
@@ -153,15 +155,17 @@ class Word:
         return cls._of(alphabet, reduce_syllables(runs))
 
     @classmethod
-    def _of(cls, alphabet, runs):
+    def _of(cls, alphabet, runs, length=None):
         """The word of runs over ``alphabet`` that the caller has checked and
-        freely reduced, kept as they are; only their letters are counted."""
+        freely reduced, kept as they are; only their letters are counted,
+        unless the caller gives their count as ``length``."""
         word = object.__new__(cls)
         word.alphabet = alphabet
         word._runs = runs = tuple(runs)
-        length = 0
-        for _, exp in runs:
-            length += abs(exp)
+        if length is None:
+            length = 0
+            for _, exp in runs:
+                length += abs(exp)
         word._length = length
         return word
 
@@ -198,15 +202,36 @@ class Word:
                 f"cannot concatenate words over different alphabets "
                 f"({self.alphabet.kind} vs {other.alphabet.kind})"
             )
-        return Word._of(self.alphabet, reduce_syllables(self._runs + other._runs))
+        # Both operands are reduced, so only runs at the junction cancel or merge.
+        left, right = self._runs, other._runs
+        i, j, merged = len(left), 0, ()
+        length = self._length + other._length
+        for (a, e), (b, f) in zip(reversed(left), right):
+            if a != b:
+                break
+            i -= 1
+            j += 1
+            if e + f:
+                merged = ((a, e + f),)
+                length -= abs(e) + abs(f) - abs(e + f)
+                break
+            length -= 2 * abs(f)
+        return Word._of(self.alphabet, left[:i] + merged + right[j:], length)
 
     def __invert__(self):
-        return Word._of(self.alphabet, [(l, -e) for l, e in reversed(self._runs)])
+        return Word._of(self.alphabet, [(l, -e) for l, e in reversed(self._runs)], self._length)
 
     def __pow__(self, n):
         if n < 0:
             return (~self) ** (-n)
-        return Word._of(self.alphabet, reduce_syllables(self._runs * n))
+        power, square = Word._of(self.alphabet, ()), self
+        while n:
+            if n & 1:
+                power = power * square
+            n >>= 1
+            if n:
+                square = square * square
+        return power
 
     def __repr__(self):
         return f"Word({render_word(self) or '1'})"

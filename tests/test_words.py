@@ -128,6 +128,40 @@ def test_from_syllables_agrees_with_the_letter_oracle():
     assert Word.from_syllables(AB, [("a", 2), ("b", 1), ("b", -1), ("a", -2)]).letters == ()
 
 
+def test_product_and_power_agree_with_the_letter_oracle():
+    """``*`` cancels and merges only runs at its operands' junction, and
+    ``**`` squares through ``*``; both give the word of the reduced letters."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    letter = st.tuples(st.sampled_from(AB.letters[:3]), st.sampled_from((1, -1)))
+
+    @st.composite
+    def operands(draw):
+        """Letter lists x and y where y often starts by undoing a tail of x,
+        so the junction cancels deep, then merges or stops."""
+        x = draw(st.lists(letter, max_size=10))
+        cut = draw(st.integers(0, len(x)))
+        y = [(g, -s) for g, s in reversed(x[cut:])] + draw(st.lists(letter, max_size=10))
+        return x, y
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(operands(), st.integers(-3, 3))
+    def check(drawn, n):
+        x, y = drawn
+        product = Word(AB, x) * Word(AB, y)
+        assert product == Word(AB, x + y)
+        assert product.letters == free_reduce(x + y)
+        assert len(product) == len(product.letters)
+        assert product.syllables() == syllable_runs(product.letters)
+        base = x if n >= 0 else [(g, -s) for g, s in reversed(x)]
+        power = Word(AB, x) ** n
+        assert power.letters == free_reduce(base * abs(n))
+        assert power == Word(AB, base * abs(n))
+        assert len(power) == len(power.letters)
+
+    check()
+
+
 def test_from_syllables_rejects_bad_exponents():
     for exp in (0, 1.0, 2.5, "2", None, True):
         with pytest.raises(ValueError, match="nonzero integer"):
