@@ -12,9 +12,9 @@ trees and boundary matrices follow from that ordering.  A complex's
 graph and answers never change after construction; building a level is
 not locked, so one complex is not shared between threads.
 
-The graph rules live in ``_add_vertex`` and ``_add_edge`` alone: the
-parsers only tokenize and attach positions, so every input form rejects
-a bad graph with the same message.
+The graph rules live in ``_add_vertex`` and ``_add_edge`` alone and run once
+per input, in ``FlagComplex(vertices, edges)`` (JSON input too) or in
+``parse_graph_text``, so every input form gets one message for a bad graph.
 """
 
 from __future__ import annotations
@@ -121,29 +121,31 @@ class DirectedCycle:
 class FlagComplex:
     """The clique complex of a finite graph."""
 
-    def __init__(self, vertices, edges):
-        vertices = tuple(vertices)
-        self._vidx = {}
+    def __new__(cls, vertices, edges):
+        vidx, edge_keys = {}, set()
         for v in vertices:
-            _add_vertex(self._vidx, v)
-        self.vertices = vertices
+            _add_vertex(vidx, v)
+        return cls._of(vidx, [_add_edge(vidx, edge_keys, u, v) for u, v in edges])
 
+    @classmethod
+    def _of(cls, vidx, pairs):
+        """The complex of ``vidx`` and edge position pairs, checked as above."""
+        self = object.__new__(cls)
+        self._vidx = vidx
+        self.vertices = vertices = tuple(vidx)
         n = len(vertices)
         adj = [set() for _ in range(n)]
-        edge_keys = set()
-        for u, v in edges:
-            i, j = _add_edge(self._vidx, edge_keys, u, v)
+        for i, j in pairs:
             adj[i].add(j)
             adj[j].add(i)
         self._adj_idx = [frozenset(s) for s in adj]
-        self._neighbors = {
-            vertices[i]: tuple(vertices[j] for j in sorted(adj[i])) for i in range(n)
-        }
+        self._neighbors = {vertices[i]: tuple(vertices[j] for j in sorted(adj[i])) for i in range(n)}
 
         # The last level's cliques (vertex names), each with the positions of
         # its later common neighbours; the empty simplex is extended by every vertex.
         self._frontier = [((), tuple(range(n)))]
         self._levels = []
+        return self
 
     # -- basic queries ------------------------------------------------
 
@@ -331,23 +333,29 @@ class HomologyResult:
 
 
 def homology(complex, reduced=False):
-    """Integral homology in every degree, via exact Smith normal form.
-
-    The boundary-of-boundary identity is checked before any reduction.
-    Degree 0 uses the augmentation map when ``reduced`` is true.
-    """
+    """Integral homology in every degree.  d_1, a graph's signed incidence
+    matrix, is totally unimodular, so its invariant factors are n - c ones
+    for n vertices in c components; d_k for k >= 2 goes through exact Smith
+    normal form once d_{k-1} d_k = 0 is checked (d_1 is built for that check
+    only).  Degree 0 uses the augmentation map when ``reduced`` is true."""
     f = complex.f_vector()
     dim = len(f) - 1
-    matrices = {k: boundary_matrix(complex, k) for k in range(1, dim + 1)}
+    matrices = {k: boundary_matrix(complex, k) for k in range(1 if dim > 1 else 2, dim + 1)}
     for k in range(2, dim + 1):
         if not snf.is_zero_matrix(snf.matrix_multiply(matrices[k - 1], matrices[k])):
             raise AssertionError(f"boundary composition d_{k-1} d_{k} is nonzero")
+    adj, seen, components = complex._adj_idx, set(), 0
+    for i in range(len(adj)):
+        if i not in seen:  # a new component: flood it
+            components += 1
+            front = {i}
+            while front:
+                seen |= front
+                front = set().union(*[adj[j] for j in front]) - seen
 
-    # factors[k] belongs to the map out of C_k: the augmentation C_0 -> Z
-    # at k = 0, and nothing at k = dim + 1.
-    factors = [(1,) if reduced and f else ()]
-    factors += [snf.invariant_factors(matrices[k]) for k in range(1, dim + 1)]
-    factors.append(())
+    # factors[k] belongs to the map out of C_k: the augmentation at k = 0, none at dim + 1.
+    factors = [(1,) if reduced and f else (), (1,) * (len(adj) - components)]
+    factors += [snf.invariant_factors(matrices[k]) for k in range(2, dim + 1)] + [()]
     betti = tuple(f[k] - len(factors[k]) - len(factors[k + 1]) for k in range(dim + 1))
     torsion = tuple(tuple(d for d in factors[k + 1] if d > 1) for k in range(dim + 1))
     return HomologyResult(betti, torsion, reduced)
@@ -481,33 +489,25 @@ def parse_graph_text(text):
     ``vertices: a b c`` and ``edges: a-b c-d`` lines, ``#`` comments.
     Raises ParseError with 1-based line/column diagnostics.
     """
-    vidx = {}
-    edges = []
-    edge_keys = set()
+    vidx, edge_keys, pairs = {}, set(), []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        found = tokens(line.split("#", 1)[0])
-        if not found:
-            continue
-        (head, headcol), *body = found
-        if head not in ("vertices:", "edges:"):
-            raise ParseError(
-                f"unrecognized line head {head!r} (expected 'vertices:' or 'edges:')",
-                lineno,
-                headcol,
-            )
-        for tok, col in body:
-            try:
-                if head == "vertices:":
+        code = line.split("#", 1)[0]
+        fields, i = code.split(), 0
+        try:
+            if fields and fields[0] not in ("vertices:", "edges:"):
+                raise ValueError(f"unrecognized line head {fields[0]!r} (expected 'vertices:' or 'edges:')")
+            for i, tok in enumerate(fields[1:], start=1):
+                if fields[0] == "vertices:":
                     _add_vertex(vidx, tok)
                 else:
                     ends = tok.split("-")
                     if len(ends) != 2 or not all(ends):
                         raise ValueError(f"malformed edge token {tok!r} (expected a-b)")
-                    _add_edge(vidx, edge_keys, *ends)
-                    edges.append(ends)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, col) from None
-    return FlagComplex(vidx, edges)
+                    pairs.append(_add_edge(vidx, edge_keys, *ends))
+        except ValueError as exc:
+            # fields[i] failed; str.split and errors.tokens split at the same characters.
+            raise ParseError(str(exc), lineno, tokens(code)[i][1]) from None
+    return FlagComplex._of(vidx, pairs)
 
 
 def parse_graph_json(text):

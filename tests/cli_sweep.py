@@ -22,7 +22,12 @@ accepts too much changes the sweep, ``express`` on fixed words,
 JSON form, ``info`` on graph JSON and ``verify`` and ``reduce`` on
 presentation JSON and provenance comments (each with and without
 ``--json``) that a strict JSON reader rejects (``NaN``, ``-Infinity``,
-``1e999``, a 5000-digit integer, a repeated key), ``verify`` (with and without ``--json``) of true and false
+``1e999``, a 5000-digit integer, a repeated key), ``info`` and ``report``
+(with and without ``--json``) on graph texts that break a rule at a token
+that is not the first of its line (``corpus.MALFORMED_GRAPHS``: tabs and
+runs of spaces, a trailing comment, an edge line before its ``vertices:``
+line, a name repeated on a second ``vertices:`` line) and on their JSON
+forms where one exists, ``verify`` (with and without ``--json``) of true and false
 relators with long runs on K3, C4 and C6 (where each generator commutes
 with only two of the other five), in text and JSON form, ``verify``
 and ``reduce`` (with and without ``--json``) of K3 relators that must
@@ -215,6 +220,7 @@ def main(src, out_path):
     sys.path.insert(1, os.path.dirname(os.path.abspath(__file__)))
     from bbgroups.cli import main as cli_main
     from corpus import (
+        MALFORMED_GRAPHS,
         complete_graph,
         corpus,
         dunce_hat,
@@ -262,6 +268,14 @@ def main(src, out_path):
             graph = write(name, text)
             for fmt in ((), ("--json",)):
                 run("info", *fmt, graph)
+        for name, text, data, _ in MALFORMED_GRAPHS:
+            forms = [write(f"{name}.txt", text)]
+            if data is not None:
+                forms.append(write(f"{name}.json", json.dumps(data)))
+            for graph in forms:
+                for fmt in ((), ("--json",)):
+                    run("info", *fmt, graph)
+                    run("report", *fmt, graph)
         for name, text in STRICT_JSON_PRESENTATIONS.items():
             pres = write(name, text)
             for fmt in ((), ("--json",)):

@@ -161,6 +161,16 @@ def wedge(a, b):
     return FlagComplex(verts, list(a.edges) + [(name[u], name[v]) for u, v in b.edges])
 
 
+def disjoint_union(*parts):
+    """The graphs side by side, part i's vertex v renamed ``v_i``; its
+    components are those of the parts.  Kept out of ``corpus()``."""
+    verts, edges = [], []
+    for i, part in enumerate(parts):
+        verts += [f"{v}_{i}" for v in part.vertices]
+        edges += [(f"{u}_{i}", f"{v}_{i}") for u, v in part.edges]
+    return FlagComplex(verts, edges)
+
+
 def random_flag_complex(seed, n=8, p=0.45, require_connected=True):
     rng = random.Random(seed)
     verts = [f"v{i}" for i in range(n)]
@@ -234,3 +244,46 @@ def in_row_lattice(rows, vector):
     if any(j >= len(vector) for row in rows for j in row):
         raise ValueError("vector is shorter than the matrix is wide")
     return snf.invariant_factors(rows) == snf.invariant_factors(rows + sparse([vector]))
+
+
+# Graph texts that break one rule at a token that is not the first of its
+# line, as (name, text, JSON form or None, (line, column, message)).  The JSON
+# form, where one exists, keeps the message and has no position.
+MALFORMED_GRAPHS = [
+    (
+        "tabs_dup_vertex",
+        "vertices:\t a  \t b   a\n",
+        {"vertices": ["a", "b", "a"], "edges": []},
+        (1, 21, "duplicate vertex identifier 'a'"),
+    ),
+    (
+        "comment_unknown_end",
+        "vertices: a b c d  # d\nedges: a-b  b-e # a-d\n",
+        {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "e"]]},
+        (2, 13, "unknown vertex 'e': edge endpoint is not a declared vertex"),
+    ),
+    (
+        "edges_before_vertices",
+        "vertices: a b c\nedges: a-b c-d\nvertices: d\n",
+        None,
+        (2, 12, "unknown vertex 'd': edge endpoint is not a declared vertex"),
+    ),
+    (
+        "second_vertices_line_dup",
+        "vertices: a b\nvertices: c \t b\nedges: a-b\n",
+        {"vertices": ["a", "b", "c", "b"], "edges": [["a", "b"]]},
+        (2, 15, "duplicate vertex identifier 'b'"),
+    ),
+    (
+        "malformed_edge_after_tab",
+        "vertices: a b\nedges: a-b\ta--b\n",
+        None,
+        (2, 12, "malformed edge token 'a--b' (expected a-b)"),
+    ),
+    (
+        "indented_unknown_head",
+        "vertices: a b\n \t nodes: a b\n",
+        None,
+        (2, 4, "unrecognized line head 'nodes:' (expected 'vertices:' or 'edges:')"),
+    ),
+]

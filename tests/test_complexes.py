@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -26,18 +27,23 @@ from bbgroups import (
 from bbgroups import complexes
 from bbgroups.cli import main
 from bbgroups.complexes import _collapse, edge_path_presentation
+from bbgroups.errors import tokens
 from bbgroups.presentations import TIETZE_BUDGET
 from corpus import (
+    MALFORMED_GRAPHS,
     c4,
     complete_graph,
     connected_corpus,
     corpus,
+    disjoint_union,
     dunce_hat,
+    edge_complex,
     grid_disk,
     join_of_pairs,
     k3,
     octahedron,
     path3,
+    point,
     projective_plane,
     random_flag_complex,
     sparse,
@@ -214,6 +220,50 @@ def test_octahedron_betti_against_naive_snf_oracle():
     r1 = len(naive_invariant_factors(d1))
     r2 = len(naive_invariant_factors(d2))
     assert (6 - r1, 12 - r1 - r2, 8 - r2) == (1, 0, 1)
+
+
+def assert_homology_matches_the_dense_oracle(complex):
+    """Reduced and unreduced homology against dense boundary matrices and the
+    naive Smith form, in every degree."""
+    f = complex.f_vector()
+    for reduced in (False, True):
+        factors = [(1,) if reduced and f else ()]
+        factors += [naive_invariant_factors(dense_boundary_matrix(complex, k)) for k in range(1, len(f))]
+        factors.append(())
+        h = homology(complex, reduced=reduced)
+        assert h.betti == tuple(f[k] - len(factors[k]) - len(factors[k + 1]) for k in range(len(f)))
+        assert h.torsion == tuple(tuple(d for d in factors[k + 1] if d > 1) for k in range(len(f)))
+
+
+@pytest.mark.parametrize(
+    "complex",
+    [
+        FlagComplex([], []),
+        point(),
+        three_points(),
+        FlagComplex([f"v{i}" for i in range(6)], []),
+        disjoint_union(k3(), point()),
+        disjoint_union(c4(), point(), k3(), path3(), point()),
+        disjoint_union(octahedron(), edge_complex(), three_points()),
+        disjoint_union(projective_plane(), c4(), point()),
+    ],
+    ids=["empty", "point", "three_points", "six_points", "k3+point", "five_parts", "sphere+edge+points", "rp2+c4+point"],
+)
+def test_homology_matches_the_dense_oracle_in_every_degree(complex):
+    # d_1's invariant factors come from the graph's components, not from SNF.
+    assert_homology_matches_the_dense_oracle(complex)
+
+
+def test_homology_matches_the_dense_oracle_on_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 2**32), st.integers(0, 9), st.sampled_from((0.0, 0.15, 0.3, 0.5, 0.7)))
+    def check(seed, n, p):
+        assert_homology_matches_the_dense_oracle(random_flag_complex(seed, n=n, p=p, require_connected=False))
+
+    check()
 
 
 def test_boundary_of_boundary_is_zero_everywhere():
@@ -504,6 +554,27 @@ def test_parse_graph_text_diagnostics():
         parse_graph_text("vertices: a b\nedges: ab\n")
     with pytest.raises(ParseError, match="unrecognized line"):
         parse_graph_text("nodes: a b\n")
+
+
+@pytest.mark.parametrize("name, text, data, where", MALFORMED_GRAPHS, ids=[g[0] for g in MALFORMED_GRAPHS])
+def test_graph_text_errors_point_at_the_bad_token(name, text, data, where):
+    line, column, message = where
+    with pytest.raises(ParseError) as err:
+        parse_graph_text(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    if data is not None:
+        with pytest.raises(ParseError) as from_json:
+            parse_graph_json(json.dumps(data))
+        assert (from_json.value.line, from_json.value.column) == (None, None)
+        assert str(from_json.value) == message
+
+
+def test_graph_text_fields_split_where_token_columns_do():
+    # parse_graph_text splits fields with str.split and asks errors.tokens for
+    # a column only when it raises, so both must split at the same characters.
+    text = "x".join(map(chr, range(sys.maxunicode + 1)))
+    assert [tok for tok, _ in tokens(text)] == text.split()
 
 
 def test_parse_graph_json():
