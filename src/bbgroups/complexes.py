@@ -9,8 +9,8 @@ supplied: a complex always holds every clique of its graph.
 Everything here is deterministic: vertices are ordered by declaration,
 simplices are tuples sorted in that order, and simplex lists, spanning
 trees and boundary matrices follow from that ordering.  A complex's
-graph and answers never change after construction; building a level is
-not locked, so one complex is not shared between threads.
+graph and answers never change after construction; building a level or
+a search is not locked, so one complex is not shared between threads.
 
 The graph rules live in ``_add_vertex`` and ``_add_edge`` alone and run once
 per input, in ``FlagComplex(vertices, edges)`` (JSON input too) or in
@@ -139,13 +139,20 @@ class FlagComplex:
             adj[i].add(j)
             adj[j].add(i)
         self._adj_idx = [frozenset(s) for s in adj]
-        self._neighbors = {vertices[i]: tuple(vertices[j] for j in sorted(adj[i])) for i in range(n)}
+        self._neighbors = {
+            vertices[i]: tuple(vertices[j] for j in sorted(adj[i])) for i in range(n)
+        }
 
         # The last level's cliques (vertex names), each with the positions of
         # its later common neighbours; the empty simplex is extended by every vertex.
         self._frontier = [((), tuple(range(n)))]
         self._levels = []
+        self._searches = {}
         return self
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the checks, with no cache shared
+        return type(self), (self.vertices, self.edges)
 
     # -- basic queries ------------------------------------------------
 
@@ -208,8 +215,19 @@ class FlagComplex:
         pairs = list(zip(walk, walk[1:] + walk[:1]))
         return DirectedCycle(self.directed_edge(u, v) for u, v in pairs)
 
+    def _search(self, root):
+        """``_bfs_parents`` from root, then from each vertex not yet reached: one
+        tree per component, rooted where the parent is None.  Made once per
+        root, so ``homology`` and ``basepoint_tree`` share the basepoint's."""
+        if root not in self._searches:
+            self._searches[root] = _bfs_parents(self, (root, *self.vertices))
+        return self._searches[root]
+
+    def _components(self):
+        return list(self._search(self.vertices[0]).values()).count(None) if self.vertices else 0
+
     def is_connected(self):
-        return bool(self.vertices) and len(_bfs_parents(self, self.vertices[0])) == len(self.vertices)
+        return self._components() == 1
 
     def __eq__(self, other):
         return (
@@ -225,16 +243,20 @@ class FlagComplex:
         return f"FlagComplex({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def _bfs_parents(complex, root):
-    """``{vertex: parent}`` of the breadth-first search from root, neighbors
-    visited in vertex order; the dict's order is the visiting order."""
-    parent = {root: None}
-    queue = [root]
-    for v in queue:
-        for w in complex._neighbors[v]:
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
+def _bfs_parents(complex, roots):
+    """``{vertex: parent}`` of the breadth-first search from each root not yet
+    reached, in turn (a root's parent is None), neighbors visited in vertex
+    order; the dict's order is the visiting order."""
+    parent = {}
+    for root in roots:
+        if root not in parent:
+            parent[root] = None
+            queue = [root]
+            for v in queue:
+                for w in complex._neighbors[v]:
+                    if w not in parent:
+                        parent[w] = v
+                        queue.append(w)
     return parent
 
 
@@ -246,8 +268,8 @@ class SpanningTree:
         complex.vertex_index(root)
         self.complex = complex
         self.root = root
-        self.parent = _bfs_parents(complex, root)
-        if len(self.parent) != len(complex.vertices):
+        self.parent = complex._search(root)
+        if list(self.parent.values()).count(None) != 1:
             raise ValueError("complex is not connected")
         pos = complex._vidx
         self.edges = frozenset(
@@ -335,26 +357,20 @@ class HomologyResult:
 def homology(complex, reduced=False):
     """Integral homology in every degree.  d_1, a graph's signed incidence
     matrix, is totally unimodular, so its invariant factors are n - c ones
-    for n vertices in c components; d_k for k >= 2 goes through exact Smith
-    normal form once d_{k-1} d_k = 0 is checked (d_1 is built for that check
-    only).  Degree 0 uses the augmentation map when ``reduced`` is true."""
+    for n vertices in c components, counted by the complex's one search from
+    the basepoint; d_k for k >= 2 goes through exact Smith normal form once
+    d_{k-1} d_k = 0 is checked (d_1 is built for that check only).  Degree 0
+    uses the augmentation map when ``reduced`` is true."""
     f = complex.f_vector()
     dim = len(f) - 1
     matrices = {k: boundary_matrix(complex, k) for k in range(1 if dim > 1 else 2, dim + 1)}
     for k in range(2, dim + 1):
         if not snf.is_zero_matrix(snf.matrix_multiply(matrices[k - 1], matrices[k])):
             raise AssertionError(f"boundary composition d_{k-1} d_{k} is nonzero")
-    adj, seen, components = complex._adj_idx, set(), 0
-    for i in range(len(adj)):
-        if i not in seen:  # a new component: flood it
-            components += 1
-            front = {i}
-            while front:
-                seen |= front
-                front = set().union(*[adj[j] for j in front]) - seen
 
     # factors[k] belongs to the map out of C_k: the augmentation at k = 0, none at dim + 1.
-    factors = [(1,) if reduced and f else (), (1,) * (len(adj) - components)]
+    ones = len(complex.vertices) - complex._components()
+    factors = [(1,) if reduced and f else (), (1,) * ones]
     factors += [snf.invariant_factors(matrices[k]) for k in range(2, dim + 1)] + [()]
     betti = tuple(f[k] - len(factors[k]) - len(factors[k + 1]) for k in range(dim + 1))
     torsion = tuple(tuple(d for d in factors[k + 1] if d > 1) for k in range(dim + 1))

@@ -1,6 +1,8 @@
 """Tests for flag complex construction, homology, and the graph parsers."""
 
+import copy
 import json
+import pickle
 import random
 import sys
 import tracemalloc
@@ -523,6 +525,16 @@ def test_spanning_tree_rejects_bad_roots_and_disconnected_complexes():
     assert not FlagComplex([], []).is_connected()
     assert FlagComplex(["a"], []).is_connected()
     assert not three_points().is_connected()
+
+
+def test_copies_and_pickles_rebuild_through_the_checks():
+    for complex in (octahedron(), two_points(), FlagComplex([], [])):
+        complex.f_vector(), complex.is_connected()  # fill the lazy levels and search
+        for twin in (copy.copy(complex), copy.deepcopy(complex), pickle.loads(pickle.dumps(complex))):
+            assert twin == complex and twin.vertices == complex.vertices
+            assert twin._levels is not complex._levels and twin._searches is not complex._searches
+            assert homology(twin, reduced=True) == homology(complex, reduced=True)
+            assert twin.is_connected() == complex.is_connected()
 
 
 # -- parsers ---------------------------------------------------------------

@@ -113,25 +113,28 @@ def test_c4_report_is_the_rank_one_bieri_case():
 
 
 def test_report_makes_one_breadth_first_search(monkeypatch):
-    # Reduced H_0 answers connectivity; only the collapse's spanning tree
-    # searches, and C4's H_1 != 0 answers without a collapse.
+    # One search from the basepoint counts the components for d_1 and H_0;
+    # the collapse's spanning tree (the octahedron's) reuses it, C4's
+    # H_1 != 0 answers without a collapse, and two points are one search too.
     from bbgroups import complexes
 
     searches = []
     original = complexes._bfs_parents
 
-    def counting(complex, root):
-        searches.append(root)
-        return original(complex, root)
+    def counting(complex, roots):
+        searches.append(roots)
+        return original(complex, roots)
 
     monkeypatch.setattr(complexes, "_bfs_parents", counting)
-    for complex, count in ((octahedron(), 1), (c4(), 0)):
+    for complex, connected in ((octahedron(), True), (c4(), True), (two_points(), False)):
         searches.clear()
-        assert finiteness_report(complex).finitely_generated is True
-        assert len(searches) == count
-    searches.clear()
-    report = finiteness_report(two_points())
-    assert report.finitely_generated is False and report.finitely_presented == "no"
+        report = finiteness_report(complex)
+        assert report.finitely_generated is connected
+        assert [roots[0] for roots in searches] == [complex.vertices[0]]
+        if connected:
+            complexes.simply_connected_status(complex)
+            assert len(searches) == 1
+    assert report.finitely_presented == "no"
     assert "finitely generated: no" in render_report_text(report)
 
 
