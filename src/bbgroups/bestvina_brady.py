@@ -14,15 +14,13 @@ back.  Everything claimed about these words is checked through their
 images in the RAAG.  ``verify_relator`` first reads the syllables as an
 edge-walk, [a>b]^k a step a -> b and [a>b]^-k a step b -> a for k the
 first exponent: the image of a closed walk telescopes to 1, and every
-relator that ``present`` writes is one.  Any other word goes through one
-pass that maps each edge syllable [a>b]^k to a syllable pair, ordered by
-the previous syllable's edge (a^k b^-k if a is one of its ends, else
-b^-k a^k), pushes the pair onto one free-reduction stack, and asks the
-normal-form engine's piles whether what is left is trivial.  It takes an
-edge Word or the bare syllables: ``verify`` reads each relator of a file
-once, to its freely reduced syllables over the edges
-(``_read_edge_relators``), and hands them over, with no Word per
-relator.  The module also implements letterwise inversion and a
+relator that ``present`` writes is one.  Any other word's image, each
+[a>b]^k mapped to a^k b^-k and freely reduced by
+``words.reduce_syllables``, goes to the normal-form engine's piles unless
+nothing is left.  It takes an edge Word or the bare syllables: ``verify``
+reads each relator of a file once, to its freely reduced syllables over
+the edges (``_read_edge_relators``), and hands them over, with no Word
+per relator.  The module also implements letterwise inversion and a
 homotopy-move engine that rewrites cycle relators one backtrack or
 triangle at a time; each move is a frozen dataclass.
 """
@@ -37,7 +35,7 @@ from .complexes import edge_path_presentation, simply_connected_status
 from .errors import parse_text_or_json
 from .presentations import TIETZE_BUDGET, Presentation
 from .presentations import _json_parts, _read_relators, _relator_syllables, _text_parts
-from .words import RaagContext, Word, edge_alphabet, exponent_sum
+from .words import RaagContext, Word, edge_alphabet, exponent_sum, reduce_syllables
 
 
 class BBContext:
@@ -112,15 +110,12 @@ def verify_relator(edge_word, ctx):
     ([a>b], k) is a step a -> b and ([a>b], -k) a step b -> a.  A closed
     walk is a relator, since each step's image is u^k v^-k for its ends
     u -> v (a and b commute), so the image telescopes.  Every c^[n] and
-    every folded triangle relator is such a walk.  Any other syllables go
-    through one pass that pushes each syllable's two image runs onto one
-    free-reduction stack: [a>b]^k maps to a^k b^-k if a is an end of the
-    previous syllable's edge (the last one's, before the first), else to
-    b^-k a^k; both are exact.  The piles see only what does not cancel.
+    every folded triangle relator is such a walk.  Any other syllables map
+    to their image, [a>b]^k to a^k b^-k, freely reduced; the piles see
+    only what does not cancel.
     """
     if isinstance(edge_word, Word):
-        alphabet = edge_word.alphabet
-        if alphabet is not ctx.edge_alphabet and alphabet != ctx.edge_alphabet:
+        if edge_word.alphabet != ctx.edge_alphabet:
             raise ValueError("word is not over this complex's directed-edge alphabet")
         runs = edge_word._runs
     else:
@@ -138,30 +133,8 @@ def verify_relator(edge_word, ctx):
             if at == start:
                 return True
         break
-    stack = [(None, 0)]  # the image's runs, freely reduced, over a run of no letter
-    previous = runs[-1][0] if runs else None
-    for edge, k in runs:
-        a, b = edge
-        if a not in previous:
-            a, b, k = b, a, -k
-        previous = edge
-        # Both pushes written out: one loop over ((a, k), (b, -k)), or a
-        # generator into words.reduce_syllables, was half as fast again.
-        top, n = stack[-1]
-        if top != a:
-            stack.append((a, k))
-        elif n + k:
-            stack[-1] = (a, n + k)
-        else:
-            stack.pop()
-        top, n = stack[-1]
-        if top != b:
-            stack.append((b, -k))
-        elif n - k:
-            stack[-1] = (b, n - k)
-        else:
-            stack.pop()
-    return len(stack) == 1 or not any(ctx.raag._pile(stack[1:])[0])
+    image = reduce_syllables(run for (a, b), k in runs for run in ((a, k), (b, -k)))
+    return not image or not any(ctx.raag._pile(image)[0])
 
 
 def express_in_kernel(vertex_word, ctx):
@@ -426,6 +399,8 @@ def apply_move_to_cycle(cycle, move, ctx):
 
 def relator_to_cycle(relator_word, n, ctx):
     """Recover the directed cycle c from the relator word c^[n]."""
+    if relator_word.alphabet != ctx.edge_alphabet:
+        raise ValueError("word is not over this complex's directed-edge alphabet")
     if n == 0:
         raise ValueError("relator exponent must be nonzero")
     edges = []

@@ -233,6 +233,10 @@ class Word:
                 square = square * square
         return power
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the checks
+        return Word.from_syllables, (self.alphabet, self._runs)
+
     def __repr__(self):
         return f"Word({render_word(self) or '1'})"
 

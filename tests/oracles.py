@@ -16,7 +16,8 @@ letter.  None of them shares code with the library paths they audit,
 except ``verify_reference``: it checks ``bbgroups verify`` against the
 route that parses a whole presentation file and only then re-letters its
 relators onto edges, and it decides each relator by piling its letterwise
-``raag_image``, not by ``verify_relator``.
+``raag_image``, not by ``verify_relator``'s walk pass or its syllable
+image.
 
 The cyclic extension of the kernel by the basepoint letter (the paper's
 G = H x| Z: ``ExtensionElement`` and its ``extension_*`` laws,
@@ -425,8 +426,8 @@ def verify_reference(complex, text, as_json=False):
     the file parsed whole by ``parse_presentation`` or
     ``presentation_from_json``, then ``presentation_relator_edge_words``,
     then, per relator, whether the RAAG's piles hold nothing for its
-    ``raag_image`` spelled letter by letter (not ``verify_relator``'s
-    one-pass image)."""
+    ``raag_image`` spelled letter by letter (not ``verify_relator``'s walk
+    pass or syllable image)."""
     ctx = BBContext(complex)
     try:
         if text.lstrip().startswith("{"):

@@ -933,6 +933,13 @@ def test_relator_to_cycle_validation():
     relator = cycle_relator(ctx.complex.directed_cycle(["a", "b", "c"]), 2, ctx)
     with pytest.raises(ValueError, match="not of the form"):
         relator_to_cycle(relator, 3, ctx)
+    square = BBContext(c4())
+    foreign = cycle_relator(square.complex.directed_cycle(["a", "b", "c", "d"]), 1, square)
+    for word in (foreign, vw(ctx, "a b^-1")):
+        with pytest.raises(ValueError, match="directed-edge alphabet"):
+            relator_to_cycle(word, 1, ctx)
+        with pytest.raises(ValueError, match="directed-edge alphabet"):
+            apply_homotopy_move(word, RotateMove(1), 1, ctx)
 
 
 def test_find_move_sequence_trivial_and_single():

@@ -9,6 +9,7 @@ import pytest
 
 from bbgroups import (
     BBContext,
+    RaagContext,
     Word,
     directed_cycle_presentation,
     parse_presentation,
@@ -413,6 +414,35 @@ def test_verify_agrees_with_the_oracle_on_tampered_truncated_files(tmp_path, cap
                     assert got == verify_reference(complex, text, as_json=bool(flags)), (name, changed)
                     codes.add(code)
     assert codes == {0, 1}
+
+
+def test_verify_agrees_with_the_oracle_on_files_the_walk_pass_does_not_decide(tmp_path, capsys, monkeypatch):
+    # [b>a]^-k has the image of [a>b]^k, a^k b^-k, but read as a step it goes
+    # b -> a, so a flipped triangle is no walk: its image is freely reduced and
+    # what does not cancel goes to the piles.
+    piled = []
+    pile = RaagContext._pile
+    monkeypatch.setattr(RaagContext, "_pile", lambda self, runs: piled.append(runs) or pile(self, runs))
+    factor = re.compile(r"\[([^>\]]+)>([^\]]+)\](?:\^(-?\d+))?")
+    flip = lambda m: f"[{m[2]}>{m[1]}]^{-int(m[3] or 1)}"
+    for name, complex in (("k3", k3()), ("octahedron", octahedron())):
+        graph = tmp_path / f"{name}.txt"
+        graph.write_text(_graph_text(complex))
+        assert main(["present", "--kind", "bb-truncated", str(graph)]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        lines = [factor.sub(flip, line) if line.startswith("rel:") else line for line in lines]
+        rels = [i for i, line in enumerate(lines) if line.startswith("rel:")]
+        i = rels[len(rels) // 2]
+        tampered = lines[:i] + [_tampered_lines(lines[i])[0] + "\n"] + lines[i + 1 :]
+        for text, expected in (("".join(lines), 0), ("".join(tampered), 1)):
+            path = tmp_path / "flipped.txt"
+            path.write_text(text)
+            for flags in ([], ["--json"]):
+                piled.clear()
+                code = main(["verify", *flags, str(graph), str(path)])
+                out, err = capsys.readouterr()
+                assert code == expected and 0 < len(piled) < len(rels), (name, len(piled))
+                assert (code, out, err) == verify_reference(complex, text, as_json=bool(flags))
 
 
 def test_present_pi1(files, capsys):

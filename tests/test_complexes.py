@@ -10,18 +10,22 @@ import tracemalloc
 import pytest
 
 from bbgroups import (
+    BBContext,
     DirectedEdge,
     FlagComplex,
     ParseError,
     Pi1Status,
     SpanningTree,
+    Word,
     abelianization,
     boundary_matrix,
     euler_characteristic,
+    finite_presentation,
     homology,
     parse_complex,
     parse_graph_json,
     parse_graph_text,
+    parse_word,
     pi1_presentation,
     simply_connected_status,
     snf,
@@ -535,6 +539,31 @@ def test_copies_and_pickles_rebuild_through_the_checks():
             assert twin._levels is not complex._levels and twin._searches is not complex._searches
             assert homology(twin, reduced=True) == homology(complex, reduced=True)
             assert twin.is_connected() == complex.is_connected()
+
+
+def test_words_and_presentations_copy_and_pickle_through_the_checks():
+    ctx = BBContext(k3())
+    pres = finite_presentation(ctx)
+    words = (
+        parse_word("a^2 b^-1 c a^-1", ctx.vertex_alphabet),
+        parse_word("[a>b]^3 [b>c] [c>a]^-2", ctx.edge_alphabet),
+        parse_word("", ctx.edge_alphabet),
+        *pres.relators,
+    )
+    assert {w.alphabet.kind for w in words} == {"vertex", "edge", "named"}
+    copies = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    for word in words:
+        for twin in (f(word) for f in copies):
+            assert type(twin) is Word and twin == word and hash(twin) == hash(word)
+            assert twin.syllables() == word.syllables() and len(twin) == len(word)
+    for twin in (copy.deepcopy(pres), pickle.loads(pickle.dumps(pres))):
+        assert twin == pres and twin.relators == pres.relators
+    # Runs that skipped the checks come back through them.
+    assert copy.copy(Word._of(ctx.vertex_alphabet, (("a", 1), ("a", 2)))).syllables() == [("a", 3)]
+    with pytest.raises(ValueError, match="nonzero integer"):
+        copy.copy(Word._of(ctx.vertex_alphabet, (("a", 0),)))
+    with pytest.raises(ValueError, match="not in the vertex alphabet"):
+        pickle.loads(pickle.dumps(Word._of(ctx.vertex_alphabet, (("z", 1),))))
 
 
 # -- parsers ---------------------------------------------------------------

@@ -117,6 +117,11 @@ def _relator_at_exponent_zero():
     return relator_to_cycle(parse_word("[a>b] [b>a]", ctx.edge_alphabet), 0, ctx)
 
 
+def _vertex_word_as_relator():
+    ctx = BBContext(k3())
+    return relator_to_cycle(parse_word("a b^-1", ctx.vertex_alphabet), 1, ctx)
+
+
 def _edge_word_expressed():
     ctx = BBContext(k3())
     return express_in_kernel(parse_word("[a>b]", ctx.edge_alphabet), ctx)
@@ -137,6 +142,9 @@ OUT_OF_RANGE_CALLS = {
     ),
     "relator-to-cycle-exponent-0": (
         _relator_at_exponent_zero, ValueError, "relator exponent must be nonzero",
+    ),
+    "relator-to-cycle-vertex-word": (
+        _vertex_word_as_relator, ValueError, "word is not over this complex's directed-edge alphabet",
     ),
     "simply-connected-budget-0": (
         lambda: simply_connected_status(k3(), budget=0),
